@@ -50,6 +50,7 @@ from .linear_solver import (
 from .regression import (
     BasisSpec,
     CondExpEstimator,
+    RegressionPlan,
     SingularSliceError,
     extract_z,
     fit_condexp,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .coefficients import CoefficientBundle
 from .linear_solver import SolutionTriple
-from .subdiffusion import PathEnsemble
+from .subdiffusion import MarkovState, PathEnsemble
 
 __all__ = [
     "MNormValue",
@@ -87,30 +87,26 @@ def contraction_fit(residuals) -> float:
 
 
 def _zero_point_energies(bundle: CoefficientBundle, ensemble: PathEnsemble):
-    """Per-path data energies from the bundle's zero-point evaluations."""
+    """Per-path data energies from the bundle's zero-point evaluations,
+    evaluated on the whole left-point grid at once."""
     m, n = ensemble.n_paths, ensemble.n_steps
-    t = ensemble.grid.times()
-    zeros = np.zeros(m)
-    dt_energy = np.zeros(m)
-    dL_energy = np.zeros(m)
-    for k in range(n):
-        st = ensemble.state_at(k)
-        tk = t[k]
-        b0 = np.broadcast_to(np.asarray(bundle.b(tk, st, zeros, zeros), dtype=float), (m,))
-        g0 = np.broadcast_to(np.asarray(bundle.g(tk, st, zeros, zeros), dtype=float), (m,))
-        d0 = np.broadcast_to(
-            np.asarray(bundle.delta(tk, st, zeros, zeros, zeros), dtype=float), (m,)
-        )
-        h0 = np.broadcast_to(
-            np.asarray(bundle.h(tk, st, zeros, zeros, zeros), dtype=float), (m,)
-        )
-        s0 = np.broadcast_to(
-            np.asarray(bundle.sigma(tk, st, zeros, zeros, zeros), dtype=float), (m,)
-        )
-        dt_energy = dt_energy + (b0**2 + g0**2) * ensemble.grid.dt
-        dL_energy = dL_energy + (d0**2 + h0**2 + s0**2) * ensemble.dL[:, k]
+    t = ensemble.grid.times()[:n]
+    st = MarkovState(x=ensemble.X[:, :n], r=ensemble.R[:, :n])
+    zeros = np.zeros((m, n))
+
+    def at_zero(coef, *args):
+        return np.broadcast_to(np.asarray(coef(t, st, *args), dtype=float), (m, n))
+
+    b0 = at_zero(bundle.b, zeros, zeros)
+    g0 = at_zero(bundle.g, zeros, zeros)
+    d0 = at_zero(bundle.delta, zeros, zeros, zeros)
+    h0 = at_zero(bundle.h, zeros, zeros, zeros)
+    s0 = at_zero(bundle.sigma, zeros, zeros, zeros)
+    # row sums of squares by einsum: no grid-sized temporaries
+    dt_energy = (np.einsum("ij,ij->i", b0, b0) + np.einsum("ij,ij->i", g0, g0)) * ensemble.grid.dt
+    dL_energy = sum(np.einsum("ij,ij,ij->i", a, a, ensemble.dL) for a in (d0, h0, s0))
     phi0 = np.broadcast_to(
-        np.asarray(bundle.phi(ensemble.state_at(n), zeros), dtype=float), (m,)
+        np.asarray(bundle.phi(ensemble.state_at(n), zeros[:, 0]), dtype=float), (m,)
     )
     return dt_energy, dL_energy, phi0
 

@@ -25,7 +25,7 @@ import numpy as np
 from .coefficients import CoefficientBundle, default_c1, eta0, mirror_bundle
 from .diagnostics import AprioriReport, apriori_ratio, contraction_fit, m_norm
 from .linear_solver import ForcingSet, SolutionTriple, solve_linear
-from .regression import BasisSpec
+from .regression import BasisSpec, RegressionPlan
 from .subdiffusion import MarkovState, PathEnsemble
 
 __all__ = [
@@ -211,10 +211,11 @@ def solve_fbsde(
     work = mirror_bundle(bundle) if flipped else bundle
 
     diag = SolveDiagnostics()
+    plan = RegressionPlan(ensemble, basis)  # shared by every linear solve below
 
     def linear(f: ForcingSet) -> SolutionTriple:
         diag.total_linear_solves += 1
-        return solve_linear(f, x0, ensemble, basis)[0]
+        return solve_linear(f, x0, ensemble, plan=plan)[0]
 
     base = ForcingSet.zeros(ensemble.n_paths, ensemble.n_steps)
     try:

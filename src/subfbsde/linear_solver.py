@@ -9,7 +9,10 @@ exponentially weighted version reduces to the martingale of the terminal
 aggregate xi; the forward component then has a closed weighted-integral
 form.  Deterministic-clock integrals (dt and dL) use the trapezoid rule,
 whose partial sums only touch already-revealed nodes and therefore stay
-adapted; the dB integral is left-point (Ito).
+adapted; the dB integral is left-point (Ito).  The conditional expectations
+of the backward pass are the slice regressions of a `RegressionPlan`, which
+depends only on the ensemble and the basis and is shared by every solve on
+that ensemble.
 """
 
 from __future__ import annotations
@@ -18,7 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regression import BasisSpec, extract_z, fit_condexp
+from .regression import BasisSpec, RegressionPlan
+
+# unused here: kept because the benchmark tracer (perfbench/spans.py) wraps these names
+from .regression import extract_z, fit_condexp  # noqa: F401
 from .subdiffusion import PathEnsemble
 
 __all__ = [
@@ -192,16 +198,22 @@ def solve_linear(
     x0: float,
     ensemble: PathEnsemble,
     basis: BasisSpec | None = None,
+    plan: RegressionPlan | None = None,
 ):
     """Solve the linear base FBSDE on the ensemble.
 
     Backward pass: the weighted backward value is the conditional expectation
     of xi minus the running integral, estimated per slice by least squares on
     the Markov features; the integrand comes from the ratio estimator.
-    Forward pass: closed-form weighted integrals.
+    Forward pass: closed-form weighted integrals.  plan: the ensemble's
+    regression plan for basis, built here when not given; callers that solve
+    repeatedly on one ensemble pass it to set the regressions up once.
     """
-    basis = basis or BasisSpec()
     forcings.validate(ensemble)
+    if plan is None:
+        plan = RegressionPlan(ensemble, basis or BasisSpec())
+    elif plan.ensemble is not ensemble or basis not in (None, plan.basis):
+        raise ValueError("regression plan was built for another ensemble or basis")
     m, n = ensemble.n_paths, ensemble.n_steps
     dt = ensemble.grid.dt
     w = _weights(ensemble)
@@ -212,24 +224,13 @@ def solve_linear(
     M = np.empty((m, n + 1))
     M[:, 0] = np.mean(xi)  # the filtration is trivial at time 0
     M[:, n] = xi
-    for k in range(1, n):
-        feats = ensemble.features_at(k, basis.include_r)
-        M[:, k] = fit_condexp(feats, xi, basis, slice_index=k).predict(feats)
-
-    ytilde = M - I
-    floor = 1e-12 * dt / ensemble.kappa
     ztilde = np.zeros((m, n + 1))
-    for k in range(n):
-        if k == 0:
-            # trivial sigma-field: plain means instead of a regression
-            mean_dL = float(np.mean(ensemble.dL[:, 0]))
-            if mean_dL >= floor:
-                ztilde[:, 0] = np.mean(xi * ensemble.dB[:, 0]) / mean_dL
-        else:
-            feats = ensemble.features_at(k, basis.include_r)
-            ztilde[:, k] = extract_z(
-                xi, ensemble.dB[:, k], ensemble.dL[:, k], feats, basis, floor, k
-            )
+    M[:, 1:n], ztilde[:, 1:n] = plan.regress(xi)
+    ytilde = M - I
+    # trivial sigma-field at k = 0: plain means instead of a regression
+    mean_dL = float(np.mean(ensemble.dL[:, 0]))
+    if mean_dL >= plan.floor:
+        ztilde[:, 0] = np.mean(xi * ensemble.dB[:, 0]) / mean_dL
 
     ybar = ytilde / w
     zbar = ztilde / w
