@@ -43,8 +43,6 @@ from .linear_solver import (
     ForcingSet,
     LinearWorkspace,
     SolutionTriple,
-    apriori_linear_check,
-    build_xi,
     solve_linear,
 )
 from .regression import (

@@ -23,7 +23,7 @@ from .clock import SubordinatorSpec, TimeGrid
 from .coefficients import PointCloud, check_hypothesis, get_bundle
 from .diagnostics import apriori_ratio, m_norm
 from .fbsde_solver import ContinuationConfig, DivergedError, solve_fbsde
-from .linear_solver import ForcingSet, solve_linear, apriori_linear_check
+from .linear_solver import ForcingSet, solve_linear
 from .regression import BasisSpec
 from .subdiffusion import build_ensemble
 
@@ -87,7 +87,6 @@ CONFIG_SCHEMA = {
         "max_picard": {"type": "integer", "minimum": 1},
         "nested_max_depth": {"type": "integer", "minimum": 1},
         "C1": {"type": "number", "exclusiveMinimum": 0},
-        "warm_start": {"type": "boolean"},
         "basis": {
             "type": "object",
             "additionalProperties": False,
@@ -157,15 +156,16 @@ class ScenarioConfig:
             include_r=b.get("include_r", True),
             ridge=b.get("ridge"),
         )
+        # "flatten" is the one-level ladder; "nested" steps by the eta key,
+        # or by the derived bound when it is absent
+        nested = raw.get("strategy", "flatten") == "nested"
         try:
             self.solver = ContinuationConfig(
-                eta=raw.get("eta"),
+                eta=raw.get("eta") if nested else 1.0,
                 picard_tol=raw.get("picard_tol", 1e-3),
                 max_picard=raw.get("max_picard", 25),
-                strategy=raw.get("strategy", "flatten"),
                 nested_max_depth=raw.get("nested_max_depth", 3),
                 C1=raw.get("C1"),
-                warm_start=raw.get("warm_start", True),
             )
         except ValueError as err:
             raise ConfigError(str(err)) from None
@@ -309,40 +309,15 @@ def _cmd_solve_linear(config: ScenarioConfig) -> int:
     forcings = config.forcings(ens.n_paths, ens.n_steps)
     theta, _ = solve_linear(forcings, config.x0, ens, config.basis)
     _solution_csv(config, "solve-linear", ens, theta)
-    norm = m_norm(theta)
-    check = apriori_linear_check(theta, forcings, config.x0)
     _write_json(
         config.artifact_path("solve-linear", "json"),
         config,
         {
-            "m_norm": norm.to_json_dict(),
-            "apriori": {
-                "lhs": check.lhs,
-                "rhs": check.rhs,
-                "ratio": check.ratio,
-                "violation": check.violation,
-            },
+            "m_norm": m_norm(theta).to_json_dict(),
+            "apriori": apriori_ratio(theta, forcings, config.x0).to_json_dict(),
         },
     )
     return EXIT_OK
-
-
-def _diagnostics_payload(theta, diag) -> dict:
-    level = diag.levels[-1] if diag.levels else None
-    residuals = list(level.residuals) if level else []
-    ratios = [
-        residuals[i + 1] / residuals[i]
-        for i in range(len(residuals) - 1)
-        if residuals[i] > 0.0
-    ]
-    return {
-        "m_norm": m_norm(theta).to_json_dict() if theta is not None else None,
-        "contraction": {"ratios": ratios, "fit": level.ratio if level else None},
-        "apriori": diag.apriori.to_json_dict() if diag.apriori else None,
-        "diverged": diag.diverged,
-        "levels": [lv.to_json_dict() for lv in diag.levels],
-        "total_linear_solves": diag.total_linear_solves,
-    }
 
 
 def _run_solve(config: ScenarioConfig, subcommand: str, write_solution: bool) -> int:
@@ -362,7 +337,7 @@ def _run_solve(config: ScenarioConfig, subcommand: str, write_solution: bool) ->
             config.artifact_path(subcommand, "json"),
             config,
             {
-                **_diagnostics_payload(None, err.diagnostics),
+                **err.diagnostics.to_json_dict(),
                 "error": str(err),
                 "alpha": err.alpha,
                 "eta": err.eta,
@@ -374,9 +349,7 @@ def _run_solve(config: ScenarioConfig, subcommand: str, write_solution: bool) ->
         raise ConfigError(str(err)) from None
     if write_solution:
         _solution_csv(config, subcommand, ens, theta)
-    _write_json(
-        config.artifact_path(subcommand, "json"), config, _diagnostics_payload(theta, diag)
-    )
+    _write_json(config.artifact_path(subcommand, "json"), config, diag.to_json_dict())
     return EXIT_OK
 
 

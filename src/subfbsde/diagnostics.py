@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientBundle
-from .linear_solver import SolutionTriple
-from .subdiffusion import MarkovState, PathEnsemble
+from .linear_solver import ForcingSet, SolutionTriple
 
 __all__ = [
     "MNormValue",
@@ -86,58 +84,32 @@ def contraction_fit(residuals) -> float:
     return float(np.exp(np.mean(np.log(ratios))))
 
 
-def _zero_point_energies(bundle: CoefficientBundle, ensemble: PathEnsemble):
-    """Per-path data energies from the bundle's zero-point evaluations,
-    evaluated on the whole left-point grid at once."""
-    m, n = ensemble.n_paths, ensemble.n_steps
-    t = ensemble.grid.times()[:n]
-    st = MarkovState(x=ensemble.X[:, :n], r=ensemble.R[:, :n])
-    zeros = np.zeros((m, n))
-
-    def at_zero(coef, *args):
-        return np.broadcast_to(np.asarray(coef(t, st, *args), dtype=float), (m, n))
-
-    b0 = at_zero(bundle.b, zeros, zeros)
-    g0 = at_zero(bundle.g, zeros, zeros)
-    d0 = at_zero(bundle.delta, zeros, zeros, zeros)
-    h0 = at_zero(bundle.h, zeros, zeros, zeros)
-    s0 = at_zero(bundle.sigma, zeros, zeros, zeros)
-    # row sums of squares by einsum: no grid-sized temporaries
-    dt_energy = (np.einsum("ij,ij->i", b0, b0) + np.einsum("ij,ij->i", g0, g0)) * ensemble.grid.dt
-    dL_energy = sum(np.einsum("ij,ij,ij->i", a, a, ensemble.dL) for a in (d0, h0, s0))
-    phi0 = np.broadcast_to(
-        np.asarray(bundle.phi(ensemble.state_at(n), zeros[:, 0]), dtype=float), (m,)
-    )
-    return dt_energy, dL_energy, phi0
-
-
-def apriori_ratio(
-    theta: SolutionTriple,
-    bundle: CoefficientBundle,
-    x0: float,
-    ensemble: PathEnsemble,
-    bootstrap: bool = True,
-) -> AprioriReport:
+def apriori_ratio(theta: SolutionTriple, data: ForcingSet, x0: float) -> AprioriReport:
     """Monte Carlo ratio for the a priori solution estimate: solution energy
-    over data energy built from zero-point coefficient evaluations."""
+    over data energy, per path, with a bootstrap standard error.  data holds
+    the forcings of the system theta solves; for a coupled bundle these are
+    its coefficients at the zero solution."""
     n = theta.dL.shape[1]
     lhs_paths = np.max(theta.x**2 + theta.y**2, axis=1) + np.sum(
         theta.z[:, :n] ** 2 * theta.dL, axis=1
     )
-    dt_energy, dL_energy, phi0 = _zero_point_energies(bundle, ensemble)
-    rhs_paths = x0**2 + phi0**2 + dt_energy + dL_energy
+    # row sums of squares by einsum: no grid-sized temporaries
+    b0, g0 = data.b0[:, :n], data.g0[:, :n]
+    dt_energy = (np.einsum("ij,ij->i", b0, b0) + np.einsum("ij,ij->i", g0, g0)) * theta.dt
+    dL_energy = sum(
+        np.einsum("ij,ij,ij->i", a[:, :n], a[:, :n], theta.dL)
+        for a in (data.delta0, data.h0, data.sigma0)
+    )
+    rhs_paths = x0**2 + data.phi0**2 + dt_energy + dL_energy
 
     lhs = float(np.mean(lhs_paths))
     rhs = float(np.mean(rhs_paths))
     tol = 1e-12
     if rhs <= tol:
         return AprioriReport(lhs=lhs, rhs=rhs, ratio=0.0, ratio_se=0.0, degenerate=True)
-    ratio = lhs / rhs
-    se = 0.0
-    if bootstrap:
-        m = lhs_paths.size
-        rng = np.random.default_rng(0)
-        idx = rng.integers(0, m, size=(BOOTSTRAP_RESAMPLES, m))
-        boots = np.mean(lhs_paths[idx], axis=1) / np.mean(rhs_paths[idx], axis=1)
-        se = float(np.std(boots, ddof=1))
-    return AprioriReport(lhs=lhs, rhs=rhs, ratio=ratio, ratio_se=se, degenerate=False)
+    m = lhs_paths.size
+    rng = np.random.default_rng(0)
+    idx = rng.integers(0, m, size=(BOOTSTRAP_RESAMPLES, m))
+    boots = np.mean(lhs_paths[idx], axis=1) / np.mean(rhs_paths[idx], axis=1)
+    se = float(np.std(boots, ddof=1))
+    return AprioriReport(lhs=lhs, rhs=rhs, ratio=lhs / rhs, ratio_se=se, degenerate=False)

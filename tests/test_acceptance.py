@@ -19,7 +19,6 @@ from subfbsde import (
     SolutionTriple,
     SubordinatorSpec,
     TimeGrid,
-    apriori_ratio,
     build_ensemble,
     check_hypothesis,
     continuation_transform,
@@ -231,8 +230,8 @@ def test_criterion_09_apriori_scale_stability():
     ens = build_ensemble(JUMP_SPEC, grid, 2000, seed=900)
     ratios = []
     for x0 in (1.0, 2.0, 4.0):
-        theta, _ = solve_fbsde(bundle, x0, ens)
-        ratios.append(apriori_ratio(theta, bundle, x0, ens).ratio)
+        _, diag = solve_fbsde(bundle, x0, ens)
+        ratios.append(diag.apriori.ratio)
     spread = max(ratios) / min(ratios)
     ok = spread <= 1.25
     report(

@@ -83,6 +83,22 @@ def test_reruns_byte_identical(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_flatten_is_the_one_level_ladder(tmp_path):
+    # strategy "flatten" and a nested ladder with eta = 1 are one solve
+    jumps = {"jump_kind": "exponential", "rate": 1.0, "jump_param": 1.0}
+    strategies = {"flat": {"strategy": "flatten"}, "nested": {"strategy": "nested", "eta": 1.0}}
+    docs = []
+    for d, over in strategies.items():
+        out = tmp_path / d
+        cfg = base_config(bundle="riccati_test", jumps=jumps, **over)
+        assert run("solve", write_config(tmp_path, cfg, f"{d}.json"), output_dir=out) == EXIT_OK
+        rows = (out / "t_solve_9.csv").read_text().splitlines()[1:]
+        doc = json.loads((out / "t_solve_9.json").read_text())
+        del doc["config_hash"]
+        docs.append((rows, doc))
+    assert docs[0] == docs[1]
+
+
 def test_validation_errors(tmp_path, capsys):
     # unreadable file
     assert run("solve", tmp_path / "missing.json") == EXIT_CONFIG
@@ -147,7 +163,8 @@ def test_solve_linear_artifacts(tmp_path):
     assert lines[1] == "t,mean_x,mean_y,mean_z,sd_x,sd_y"
     assert len(lines) == 2 + cfg["n_steps"] + 1
     doc = json.loads((tmp_path / "t_solve-linear_9.json").read_text())
-    assert "m_norm" in doc and "apriori" in doc
+    assert "m_norm" in doc
+    assert set(doc["apriori"]) == {"lhs", "rhs", "ratio", "se", "degenerate"}
 
 
 def test_solve_requires_bundle(tmp_path):

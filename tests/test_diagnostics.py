@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subfbsde import (
+    ForcingSet,
     SolutionTriple,
     apriori_ratio,
     contraction_fit,
     get_bundle,
     m_norm,
+    picard_forcings,
     solve_fbsde,
 )
 
@@ -83,17 +85,24 @@ def test_contraction_fit_drops_first_ratio():
     assert contraction_fit([100.0, 0.9, 0.3, 0.1]) == pytest.approx(1.0 / 3.0)
 
 
+def _zero_point_data(bundle, ensemble):
+    """The bundle's coefficients at the zero solution, as the solver builds them."""
+    base = ForcingSet.zeros(ensemble.n_paths, ensemble.n_steps)
+    return picard_forcings(bundle, SolutionTriple.zeros(ensemble), 1.0, base, ensemble)
+
+
 def test_apriori_degenerate_zero_data(jump_ensemble):
-    bundle = get_bundle("canonical_monotone")
-    report = apriori_ratio(SolutionTriple.zeros(jump_ensemble), bundle, 0.0, jump_ensemble)
+    data = _zero_point_data(get_bundle("canonical_monotone"), jump_ensemble)
+    report = apriori_ratio(SolutionTriple.zeros(jump_ensemble), data, 0.0)
     assert report.degenerate
     assert report.ratio == 0.0
 
 
 def test_apriori_finite_with_bootstrap(jump_ensemble):
     bundle = get_bundle("canonical_monotone", c=0.5)
-    theta, _ = solve_fbsde(bundle, 1.0, jump_ensemble)
-    report = apriori_ratio(theta, bundle, 1.0, jump_ensemble)
+    theta, diag = solve_fbsde(bundle, 1.0, jump_ensemble)
+    report = apriori_ratio(theta, _zero_point_data(bundle, jump_ensemble), 1.0)
+    assert report == diag.apriori
     assert not report.degenerate
     assert report.ratio > 0.0 and np.isfinite(report.ratio)
     assert report.ratio_se >= 0.0
@@ -106,5 +115,5 @@ def test_apriori_scale_stability(drift_ensemble):
     ratios = []
     for x0 in (1.0, 2.0, 4.0):
         theta, _ = solve_fbsde(bundle, x0, drift_ensemble)
-        ratios.append(apriori_ratio(theta, bundle, x0, drift_ensemble).ratio)
+        ratios.append(apriori_ratio(theta, _zero_point_data(bundle, drift_ensemble), x0).ratio)
     assert max(ratios) / min(ratios) <= 1.25

@@ -24,8 +24,6 @@ def test_config_validation():
         ContinuationConfig(eta=1.5)
     with pytest.raises(ValueError):
         ContinuationConfig(picard_tol=0.0)
-    with pytest.raises(ValueError):
-        ContinuationConfig(strategy="adaptive")
 
 
 def test_picard_forcings_eta_zero_is_identity(jump_ensemble):
@@ -132,7 +130,7 @@ def test_uniqueness_across_picard_seeds(drift_ensemble, jump_ensemble):
 
 def test_nested_agrees_with_flatten(jump_ensemble):
     bundle = get_bundle("canonical_monotone", c=0.5)
-    nested_cfg = ContinuationConfig(strategy="nested", eta=0.5, picard_tol=1e-5)
+    nested_cfg = ContinuationConfig(eta=0.5, picard_tol=1e-5)
     flat_cfg = ContinuationConfig(picard_tol=1e-7)
     t_nested, d_nested = solve_fbsde(bundle, 1.0, jump_ensemble, nested_cfg)
     t_flat, _ = solve_fbsde(bundle, 1.0, jump_ensemble, flat_cfg)
@@ -144,7 +142,7 @@ def test_nested_agrees_with_flatten(jump_ensemble):
 def test_nested_depth_bound_enforced(jump_ensemble):
     # the derived step bound forces far more levels than the depth cap
     bundle = get_bundle("canonical_monotone")
-    config = ContinuationConfig(strategy="nested", nested_max_depth=3)
+    config = ContinuationConfig(eta=None, nested_max_depth=3)
     assert config.resolved_eta(bundle, 1.0, 1.0) == pytest.approx(eta0(1, 1, 1, 1, 16.0))
     with pytest.raises(ValueError, match="nested_max_depth"):
         solve_fbsde(bundle, 1.0, jump_ensemble, config)
@@ -168,9 +166,31 @@ def test_diagnostics_serialization(drift_ensemble):
     assert doc["total_linear_solves"] == diag.total_linear_solves
 
 
-def test_warm_start_toggle(jump_ensemble):
+def test_user_seed_reaches_top_ladder_level(jump_ensemble):
     bundle = get_bundle("canonical_monotone", c=0.5)
-    for warm in (True, False):
-        cfg = ContinuationConfig(strategy="nested", eta=0.5, picard_tol=1e-4, warm_start=warm)
-        theta, _ = solve_fbsde(bundle, 1.0, jump_ensemble, cfg)
-        assert np.all(np.isfinite(theta.x))
+    config = ContinuationConfig(eta=0.5, picard_tol=1e-5)
+    theta, diag = solve_fbsde(bundle, 1.0, jump_ensemble, config)
+    _, seeded = solve_fbsde(bundle, 1.0, jump_ensemble, config, theta0=theta)
+    assert seeded.levels[-1].alpha == 1.0 and seeded.levels[-1].eta == 0.5
+    # a seed at the converged solution leaves only the top level's own
+    # Picard tolerance to remove
+    first, first_seeded = diag.levels[-1].residuals[0], seeded.levels[-1].residuals[0]
+    assert first_seeded <= 1e-2 * first
+
+
+def test_user_seed_mirrored_for_increasing_orientation(drift_ensemble):
+    seed = SolutionTriple.zeros(drift_ensemble)
+    seed.x += 0.3
+    seed.y += 0.5
+    seed.z -= 0.2
+    mirror = SolutionTriple(seed.x, -seed.y, -seed.z, seed.dt, seed.dL)
+    # three iterates stop short of convergence, so the result depends on the seed
+    config = ContinuationConfig(max_picard=3)
+    dec_bundle = get_bundle("canonical_monotone", c=0.5)
+    inc_bundle = get_bundle("canonical_flipped_hp2", c=0.5)
+    dec, d_dec = solve_fbsde(dec_bundle, 1.0, drift_ensemble, config, theta0=mirror)
+    inc, d_inc = solve_fbsde(inc_bundle, 1.0, drift_ensemble, config, theta0=seed)
+    assert np.allclose(d_inc.levels[-1].residuals, d_dec.levels[-1].residuals, rtol=0.0, atol=1e-10)
+    assert np.allclose(inc.x, dec.x, atol=1e-10)
+    assert np.allclose(inc.y, -dec.y, atol=1e-10)
+    assert np.allclose(inc.z, -dec.z, atol=1e-10)

@@ -6,9 +6,8 @@ from subfbsde import (
     ForcingSet,
     SubordinatorSpec,
     TimeGrid,
-    apriori_linear_check,
+    apriori_ratio,
     build_ensemble,
-    build_xi,
     m_norm,
     solve_linear,
 )
@@ -46,12 +45,12 @@ def test_martingale_residual(jump_ensemble):
 
 def test_build_xi_constant_forcing_drift_only(drift_ensemble):
     m, n = drift_ensemble.n_paths, drift_ensemble.n_steps
-    xi = build_xi(ForcingSet.constant(m, n, b0=1.0), drift_ensemble)
+    _, ws = solve_linear(ForcingSet.constant(m, n, b0=1.0), 0.0, drift_ensemble)
     # trapezoid sum of exp(-2s) on [0,1]
     dt = drift_ensemble.grid.dt
     nodes = np.exp(-2.0 * dt * np.arange(n + 1))
     expected = np.trapezoid(nodes, dx=dt)
-    assert np.allclose(xi, expected, atol=1e-12)
+    assert np.allclose(ws.xi, expected, atol=1e-12)
 
 
 def test_superposition(jump_ensemble):
@@ -107,9 +106,10 @@ def test_forced_drift_only_matches_ode_oracle():
 def test_apriori_check_zero_data(jump_ensemble):
     m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
     theta, _ = solve_linear(ForcingSet.zeros(m, n), 0.0, jump_ensemble)
-    report = apriori_linear_check(theta, ForcingSet.zeros(m, n), 0.0)
+    report = apriori_ratio(theta, ForcingSet.zeros(m, n), 0.0)
+    assert report.degenerate
     assert report.ratio == 0.0
-    assert not report.violation
+    assert report.lhs == 0.0
 
 
 def test_apriori_check_scale_invariant(jump_ensemble):
@@ -117,8 +117,8 @@ def test_apriori_check_scale_invariant(jump_ensemble):
     f = ForcingSet.constant(m, n, b0=1.0, h0=0.3, phi0=0.5)
     t1, _ = solve_linear(f, 1.0, jump_ensemble)
     t2, _ = solve_linear(f.scaled(2.0), 2.0, jump_ensemble)
-    r1 = apriori_linear_check(t1, f, 1.0)
-    r2 = apriori_linear_check(t2, f.scaled(2.0), 2.0)
+    r1 = apriori_ratio(t1, f, 1.0)
+    r2 = apriori_ratio(t2, f.scaled(2.0), 2.0)
     assert r1.ratio == pytest.approx(r2.ratio, rel=1e-6)
     assert r2.lhs == pytest.approx(4.0 * r1.lhs, rel=1e-6)
 

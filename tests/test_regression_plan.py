@@ -129,7 +129,7 @@ def test_plan_built_once_per_solve_fbsde(drift_ensemble, monkeypatch):
 
     monkeypatch.setattr(RegressionPlan, "__init__", counting_init)
     bundle = get_bundle("canonical_monotone", c=0.5)
-    config = ContinuationConfig(strategy="nested", eta=0.5)
+    config = ContinuationConfig(eta=0.5)
     _, diag = solve_fbsde(bundle, 1.0, drift_ensemble, config)
     assert diag.total_linear_solves > 1
     assert len(builds) == 1
