@@ -7,14 +7,15 @@ a Picard recursion of regression Monte Carlo linear solves at each step.
 """
 
 from .clock import (
-    ClockPath,
+    MAX_EXPECTED_JUMPS,
+    ClockEnsemble,
     InsufficientHorizonError,
     SubordinatorSkeleton,
     SubordinatorSpec,
     TimeGrid,
     invert_clock,
     sample_clock_ensemble,
-    sample_subordinator,
+    sample_jumps,
 )
 from .coefficients import (
     BUNDLE_NAMES,
@@ -54,13 +55,6 @@ from .regression import (
     fit_condexp,
     polynomial_features,
 )
-from .subdiffusion import (
-    MarkovState,
-    PathEnsemble,
-    SubDiffusionPath,
-    build_ensemble,
-    markov_state,
-    sample_subdiffusion,
-)
+from .subdiffusion import MarkovState, PathEnsemble, build_ensemble
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -43,6 +43,8 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_HYPOTHESIS = 4
 
+_CSV_CHUNK_ROWS = 4096
+
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -157,8 +159,11 @@ class ScenarioConfig:
             ridge=b.get("ridge"),
         )
         # "flatten" is the one-level ladder; "nested" steps by the eta key,
-        # or by the derived bound when it is absent
+        # or by the derived bound (from C1) when it is absent
         nested = raw.get("strategy", "flatten") == "nested"
+        for key in ("eta", "C1"):
+            if key in raw and not nested:
+                raise ConfigError(f'config key {key}: only read with "strategy": "nested"')
         try:
             self.solver = ContinuationConfig(
                 eta=raw.get("eta") if nested else 1.0,
@@ -185,9 +190,10 @@ class ScenarioConfig:
             raise ConfigError(f"config key bundle: {err}") from None
 
     def ensemble(self):
-        return build_ensemble(
-            self.subordinator, self.grid, self.n_paths, self.seed, self.x0
-        )
+        try:
+            return build_ensemble(self.subordinator, self.grid, self.n_paths, self.seed, self.x0)
+        except ValueError as err:
+            raise ConfigError(f"config key jumps: {err}") from None
 
     def forcings(self, n_paths: int, n_steps: int) -> ForcingSet:
         return ForcingSet.constant(n_paths, n_steps, **self.forcing_values)
@@ -196,17 +202,19 @@ class ScenarioConfig:
         return self.output_dir / f"{self.scenario}_{subcommand}_{self.seed}.{ext}"
 
 
-def _fmt(v) -> str:
-    return f"{float(v):.17g}"
-
-
 def _write_csv(path: Path, config: ScenarioConfig, header: list[str], rows) -> None:
+    """Write rows (array-like, one row per line) with every field as `%.17g`,
+    which is `format(float(v), ".17g")`; chunks of lines are formatted in one
+    `%` each."""
+    table = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# config_hash={config.config_hash} seed={config.seed}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, len(table), _CSV_CHUNK_ROWS):
+            block = table[start : start + _CSV_CHUNK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path: Path, config: ScenarioConfig, payload: dict) -> None:
@@ -217,11 +225,12 @@ def _write_json(path: Path, config: ScenarioConfig, payload: dict) -> None:
         fh.write("\n")
 
 
-def _long_rows(config: ScenarioConfig, ensemble, columns: dict):
-    t = ensemble.grid.times()
-    for i in range(ensemble.n_paths):
-        for k in range(ensemble.n_steps + 1):
-            yield [i, t[k]] + [arr[i, k] for arr in columns.values()]
+def _long_rows(ensemble, columns: dict) -> np.ndarray:
+    """Long format: one row (path_id, t, *columns) per path and grid node."""
+    m, nodes = ensemble.n_paths, ensemble.n_steps + 1
+    ids = np.repeat(np.arange(m), nodes)
+    t = np.tile(ensemble.grid.times(), m)
+    return np.column_stack([ids, t] + [arr.ravel() for arr in columns.values()])
 
 
 def _cmd_sample_clock(config: ScenarioConfig) -> int:
@@ -230,7 +239,7 @@ def _cmd_sample_clock(config: ScenarioConfig) -> int:
         config.artifact_path("sample-clock", "csv"),
         config,
         ["path_id", "t", "L", "R"],
-        _long_rows(config, ens, {"L": ens.L, "R": ens.R}),
+        _long_rows(ens, {"L": ens.L, "R": ens.R}),
     )
     _write_json(
         config.artifact_path("sample-clock", "json"),
@@ -251,7 +260,7 @@ def _cmd_sample_subdiffusion(config: ScenarioConfig) -> int:
         config.artifact_path("sample-subdiffusion", "csv"),
         config,
         ["path_id", "t", "L", "R", "X"],
-        _long_rows(config, ens, {"L": ens.L, "R": ens.R, "X": ens.X}),
+        _long_rows(ens, {"L": ens.L, "R": ens.R, "X": ens.X}),
     )
     _write_json(
         config.artifact_path("sample-subdiffusion", "json"),

@@ -2,9 +2,10 @@
 
 The driving noise of every solver in this package is a Brownian motion run on
 the inverse of a drift-positive subordinator.  This module samples the
-subordinator skeleton (drift kappa plus finitely many jumps on a finite
-intrinsic horizon) and inverts it *exactly* at the grid nodes, producing the
-delayed clock L_{(t-a)^+} together with the overshoot process R_t.
+subordinator skeletons (drift kappa plus finitely many jumps on a finite
+intrinsic horizon) of a whole ensemble at once and inverts them *exactly* at
+the grid nodes, producing the delayed clock L_{(t-a)^+} together with the
+overshoot process R_t as (n_paths, n_steps+1) arrays.
 """
 
 from __future__ import annotations
@@ -18,14 +19,20 @@ __all__ = [
     "SubordinatorSpec",
     "SubordinatorSkeleton",
     "TimeGrid",
-    "ClockPath",
+    "ClockEnsemble",
     "InsufficientHorizonError",
-    "sample_subordinator",
+    "MAX_EXPECTED_JUMPS",
+    "sample_jumps",
     "invert_clock",
     "sample_clock_ensemble",
 ]
 
 _JUMP_KINDS = ("none", "exponential", "pareto", "fixed", "truncated_stable")
+
+# Expected jumps per ensemble above which sampling is refused before any draw.
+# Sampling plus inversion peak at ~90 (few long paths) to ~170 (many short
+# paths) bytes per jump, so this caps them at ~1-2 GB.
+MAX_EXPECTED_JUMPS = 10_000_000
 
 
 class InsufficientHorizonError(RuntimeError):
@@ -136,15 +143,7 @@ class SubordinatorSkeleton:
         js = np.asarray(self.jump_sizes, dtype=float)
         object.__setattr__(self, "jump_times", jt)
         object.__setattr__(self, "jump_sizes", js)
-        if jt.shape != js.shape:
-            raise ValueError("jump_times and jump_sizes must have equal length")
-        if jt.size:
-            if np.any(np.diff(jt) <= 0.0):
-                raise ValueError("jump_times must be strictly increasing")
-            if np.any(jt <= 0.0):
-                raise ValueError("jump_times must be positive")
-            if np.any(js <= 0.0):
-                raise ValueError("jump sizes must be strictly positive")
+        _check_jumps(np.zeros(jt.size, dtype=int), jt, js)
 
     def evaluate(self, r) -> np.ndarray:
         """S_r (right-continuous) at intrinsic times r."""
@@ -177,11 +176,11 @@ class TimeGrid:
 
 
 @dataclass
-class ClockPath:
-    """Delayed inverse subordinator on a grid.
+class ClockEnsemble:
+    """Delayed inverse subordinator on a grid, one row per path.
 
-    L[k] = L_{(t_k - a)^+}, R[k] = overshoot at t_k (R[0] = a),
-    dL[k] = L[k+1] - L[k] with 0 <= dL[k] <= dt/kappa for every k.
+    L[i, k] = L_{(t_k - a)^+}, R[i, k] = overshoot at t_k (R[:, 0] = a),
+    dL[i, k] = L[i, k+1] - L[i, k] with 0 <= dL <= dt/kappa everywhere.
     """
 
     grid: TimeGrid
@@ -190,82 +189,115 @@ class ClockPath:
     dL: np.ndarray
 
 
-def sample_subordinator(
-    spec: SubordinatorSpec, horizon: float, rng: np.random.Generator
-) -> SubordinatorSkeleton:
-    """Sample the jump skeleton of S on intrinsic times [0, horizon]."""
+def _check_jumps(path_id: np.ndarray, times: np.ndarray, sizes: np.ndarray) -> None:
+    """Flat skeletons: positive times, strictly increasing within each path,
+    and positive sizes."""
+    if times.shape != sizes.shape:
+        raise ValueError("jump_times and jump_sizes must have equal length")
+    if np.any(np.diff(times)[np.diff(path_id) == 0] <= 0.0):
+        raise ValueError("jump_times must be strictly increasing")
+    if np.any(times <= 0.0):
+        raise ValueError("jump_times must be positive")
+    if np.any(sizes <= 0.0):
+        raise ValueError("jump sizes must be strictly positive")
+
+
+def sample_jumps(spec: SubordinatorSpec, horizon: float, n_paths: int, seed: int):
+    """Jump skeletons of n_paths independent copies of S on [0, horizon].
+
+    One block stream keyed by (seed, n_paths, 0) draws all Poisson counts,
+    then all jump times, then all jump sizes.  Returns flat arrays
+    (counts, times, sizes): path i owns the next counts[i] entries of times
+    and sizes, its times strictly increasing.
+    """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
-    lam = spec.effective_rate()
-    if lam == 0.0:
-        return SubordinatorSkeleton(spec, np.empty(0), np.empty(0), horizon)
-    n = int(rng.poisson(lam * horizon))
-    times = np.sort(rng.random(n)) * horizon
+    mean = spec.effective_rate() * horizon
+    if mean * n_paths > MAX_EXPECTED_JUMPS:
+        raise ValueError(
+            f"{spec.jump_kind} jumps at rate {spec.effective_rate():.4g} over intrinsic "
+            f"horizon {horizon:.4g} expect {mean * n_paths:.4g} jumps on {n_paths} paths, "
+            f"more than the {MAX_EXPECTED_JUMPS:.0e} this sampler holds"
+        )
+    if mean == 0.0:
+        return np.zeros(n_paths, dtype=np.int64), np.empty(0), np.empty(0)
+    rng = np.random.default_rng([seed, n_paths, 0])
+    path_id = np.repeat(np.arange(n_paths), rng.poisson(mean, size=n_paths))
+    times = rng.random(path_id.size) * horizon
+    times = times[np.lexsort((times, path_id))]  # path_id is sorted already
     # coincident uniform draws are a probability-zero event but would violate
     # the strict-monotonicity invariant; drop duplicates defensively
-    keep = np.concatenate(([True], np.diff(times) > 0.0)) if n else np.empty(0, bool)
-    times = times[keep] if n else times
+    keep = (np.diff(times, prepend=0.0) > 0.0) | (np.diff(path_id, prepend=-1) != 0)
+    path_id, times = path_id[keep], times[keep]
     sizes = spec.sample_jump_sizes(times.size, rng)
-    return SubordinatorSkeleton(spec, times, sizes, horizon)
+    _check_jumps(path_id, times, sizes)
+    return np.bincount(path_id, minlength=n_paths), times, sizes
 
 
-def _invert_at(skeleton: SubordinatorSkeleton, u: np.ndarray):
-    """Exact inverse: returns (L_u, S_{L_u}) for nonnegative real times u."""
-    kappa = skeleton.spec.kappa
-    jt, js = skeleton.jump_times, skeleton.jump_sizes
-    csum = np.concatenate(([0.0], np.cumsum(js)))
-    s_minus = kappa * jt + csum[:-1]  # S just before each jump
-    s_plus = s_minus + js  # S just after each jump
-    idx = np.searchsorted(s_plus, u, side="right")  # jumps fully below u
-    L = (u - csum[idx]) / kappa
-    s_at = u.astype(float).copy()
-    if jt.size:
-        j = np.minimum(idx, jt.size - 1)
-        flat = (idx < jt.size) & (u >= s_minus[j])
-        L[flat] = jt[j[flat]]
-        s_at[flat] = s_plus[j[flat]]
-    return L, s_at
-
-
-def invert_clock(skeleton: SubordinatorSkeleton, grid: TimeGrid) -> ClockPath:
-    """Invert the skeleton into the delayed clock L_{(t-a)^+} and overshoot R.
+def _invert(kappa, grid, horizon, counts, times, sizes) -> ClockEnsemble:
+    """Exact inversion of valid flat skeletons (see `sample_jumps`) at the
+    grid nodes.
 
     Between jumps L grows linearly with slope 1/kappa; across a jump of S at
     intrinsic time r the clock is frozen at r for the whole jump interval.
     The overshoot is R_t = a + S_{L_{(t-a)^+}} - t.
     """
+    m, n = counts.size, grid.n_steps
+    path_id = np.repeat(np.arange(m), counts)
     t = grid.times()
     u = np.maximum(t - grid.a, 0.0)
-    L_exact, s_at = _invert_at(skeleton, u)
-    if L_exact[-1] > skeleton.horizon:
+    # row i holds path i's jumps by rank; the spare column past a path's last
+    # jump has time +inf, so S never reaches it
+    rank = np.arange(times.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    width = int(counts.max(initial=0)) + 1
+    jt = np.full((m, width), np.inf)
+    js = np.zeros((m, width))
+    jt[path_id, rank] = times
+    js[path_id, rank] = sizes
+    # csum[i, r] = sizes of path i's first r jumps, summed left to right as
+    # np.cumsum of one path does
+    csum = np.zeros((m, width))
+    np.cumsum(js[:, :-1], axis=1, out=csum[:, 1:])
+    s_minus = kappa * jt + csum  # S just before each jump
+    s_plus = s_minus + js  # S just after each jump
+    # idx[i, k] = #{j : s_plus_ij <= u_k}, the jumps fully below u_k: put each
+    # jump on the first node at or past it, count per node, accumulate
+    first = np.searchsorted(u, s_plus[path_id, rank], side="left")
+    hits = np.bincount(path_id * (n + 2) + first, minlength=m * (n + 2)).reshape(m, n + 2)
+    idx = np.cumsum(hits[:, : n + 1], axis=1)
+    flat_idx = idx + (np.arange(m) * width)[:, None]
+
+    def at(a):
+        return np.take(a, flat_idx)  # a[i, idx[i, k]]
+
+    flat = u >= at(s_minus)
+    L_exact = np.where(flat, at(jt), (u - at(csum)) / kappa)
+    if np.any(L_exact[:, -1] > horizon):
         raise InsufficientHorizonError(
-            f"skeleton horizon {skeleton.horizon} < required intrinsic time {L_exact[-1]}"
+            f"skeleton horizon {horizon} < required intrinsic time {L_exact[:, -1].max()}"
         )
     # float guard: the exact increments satisfy 0 <= dL <= dt/kappa; clip the
     # sub-ulp rounding noise so the bound holds as stored
-    dL = np.clip(np.diff(L_exact), 0.0, grid.dt / skeleton.spec.kappa)
-    L = np.concatenate(([0.0], np.cumsum(dL)))
-    R = np.maximum(grid.a + s_at - t, 0.0)
-    return ClockPath(grid=grid, L=L, R=R, dL=dL)
+    dL = np.clip(np.diff(L_exact, axis=1), 0.0, grid.dt / kappa)
+    L = np.zeros((m, n + 1))
+    np.cumsum(dL, axis=1, out=L[:, 1:])
+    R = np.maximum(grid.a + np.where(flat, at(s_plus), u) - t, 0.0)
+    return ClockEnsemble(grid=grid, L=L, R=R, dL=dL)
 
 
-def _path_rng(seed: int, path_index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, path_index])
+def invert_clock(skeleton: SubordinatorSkeleton, grid: TimeGrid) -> ClockEnsemble:
+    """One-path entry into the ensemble inversion, for hand-built skeletons."""
+    jt = skeleton.jump_times
+    counts = np.array([jt.size])
+    return _invert(skeleton.spec.kappa, grid, skeleton.horizon, counts, jt, skeleton.jump_sizes)
 
 
 def sample_clock_ensemble(
     spec: SubordinatorSpec, grid: TimeGrid, n_paths: int, seed: int
-) -> list[ClockPath]:
-    """Independent clock paths, reproducible per (seed, path index)."""
+) -> ClockEnsemble:
+    """n_paths independent clock paths, inverted as one block."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     horizon = grid.T / spec.kappa  # drift alone reaches T
-    if spec.effective_rate() == 0.0:
-        # jump-free clock is deterministic: invert once, share the path
-        path = invert_clock(sample_subordinator(spec, horizon, _path_rng(seed, 0)), grid)
-        return [path] * n_paths
-    out = []
-    for i in range(n_paths):
-        skel = sample_subordinator(spec, horizon, _path_rng(seed, i))
-        out.append(invert_clock(skel, grid))
-    return out
+    counts, times, sizes = sample_jumps(spec, horizon, n_paths, seed)
+    return _invert(spec.kappa, grid, horizon, counts, times, sizes)

@@ -13,25 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clock import ClockPath, SubordinatorSpec, TimeGrid, sample_clock_ensemble
+from .clock import SubordinatorSpec, TimeGrid, sample_clock_ensemble
 
 __all__ = [
-    "SubDiffusionPath",
     "MarkovState",
     "PathEnsemble",
-    "sample_subdiffusion",
-    "markov_state",
     "build_ensemble",
 ]
-
-
-@dataclass
-class SubDiffusionPath:
-    """One sub-diffusion path on the clock's grid."""
-
-    clock: ClockPath
-    X: np.ndarray
-    dB: np.ndarray
 
 
 @dataclass
@@ -41,34 +29,6 @@ class MarkovState:
     x: object  # scalar or per-path array
     r: object
     s: object = None
-
-
-def sample_subdiffusion(
-    clocks: list[ClockPath], x0: float, rng: np.random.Generator
-) -> list[SubDiffusionPath]:
-    """Brownian increments with variance dL[k] on a shared grid."""
-    if not clocks:
-        return []
-    grid = clocks[0].grid
-    for c in clocks[1:]:
-        if c.grid != grid:
-            raise ValueError("all clocks must share one grid")
-    n = grid.n_steps
-    Z = rng.standard_normal((len(clocks), n))
-    out = []
-    for i, c in enumerate(clocks):
-        dB = np.sqrt(c.dL) * Z[i]  # exactly zero on frozen steps
-        X = x0 + np.concatenate(([0.0], np.cumsum(dB)))
-        out.append(SubDiffusionPath(clock=c, X=X, dB=dB))
-    return out
-
-
-def markov_state(path: SubDiffusionPath, k: int) -> MarkovState:
-    """State (X[k], R[k]) at grid index k."""
-    n = path.clock.grid.n_steps
-    if not (0 <= k <= n):
-        raise IndexError(f"grid index {k} out of range [0, {n}]")
-    return MarkovState(x=float(path.X[k]), r=float(path.clock.R[k]))
 
 
 @dataclass
@@ -88,6 +48,12 @@ class PathEnsemble:
     dB: np.ndarray
     kappa: float = 1.0
 
+    def __post_init__(self):
+        m, n = self.X.shape[0], self.grid.n_steps
+        for name, cols in (("L", n + 1), ("R", n + 1), ("X", n + 1), ("dL", n), ("dB", n)):
+            if getattr(self, name).shape != (m, cols):
+                raise ValueError(f"{name} has shape {getattr(self, name).shape}, want {(m, cols)}")
+
     @property
     def n_paths(self) -> int:
         return self.X.shape[0]
@@ -97,6 +63,9 @@ class PathEnsemble:
         return self.grid.n_steps
 
     def state_at(self, k: int) -> MarkovState:
+        """State (X[:, k], R[:, k]) at grid index k."""
+        if not (0 <= k <= self.n_steps):
+            raise IndexError(f"grid index {k} out of range [0, {self.n_steps}]")
         return MarkovState(x=self.X[:, k], r=self.R[:, k])
 
     def features_at(self, k: int, include_r: bool = True) -> np.ndarray:
@@ -109,22 +78,18 @@ class PathEnsemble:
 def build_ensemble(
     spec: SubordinatorSpec, grid: TimeGrid, n_paths: int, seed: int, x0: float = 0.0
 ) -> PathEnsemble:
-    """Clock ensemble plus conditional Brownian increments, fully seeded.
+    """Clock block plus conditional Brownian increments, fully seeded.
 
-    Clock paths use per-path substreams (seed, i); the Gaussian block uses a
-    separate stream keyed off (seed, n_paths, 1) so it never collides with a
-    clock substream.
+    The clock draws from the block stream keyed by (seed, n_paths, 0) (see
+    `sample_jumps`); the Gaussian block from a separate stream keyed by
+    (seed, n_paths, 1).
     """
-    clocks = sample_clock_ensemble(spec, grid, n_paths, seed)
-    rng = np.random.default_rng([seed, n_paths, 1])
-    paths = sample_subdiffusion(clocks, x0, rng)
+    clock = sample_clock_ensemble(spec, grid, n_paths, seed)
+    Z = np.random.default_rng([seed, n_paths, 1]).standard_normal((n_paths, grid.n_steps))
+    dB = np.sqrt(clock.dL) * Z  # exactly zero on frozen steps
+    X = np.zeros((n_paths, grid.n_steps + 1))
+    np.cumsum(dB, axis=1, out=X[:, 1:])
+    X += x0
     return PathEnsemble(
-        grid=grid,
-        x0=x0,
-        L=np.stack([c.L for c in clocks]),
-        R=np.stack([c.R for c in clocks]),
-        dL=np.stack([c.dL for c in clocks]),
-        X=np.stack([p.X for p in paths]),
-        dB=np.stack([p.dB for p in paths]),
-        kappa=spec.kappa,
+        grid=grid, x0=x0, L=clock.L, R=clock.R, dL=clock.dL, X=X, dB=dB, kappa=spec.kappa
     )

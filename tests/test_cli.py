@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from subfbsde import cli
 from subfbsde.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -201,3 +202,52 @@ def test_jump_param_list_round_trip(tmp_path):
     assert run("sample-clock", path) == EXIT_OK
     sc = ScenarioConfig(cfg)
     assert sc.subordinator.jump_param == (0.2, 1.5)
+
+
+@pytest.mark.parametrize("key, value", [("eta", 0.5), ("C1", 2.0)])
+@pytest.mark.parametrize("strategy", [None, "flatten"])
+def test_nested_only_keys_refused_under_flatten(tmp_path, capsys, key, value, strategy):
+    over = {key: value, "output_dir": str(tmp_path / "out")}
+    if strategy is not None:
+        over["strategy"] = strategy
+    path = write_config(tmp_path, base_config(**over))
+    assert run("solve", path) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config key {key}" in err and "nested" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    # the same key is read under "nested"
+    ok = base_config(**{**over, "strategy": "nested", "eta": 1.0})
+    assert run("solve", write_config(tmp_path, ok, "nested.json")) == EXIT_OK
+
+
+@pytest.mark.parametrize("subcommand", ["sample-clock", "sample-subdiffusion"])
+def test_jump_budget_is_a_config_error(tmp_path, capsys, monkeypatch, subcommand):
+    jumps = {"jump_kind": "truncated_stable", "jump_param": 0.9, "cutoff": 1e-12}
+    path = write_config(tmp_path, base_config(jumps=jumps, output_dir=str(tmp_path / "out")))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a random stream was created")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(cli.ConfigError, match="config key jumps: .* jumps on 100 paths"):
+        ScenarioConfig(json.loads(path.read_text())).ensemble()
+    assert main([subcommand, str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config key jumps" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_csv_writer_matches_per_value_format(tmp_path, monkeypatch):
+    values = [0, -0.0, -3, 2**53, 1, 0.0, 5e-324, 2.2250738585072014e-308, 1e-300,
+              1.7976931348623157e308, 1e300, 0.1, -1 / 3, 123456789.125, np.pi, np.inf, -np.inf,
+              np.nan]
+    table = np.array(values + [np.float64(7)] * 2, dtype=float).reshape(5, 4)
+    table[:, 0] = np.arange(5)  # an int-valued id column, as in the long format
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 2)  # several chunks and a short last one
+    out = tmp_path / "t.csv"
+    cli._write_csv(out, ScenarioConfig(base_config()), ["a", "b", "c", "d"], table)
+    body = out.read_bytes().split(b"\n", 2)[2]
+    expected = "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in table)
+    assert body == expected.encode()
+    assert b"-0," in body and b"e-324" in body and b"inf" in body and b"nan" in body

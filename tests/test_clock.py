@@ -6,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subfbsde import (
+    MAX_EXPECTED_JUMPS,
     InsufficientHorizonError,
     SubordinatorSkeleton,
     SubordinatorSpec,
     TimeGrid,
+    build_ensemble,
     invert_clock,
     sample_clock_ensemble,
-    sample_subordinator,
+    sample_jumps,
 )
+from oracles import invert_clock_reference
 
 
 def test_spec_validation():
@@ -56,21 +59,22 @@ def test_truncated_stable_rate():
 def test_drift_only_clock_is_time_over_kappa():
     spec = SubordinatorSpec(kappa=2.0)
     grid = TimeGrid(a=0.0, T=1.0, n_steps=10)
-    (path,) = sample_clock_ensemble(spec, grid, 1, seed=0)[:1]
-    assert np.allclose(path.L, grid.times() / 2.0, atol=1e-15)
-    assert np.allclose(path.R, 0.0, atol=1e-15)
+    clock = sample_clock_ensemble(spec, grid, 3, seed=0)
+    assert clock.L.shape == (3, 11)
+    assert np.allclose(clock.L, grid.times() / 2.0, atol=1e-15)
+    assert np.allclose(clock.R, 0.0, atol=1e-15)
 
 
 def test_delayed_clock_waits_until_activation():
     spec = SubordinatorSpec(kappa=1.0)
     grid = TimeGrid(a=0.5, T=1.0, n_steps=10)
-    (path,) = sample_clock_ensemble(spec, grid, 1, seed=0)[:1]
+    clock = sample_clock_ensemble(spec, grid, 3, seed=0)
     t = grid.times()
     pre = t <= 0.5
-    assert np.all(path.L[pre] == 0.0)
+    assert np.all(clock.L[:, pre] == 0.0)
     # before activation the overshoot counts down the remaining delay
-    assert np.allclose(path.R[pre], 0.5 - t[pre])
-    assert np.allclose(path.L[~pre], t[~pre] - 0.5)
+    assert np.allclose(clock.R[:, pre], 0.5 - t[pre])
+    assert np.allclose(clock.L[:, ~pre], t[~pre] - 0.5)
 
 
 def test_hand_built_skeleton_inversion():
@@ -78,15 +82,29 @@ def test_hand_built_skeleton_inversion():
     skel = SubordinatorSkeleton(spec, np.array([1.0, 2.0]), np.array([1.0, 1.0]), horizon=4.0)
     assert np.allclose(skel.evaluate([0.5, 1.0, 1.5, 3.0]), [0.5, 2.0, 2.5, 5.0])
     grid = TimeGrid(a=0.0, T=4.0, n_steps=8)
-    path = invert_clock(skel, grid)
+    clock = invert_clock(skel, grid)
+    assert clock.L.shape == (1, 9) and clock.dL.shape == (1, 8)
+    L, R = clock.L[0], clock.R[0]
     # S jumps over (1,2) at r=1 and over (3,4) at r=2
-    t = grid.times()
     expected_L = np.array([0.0, 0.5, 1.0, 1.0, 1.0, 1.5, 2.0, 2.0, 2.0])
-    assert np.allclose(path.L, expected_L)
+    assert np.allclose(L, expected_L)
     # frozen during jump intervals, overshoot positive there
-    assert path.R[3] == pytest.approx(0.5)  # t=1.5 inside (1,2), S_L = 2
-    assert path.R[7] == pytest.approx(0.5)  # t=3.5 inside (3,4), S_L = 4
-    assert path.R[1] == pytest.approx(0.0)
+    assert R[3] == pytest.approx(0.5)  # t=1.5 inside (1,2), S_L = 2
+    assert R[7] == pytest.approx(0.5)  # t=3.5 inside (3,4), S_L = 4
+    assert R[1] == pytest.approx(0.0)
+
+
+def test_skeleton_validation():
+    spec = SubordinatorSpec(kappa=1.0, jump_kind="fixed", rate=1.0, jump_param=1.0)
+    for times, sizes in (
+        ([1.0, 2.0], [1.0]),  # unequal lengths
+        ([2.0, 1.0], [1.0, 1.0]),  # decreasing
+        ([1.0, 1.0], [1.0, 1.0]),  # coincident
+        ([0.0, 1.0], [1.0, 1.0]),  # jump at r = 0
+        ([1.0, 2.0], [1.0, 0.0]),  # zero size
+    ):
+        with pytest.raises(ValueError):
+            SubordinatorSkeleton(spec, np.array(times), np.array(sizes), horizon=4.0)
 
 
 def test_insufficient_horizon_raises():
@@ -99,11 +117,83 @@ def test_insufficient_horizon_raises():
 def test_ensemble_reproducible(jump_spec, grid):
     a = sample_clock_ensemble(jump_spec, grid, 5, seed=42)
     b = sample_clock_ensemble(jump_spec, grid, 5, seed=42)
-    for pa, pb in zip(a, b):
-        assert np.array_equal(pa.L, pb.L)
-        assert np.array_equal(pa.R, pb.R)
+    for name in ("L", "R", "dL"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
     c = sample_clock_ensemble(jump_spec, grid, 5, seed=43)
-    assert any(not np.array_equal(pa.L, pc.L) for pa, pc in zip(a, c))
+    assert any(not np.array_equal(pa, pc) for pa, pc in zip(a.L, c.L))
+
+
+def test_sample_jumps_layout():
+    spec = SubordinatorSpec(kappa=1.0, jump_kind="exponential", rate=3.0, jump_param=0.5)
+    counts, times, sizes = sample_jumps(spec, 2.0, 400, seed=4)
+    assert counts.shape == (400,) and times.shape == sizes.shape == (counts.sum(),)
+    path_id = np.repeat(np.arange(400), counts)
+    same_path = np.diff(path_id) == 0
+    assert np.all(np.diff(times)[same_path] > 0.0)
+    assert not np.all(np.diff(times)[~same_path] > 0.0)  # each path starts afresh
+    assert np.all((times > 0.0) & (times <= 2.0)) and np.all(sizes > 0.0)
+    assert abs(counts.mean() - 6.0) < 4 * np.sqrt(6.0 / 400)
+    again = sample_jumps(spec, 2.0, 400, seed=4)
+    for x, y in zip((counts, times, sizes), again):
+        assert np.array_equal(x, y)
+
+
+_REFERENCE_SPECS = {
+    "none": SubordinatorSpec(kappa=1.5),
+    "exponential": SubordinatorSpec(kappa=1.0, jump_kind="exponential", rate=1.0, jump_param=1.0),
+    "pareto": SubordinatorSpec(kappa=2.0, jump_kind="pareto", rate=2.0, jump_param=(0.3, 1.5)),
+    "fixed": SubordinatorSpec(kappa=0.7, jump_kind="fixed", rate=3.0, jump_param=0.05),
+    "truncated_stable": SubordinatorSpec(
+        kappa=0.5, jump_kind="truncated_stable", jump_param=0.5, cutoff=0.1
+    ),
+}
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3])
+@pytest.mark.parametrize("kind", sorted(_REFERENCE_SPECS))
+def test_block_inversion_matches_per_path_reference(kind, a):
+    spec = _REFERENCE_SPECS[kind]
+    grid = TimeGrid(a=a, T=1.0, n_steps=40)
+    n_paths, horizon = 300, grid.T / spec.kappa
+    clock = sample_clock_ensemble(spec, grid, n_paths, seed=17)
+    counts, times, sizes = sample_jumps(spec, horizon, n_paths, seed=17)
+    assert clock.L.shape == clock.R.shape == (n_paths, 41) and clock.dL.shape == (n_paths, 40)
+    assert counts.min() == 0  # a path with no jumps
+    if kind != "none":
+        assert counts.max() >= 4  # and one with several
+    ends = np.cumsum(counts)
+    for i in range(n_paths):
+        own = slice(ends[i] - counts[i], ends[i])
+        skel = SubordinatorSkeleton(spec, times[own], sizes[own], horizon)
+        L, R, dL = invert_clock_reference(skel, grid)
+        # exactly equal, not within a tolerance
+        assert np.array_equal(clock.L[i], L), f"L of path {i} ({counts[i]} jumps)"
+        assert np.array_equal(clock.R[i], R), f"R of path {i} ({counts[i]} jumps)"
+        assert np.array_equal(clock.dL[i], dL), f"dL of path {i} ({counts[i]} jumps)"
+        if counts[i] == counts.max():
+            one = invert_clock(skel, grid)  # the one-path entry agrees too
+            assert np.array_equal(one.L[0], L) and np.array_equal(one.R[0], R)
+
+
+def test_jump_budget_refused_before_any_draw(monkeypatch):
+    spec = SubordinatorSpec(kappa=1.0, jump_kind="truncated_stable", jump_param=0.9, cutoff=1e-12)
+    grid = TimeGrid(a=0.0, T=1.0, n_steps=10)
+    assert spec.effective_rate() * 10 > MAX_EXPECTED_JUMPS
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a random stream was created")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match="expect .* jumps on 10 paths"):
+        sample_clock_ensemble(spec, grid, 10, seed=0)
+    with pytest.raises(ValueError, match="expect .* jumps on 10 paths"):
+        build_ensemble(spec, grid, 10, seed=0)
+    # the bound is on the whole ensemble: 1% over it with ten paths
+    over = SubordinatorSpec(
+        kappa=1.0, jump_kind="exponential", rate=1.01 * MAX_EXPECTED_JUMPS / 10, jump_param=1.0
+    )
+    with pytest.raises(ValueError, match="jumps"):
+        sample_clock_ensemble(over, grid, 10, seed=0)
 
 
 _spec_strategy = st.one_of(
@@ -146,14 +236,16 @@ _spec_strategy = st.one_of(
 @given(spec=_spec_strategy, seed=st.integers(0, 2**31), a=st.floats(0.0, 0.5))
 def test_clock_invariants(spec, seed, a):
     grid = TimeGrid(a=a, T=1.0, n_steps=17)
-    (path,) = sample_clock_ensemble(spec, grid, 1, seed=seed)[:1]
+    clock = sample_clock_ensemble(spec, grid, 4, seed=seed)  # offsets of several paths
     bound = grid.dt / spec.kappa
-    assert np.all(path.dL >= 0.0)
-    assert np.all(path.dL <= bound)  # exact Lipschitz bound, not within float slack
-    assert np.all(np.diff(path.L) >= 0.0)
-    assert np.all(path.R >= 0.0)
-    assert path.L[0] == 0.0
-    assert np.array_equal(path.L, np.concatenate(([0.0], np.cumsum(path.dL))))
+    assert clock.L.shape == clock.R.shape == (4, 18) and clock.dL.shape == (4, 17)
+    assert np.all(clock.dL >= 0.0)
+    assert np.all(clock.dL <= bound)  # exact Lipschitz bound, not within float slack
+    assert np.all(np.diff(clock.L, axis=1) >= 0.0)
+    assert np.all(clock.R >= 0.0)
+    assert np.all(clock.L[:, 0] == 0.0)
+    for L, dL in zip(clock.L, clock.dL):
+        assert np.array_equal(L, np.concatenate(([0.0], np.cumsum(dL))))
     # clock strictly slower than real time scaled by the drift
     t = grid.times()
-    assert np.all(path.L <= np.maximum(t - a, 0.0) / spec.kappa + 1e-12)
+    assert np.all(clock.L <= np.maximum(t - a, 0.0) / spec.kappa + 1e-12)

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from subfbsde import (
+    PathEnsemble,
     SubordinatorSpec,
     TimeGrid,
     build_ensemble,
-    markov_state,
     sample_clock_ensemble,
-    sample_subdiffusion,
 )
 
 
@@ -41,22 +40,35 @@ def test_x0_shift(jump_spec, grid):
 
 
 def test_markov_state_and_bounds(jump_spec, grid):
-    clocks = sample_clock_ensemble(jump_spec, grid, 3, seed=9)
-    paths = sample_subdiffusion(clocks, 1.0, np.random.default_rng(0))
-    st = markov_state(paths[0], 0)
-    assert st.x == 1.0
-    assert st.r == 0.0
+    ens = build_ensemble(jump_spec, grid, 3, seed=9, x0=1.0)
+    st = ens.state_at(0)
+    assert np.all(st.x == 1.0)
+    assert np.all(st.r == 0.0)
     with pytest.raises(IndexError):
-        markov_state(paths[0], grid.n_steps + 1)
+        ens.state_at(grid.n_steps + 1)
+    with pytest.raises(IndexError):
+        ens.state_at(-1)
 
 
 def test_mismatched_grids_rejected(jump_spec):
     g1 = TimeGrid(0.0, 1.0, 10)
     g2 = TimeGrid(0.0, 1.0, 20)
-    c1 = sample_clock_ensemble(jump_spec, g1, 1, seed=1)
-    c2 = sample_clock_ensemble(jump_spec, g2, 1, seed=1)
+    ens = build_ensemble(jump_spec, g1, 2, seed=1)
+    c2 = sample_clock_ensemble(jump_spec, g2, 2, seed=1)
     with pytest.raises(ValueError):
-        sample_subdiffusion(c1 + c2, 0.0, np.random.default_rng(0))
+        PathEnsemble(grid=g1, x0=0.0, L=c2.L, R=c2.R, dL=c2.dL, X=ens.X, dB=ens.dB)
+    with pytest.raises(ValueError):
+        PathEnsemble(grid=g2, x0=0.0, L=c2.L, R=c2.R, dL=c2.dL, X=ens.X, dB=ens.dB)
+
+
+def test_gaussian_block_drawn_from_its_own_stream(jump_spec, grid):
+    # X = x0 + cumsum(sqrt(dL) * Z) with Z the (seed, n_paths, 1) normal block
+    ens = build_ensemble(jump_spec, grid, 30, seed=8, x0=0.5)
+    Z = np.random.default_rng([8, 30, 1]).standard_normal((30, grid.n_steps))
+    assert np.array_equal(ens.dB, np.sqrt(ens.dL) * Z)
+    clock = sample_clock_ensemble(jump_spec, grid, 30, seed=8)
+    for name in ("L", "R", "dL"):
+        assert np.array_equal(getattr(ens, name), getattr(clock, name))
 
 
 def test_ensemble_shapes_and_features(jump_ensemble):
