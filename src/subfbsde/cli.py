@@ -5,12 +5,14 @@ schema before any compute; every artifact (CSV or JSON) embeds the config
 hash and seed, and reruns with an identical config are byte identical.
 
 Exit codes: 0 success, 2 config validation error, 3 solver divergence,
-4 hypothesis-check failure in strict mode.
+4 hypothesis-check failure in strict mode, 5 numerical failure (non-finite
+coefficients, forcings or solutions, or a singular regression design).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -24,7 +26,7 @@ from .coefficients import PointCloud, check_hypothesis, get_bundle
 from .diagnostics import apriori_ratio, m_norm
 from .fbsde_solver import ContinuationConfig, DivergedError, solve_fbsde
 from .linear_solver import ForcingSet, solve_linear
-from .regression import BasisSpec
+from .regression import BasisSpec, SingularSliceError
 from .subdiffusion import build_ensemble
 
 __all__ = ["CONFIG_SCHEMA", "ScenarioConfig", "run", "main"]
@@ -42,6 +44,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_HYPOTHESIS = 4
+EXIT_NUMERICAL = 5
 
 _CSV_CHUNK_ROWS = 4096
 
@@ -118,6 +121,18 @@ CONFIG_SCHEMA = {
 
 class ConfigError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _solver_config_errors():
+    """A solver ValueError is a config error (too few paths for the basis, a
+    ladder deeper than nested_max_depth) unless it is a numerical failure."""
+    try:
+        yield
+    except FloatingPointError:
+        raise
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
 class ScenarioConfig:
@@ -316,7 +331,8 @@ def _solution_csv(config: ScenarioConfig, subcommand: str, ensemble, theta) -> N
 def _cmd_solve_linear(config: ScenarioConfig) -> int:
     ens = config.ensemble()
     forcings = config.forcings(ens.n_paths, ens.n_steps)
-    theta, _ = solve_linear(forcings, config.x0, ens, config.basis)
+    with _solver_config_errors():
+        theta, _ = solve_linear(forcings, config.x0, ens, config.basis)
     _solution_csv(config, "solve-linear", ens, theta)
     _write_json(
         config.artifact_path("solve-linear", "json"),
@@ -340,7 +356,8 @@ def _run_solve(config: ScenarioConfig, subcommand: str, write_solution: bool) ->
         )
     ens = config.ensemble()
     try:
-        theta, diag = solve_fbsde(bundle, config.x0, ens, config.solver, config.basis)
+        with _solver_config_errors():
+            theta, diag = solve_fbsde(bundle, config.x0, ens, config.solver, config.basis)
     except DivergedError as err:
         _write_json(
             config.artifact_path(subcommand, "json"),
@@ -354,8 +371,6 @@ def _run_solve(config: ScenarioConfig, subcommand: str, write_solution: bool) ->
         )
         print(str(err), file=sys.stderr)
         return EXIT_DIVERGED
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
     if write_solution:
         _solution_csv(config, subcommand, ens, theta)
     _write_json(config.artifact_path(subcommand, "json"), config, diag.to_json_dict())
@@ -406,6 +421,9 @@ def run(subcommand: str, config_path, output_dir=None, strict=None) -> int:
     except ConfigError as err:
         print(str(err), file=sys.stderr)
         return EXIT_CONFIG
+    except (FloatingPointError, SingularSliceError) as err:
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 def main(argv=None) -> int:

@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .regression import _NonFiniteError
 from .subdiffusion import MarkovState
 
 __all__ = [
@@ -146,7 +147,7 @@ def check_hypothesis(
     dphi = bundle.phi(state, x1) - bundle.phi(state, x2)
     for name, arr in (("b", db), ("g", dg), ("delta", dd), ("sigma", ds), ("h", dh)):
         if not np.all(np.isfinite(arr)):
-            raise ValueError(f"coefficient {name} produced non-finite values")
+            raise _NonFiniteError(f"coefficient {name} produced non-finite values")
 
     dx, dy, dz = x1 - x2, y1 - y2, z1 - z2
     m1_lhs = db * dy - dg * dx

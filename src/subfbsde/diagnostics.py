@@ -60,11 +60,12 @@ class AprioriReport:
 
 def m_norm(theta: SolutionTriple) -> MNormValue:
     n = theta.dL.shape[1]
+    m = theta.x.shape[0]
+    x, y, z = theta.x[:, :n], theta.y[:, :n], theta.z[:, :n]
     x0_part = float(np.mean(theta.x[:, 0] ** 2))
-    dt_part = float(
-        np.mean(np.sum(theta.x[:, :n] ** 2 + theta.y[:, :n] ** 2, axis=1)) * theta.dt
-    )
-    dL_part = float(np.mean(np.sum(theta.z[:, :n] ** 2 * theta.dL, axis=1)))
+    # sums of squares by einsum: no squared grid temporaries
+    dt_part = float(np.einsum("ij,ij->", x, x) + np.einsum("ij,ij->", y, y)) / m * theta.dt
+    dL_part = float(np.einsum("ij,ij,ij->", z, z, theta.dL)) / m
     return MNormValue(
         value=math.sqrt(x0_part + dt_part + dL_part),
         x0_part=x0_part,

@@ -23,7 +23,7 @@ import numpy as np
 from .coefficients import CoefficientBundle, default_c1, eta0, mirror_bundle
 from .diagnostics import AprioriReport, MNormValue, apriori_ratio, contraction_fit, m_norm
 from .linear_solver import ForcingSet, SolutionTriple, solve_linear
-from .regression import BasisSpec, RegressionPlan
+from .regression import BasisSpec, RegressionPlan, _row_slices
 from .subdiffusion import MarkovState, PathEnsemble
 
 __all__ = [
@@ -129,23 +129,30 @@ def picard_forcings(
     """Forcings that carry the previous iterate across a continuation step of
     size eta.  The x-direction contributions enter with a minus sign so that
     the level-(alpha0+eta) coefficients are recovered in the Picard limit,
-    mirroring the plus signs in the continuation family for g, h, phi."""
+    mirroring the plus signs in the continuation family for g, h, phi.
+
+    Each node forcing base + eta * (v + coefficient) is built in place, one
+    row block of paths at a time: the bundle's pointwise evaluators see the
+    block's states and iterates."""
     t = ensemble.grid.times()
-    st = MarkovState(x=ensemble.X, r=ensemble.R)
     x, y, z = theta_prev.x, theta_prev.y, theta_prev.z
+    out = {name: np.empty(x.shape) for name in ("b0", "g0", "delta0", "h0", "sigma0")}
+    for rows in _row_slices(0, x.shape[0]):
+        st = MarkovState(x=ensemble.X[rows], r=ensemble.R[rows])
+        xr, yr, zr = x[rows], y[rows], z[rows]
+        np.add(yr, bundle.b(t, st, xr, yr), out=out["b0"][rows])
+        np.add(yr, bundle.delta(t, st, xr, yr, zr), out=out["delta0"][rows])
+        np.add(zr, bundle.sigma(t, st, xr, yr, zr), out=out["sigma0"][rows])
+        np.subtract(bundle.h(t, st, xr, yr, zr), xr, out=out["h0"][rows])
+        np.subtract(bundle.g(t, st, xr, yr), xr, out=out["g0"][rows])
+        for name, arr in out.items():
+            block = arr[rows]
+            block *= eta
+            block += getattr(base_forcings, name)[rows]
     st_T = MarkovState(x=ensemble.X[:, -1], r=ensemble.R[:, -1])
     x_T = x[:, -1]
-    shape = x.shape
-    bb = np.broadcast_to
-    return ForcingSet(
-        b0=base_forcings.b0 + eta * (y + bb(bundle.b(t, st, x, y), shape)),
-        delta0=base_forcings.delta0 + eta * (y + bb(bundle.delta(t, st, x, y, z), shape)),
-        sigma0=base_forcings.sigma0 + eta * (z + bb(bundle.sigma(t, st, x, y, z), shape)),
-        h0=base_forcings.h0 + eta * (-x + bb(bundle.h(t, st, x, y, z), shape)),
-        g0=base_forcings.g0 + eta * (-x + bb(bundle.g(t, st, x, y), shape)),
-        phi0=base_forcings.phi0
-        + eta * (-x_T + bb(bundle.phi(st_T, x_T), x_T.shape)),
-    )
+    phi0 = base_forcings.phi0 + eta * (-x_T + np.broadcast_to(bundle.phi(st_T, x_T), x_T.shape))
+    return ForcingSet(**out, phi0=phi0)
 
 
 def solve_level(

@@ -12,7 +12,8 @@ whose partial sums only touch already-revealed nodes and therefore stay
 adapted; the dB integral is left-point (Ito).  The conditional expectations
 of the backward pass are the slice regressions of a `RegressionPlan`, which
 depends only on the ensemble and the basis and is shared by every solve on
-that ensemble.
+that ensemble; so are the weights exp(-(t + L)), which the ensemble computes
+once.  The rest of a solve is per path and runs over row blocks of paths.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regression import BasisSpec, RegressionPlan
+from .regression import BasisSpec, RegressionPlan, _NonFiniteError, _row_slices
 
 # unused here: kept because the benchmark tracer (perfbench/spans.py) wraps these names
 from .regression import extract_z, fit_condexp  # noqa: F401
@@ -90,11 +91,11 @@ class ForcingSet:
             if arr.shape != shape:
                 raise ValueError(f"forcing {name} has shape {arr.shape}, expected {shape}")
             if not np.all(np.isfinite(arr)):
-                raise ValueError(f"forcing {name} contains non-finite values")
+                raise _NonFiniteError(f"forcing {name} contains non-finite values")
         if self.phi0.shape != (shape[0],):
             raise ValueError("phi0 must be one value per path")
         if not np.all(np.isfinite(self.phi0)):
-            raise ValueError("phi0 contains non-finite values")
+            raise _NonFiniteError("phi0 contains non-finite values")
 
 
 @dataclass
@@ -135,42 +136,30 @@ class SolutionTriple:
 
 @dataclass
 class LinearWorkspace:
-    """Intermediates of the reduction: terminal aggregate, the shifted
-    backward pair, and its exponentially weighted version."""
+    """Intermediates of the reduction: the terminal aggregate xi and the
+    integrand of its conditional-expectation martingale, the exponentially
+    weighted backward integrand."""
 
     xi: np.ndarray
-    ybar: np.ndarray
-    zbar: np.ndarray
-    ytilde: np.ndarray
     ztilde: np.ndarray
-    weights: np.ndarray  # exp(-(t + L)) per node
 
 
-def _weights(ensemble: PathEnsemble) -> np.ndarray:
-    t = ensemble.grid.times()
-    return np.exp(-(t[None, :] + ensemble.L))
-
-
-def _trapezoid_cumsum(node_values: np.ndarray, dt_weights) -> np.ndarray:
-    """Cumulative trapezoid integral over the grid; the k-th partial sum only
-    touches nodes <= k, so adaptedness of the running integral is kept."""
-    inc = 0.5 * (node_values[:, :-1] + node_values[:, 1:]) * dt_weights
-    out = np.zeros_like(node_values)
-    out[:, 1:] = np.cumsum(inc, axis=1)
-    return out
-
-
-def _running_integral(forcings: ForcingSet, ensemble: PathEnsemble, w: np.ndarray):
-    """Cumulative weighted forcing integral I_k.
-
-    Trapezoid on both clocks: the integrands are node values known at their
-    own time stamps, so the rule stays adapted while cutting the first-order
-    quadrature bias of the left-point rule.
-    """
-    dt = ensemble.grid.dt
-    return _trapezoid_cumsum(
-        w * (forcings.g0 + forcings.b0), dt
-    ) + _trapezoid_cumsum(w * (forcings.h0 + forcings.delta0), ensemble.dL)
+def _cumulative_integral(out, a, d, dt, dL, ito=None):
+    """Running integral of one row block into out (out[:, 0] = 0): trapezoid
+    of the node values a against dt plus d against dL, plus the left-point
+    increments 2 * ito.  All increments are summed into one block before the
+    one cumsum.  The k-th partial sum only touches nodes <= k, so the running
+    integral stays adapted."""
+    inc = a[:, :-1] + a[:, 1:]
+    inc *= dt
+    tmp = d[:, :-1] + d[:, 1:]
+    tmp *= dL
+    inc += tmp
+    if ito is not None:
+        inc += ito
+    inc *= 0.5
+    out[:, 0] = 0.0
+    np.cumsum(inc, axis=1, out=out[:, 1:])
 
 
 def solve_linear(
@@ -188,51 +177,72 @@ def solve_linear(
     Forward pass: closed-form weighted integrals.  plan: the ensemble's
     regression plan for basis, built here when not given; callers that solve
     repeatedly on one ensemble pass it to set the regressions up once.
+
+    Everything but the regressions is per path, so it runs in two sweeps over
+    row blocks of paths that stay in cache, around the one global step
+    `plan.regress(xi)`.
     """
     forcings.validate(ensemble)
     if plan is None:
         plan = RegressionPlan(ensemble, basis or BasisSpec())
     elif plan.ensemble is not ensemble or basis not in (None, plan.basis):
         raise ValueError("regression plan was built for another ensemble or basis")
+    f = forcings
     m, n = ensemble.n_paths, ensemble.n_steps
-    dt = ensemble.grid.dt
-    w = _weights(ensemble)
-    I = _running_integral(forcings, ensemble, w)
-    xi = w[:, -1] * forcings.phi0 + I[:, -1]
+    dt, dL, dB = ensemble.grid.dt, ensemble.dL, ensemble.dB
+    w, inv_w = ensemble._exp_weights
+    x, y, z = np.empty((m, n + 1)), np.empty((m, n + 1)), np.empty((m, n + 1))
 
-    # conditional-expectation martingale of xi along the grid
-    M = np.empty((m, n + 1))
-    M[:, 0] = np.mean(xi)  # the filtration is trivial at time 0
-    M[:, n] = xi
+    # first sweep: the running integral I of the weighted forcings; y holds
+    # it until the second sweep overwrites it
+    for rows in _row_slices(0, m):
+        a = f.g0[rows] + f.b0[rows]
+        a *= w[rows]
+        d = f.h0[rows] + f.delta0[rows]
+        d *= w[rows]
+        _cumulative_integral(y[rows], a, d, dt, dL[rows])
+    xi = w[:, -1] * f.phi0 + y[:, -1]
+
+    # conditional-expectation martingale M of xi along the grid, and its
+    # integrand; the filtration is trivial at time 0, so plain means there
     ztilde = np.zeros((m, n + 1))
-    M[:, 1:n], ztilde[:, 1:n] = plan.regress(xi)
-    ytilde = M - I
-    # trivial sigma-field at k = 0: plain means instead of a regression
-    mean_dL = float(np.mean(ensemble.dL[:, 0]))
+    cond, ztilde[:, 1:n] = plan.regress(xi)
+    mean_dL = float(np.mean(dL[:, 0]))
     if mean_dL >= plan.floor:
-        ztilde[:, 0] = np.mean(xi * ensemble.dB[:, 0]) / mean_dL
+        ztilde[:, 0] = np.mean(xi * dB[:, 0]) / mean_dL
+    mean_xi = np.mean(xi)
 
-    ybar = ytilde / w
-    zbar = ztilde / w
-    z = 0.5 * (zbar + forcings.sigma0)
-    z[:, n] = 0.0
-
-    # forward pass, closed form; trapezoid on the dt/dL integrals, left-point
+    # second sweep: ybar = (M - I) / w and zbar = ztilde / w, then the forward
+    # pass in closed form, trapezoid on the dt/dL integrals and left-point
     # (Ito) on the dB integral
-    inv_w = 1.0 / w
-    acc = _trapezoid_cumsum(inv_w * (forcings.b0 - ybar), dt) + _trapezoid_cumsum(
-        inv_w * (forcings.delta0 - ybar), ensemble.dL
-    )
-    ito = 0.5 * inv_w[:, :n] * (forcings.sigma0[:, :n] - zbar[:, :n]) * ensemble.dB
-    acc[:, 1:] += np.cumsum(ito, axis=1)
-    x = w * (x0 + acc)
-    y = x + ybar
+    for rows in _row_slices(0, m):
+        iw = inv_w[rows]
+        I = y[rows]
+        ybar = np.empty(I.shape)
+        np.subtract(mean_xi, I[:, 0], out=ybar[:, 0])
+        np.subtract(cond[rows], I[:, 1:n], out=ybar[:, 1:n])
+        np.subtract(xi[rows], I[:, n], out=ybar[:, n])
+        ybar *= iw
+        zbar = ztilde[rows] * iw
+        zr = z[rows]
+        np.add(zbar, f.sigma0[rows], out=zr)
+        zr *= 0.5
+        zr[:, n] = 0.0
+        ito = f.sigma0[rows, :n] - zbar[:, :n]
+        ito *= iw[:, :n]
+        ito *= dB[rows]
+        a = np.subtract(f.b0[rows], ybar, out=zbar)  # zbar is spent
+        a *= iw
+        d = f.delta0[rows] - ybar
+        d *= iw
+        xr = x[rows]
+        _cumulative_integral(xr, a, d, dt, dL[rows], ito)
+        xr += x0
+        xr *= w[rows]
+        np.add(xr, ybar, out=I)
+        # x is finite wherever y = x + ybar is
+        if not (np.isfinite(I).all() and np.isfinite(zr).all()):
+            raise FloatingPointError("linear solve produced non-finite values")
 
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(np.isfinite(z))):
-        raise FloatingPointError("linear solve produced non-finite values")
-
-    solution = SolutionTriple(x=x, y=y, z=z, dt=dt, dL=ensemble.dL)
-    workspace = LinearWorkspace(
-        xi=xi, ybar=ybar, zbar=zbar, ytilde=ytilde, ztilde=ztilde, weights=w
-    )
-    return solution, workspace
+    solution = SolutionTriple(x=x, y=y, z=z, dt=dt, dL=dL)
+    return solution, LinearWorkspace(xi=xi, ztilde=ztilde)

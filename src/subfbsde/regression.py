@@ -35,6 +35,13 @@ __all__ = [
 ]
 
 
+class _NonFiniteError(ValueError, FloatingPointError):
+    """Non-finite numbers where the solver needs finite ones (a bundle's
+    coefficients, forcings, regression targets).  A ValueError for callers
+    that validate inputs, and a FloatingPointError, the class of numerical
+    failures, for callers that tell those apart from bad settings."""
+
+
 class SingularSliceError(RuntimeError):
     def __init__(self, slice_index):
         self.slice_index = slice_index
@@ -109,7 +116,7 @@ def fit_condexp(
     """Ridge least squares of targets on the polynomial basis of features."""
     targets = np.asarray(targets, dtype=float)
     if not np.all(np.isfinite(targets)):
-        raise ValueError(f"non-finite regression targets at slice {slice_index}")
+        raise _NonFiniteError(f"non-finite regression targets at slice {slice_index}")
     A = polynomial_features(features, basis.degree)
     m, p = A.shape
     if m < p + 1:
@@ -161,9 +168,16 @@ def extract_z(
     return z
 
 
-# paths per row block of the batched regressions: a block's monomials stay in
-# cache from the moment they are built to their last use
+# paths per row block of the batched regressions, the linear solve's sweeps
+# and the Picard forcings: a block's monomials and temporaries stay in cache
+# from the moment they are built to their last use
 _BLOCK_ROWS = 512
+
+
+def _row_slices(start: int, stop: int):
+    """Row slices of at most _BLOCK_ROWS rows covering rows start:stop."""
+    for lo in range(start, stop, _BLOCK_ROWS):
+        yield slice(lo, min(lo + _BLOCK_ROWS, stop))
 
 
 class RegressionPlan:
@@ -236,8 +250,7 @@ class RegressionPlan:
         the paths and 2 for the second."""
         m = self._columns[0].shape[0]
         for lo, hi, half in ((0, self._half, 1), (self._half, m, 2)):
-            for start in range(lo, hi, _BLOCK_ROWS):
-                rows = slice(start, min(start + _BLOCK_ROWS, hi))
+            for rows in _row_slices(lo, hi):
                 cols = [c[rows] for c in self._columns]
                 yield rows, half, _monomials(cols, self.basis.degree, cols[0].shape)
 
@@ -260,7 +273,7 @@ class RegressionPlan:
                     spec = "i,ik->k" if target.ndim == 1 else "ik,ik->k"
                     rhs[i, :, j] += np.einsum(spec, target, mono)
         if not np.all(np.isfinite(rhs)):
-            raise ValueError("non-finite regression targets")
+            raise _NonFiniteError("non-finite regression targets")
         coef = np.linalg.solve(self._grams[[s for _, s in fits]], rhs[..., None])[..., 0]
         out = [np.zeros(self._columns[0].shape) for _ in jobs]
         for rows, half, monomials in self._row_blocks():

@@ -10,6 +10,7 @@ feature that restores Markovianity for the regression stages.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +68,16 @@ class PathEnsemble:
         if not (0 <= k <= self.n_steps):
             raise IndexError(f"grid index {k} out of range [0, {self.n_steps}]")
         return MarkovState(x=self.X[:, k], r=self.R[:, k])
+
+    @cached_property
+    def _exp_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """exp(-(t + L)) per node and its reciprocal: the weights of every
+        linear solve on the ensemble, computed on first use and read-only,
+        since every solve shares them."""
+        w = np.exp(-(self.grid.times()[None, :] + self.L))
+        inv_w = 1.0 / w
+        w.flags.writeable = inv_w.flags.writeable = False
+        return w, inv_w
 
     def features_at(self, k: int, include_r: bool = True) -> np.ndarray:
         cols = [self.X[:, k]]

@@ -6,7 +6,9 @@
   initial backward value.
 * A per-path reference inversion of one subordinator skeleton, written with
   a sorted searchsorted over the jump levels instead of the ensemble
-  inversion's per-node jump counts."""
+  inversion's per-node jump counts.
+* The linear base solve written on whole arrays, one full-array pass per
+  term: the reference for the row-blocked solver."""
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -47,6 +49,18 @@ def canonical_coupled_oracle(t_eval, x0=1.0, c=1.0):
     return _shoot(rhs, x0, lambda xT, yT: yT - xT, t_eval)
 
 
+def riccati_coupled_oracle(t_eval, x0=1.0, c=1.0, eps=0.2):
+    """Drift-only fully coupled riccati_test system:
+    x' = -2c*y - eps*tanh(y),  -y' = 2c*x + eps*tanh(x),
+    y(T) = x(T) + tanh(x(T)) / 2."""
+
+    def rhs(t, v):
+        x, y = v
+        return [-2.0 * c * y - eps * np.tanh(y), -(2.0 * c * x + eps * np.tanh(x))]
+
+    return _shoot(rhs, x0, lambda xT, yT: yT - xT - 0.5 * np.tanh(xT), t_eval)
+
+
 def _invert_at(skeleton, u):
     """Exact inverse: returns (L_u, S_{L_u}) for nonnegative real times u."""
     kappa = skeleton.spec.kappa
@@ -77,3 +91,43 @@ def invert_clock_reference(skeleton, grid):
     L = np.concatenate(([0.0], np.cumsum(dL)))
     R = np.maximum(grid.a + s_at - t, 0.0)
     return L, R, dL
+
+
+def _whole_array_trapezoid(node_values, dt_weights):
+    inc = 0.5 * (node_values[:, :-1] + node_values[:, 1:]) * dt_weights
+    out = np.zeros_like(node_values)
+    out[:, 1:] = np.cumsum(inc, axis=1)
+    return out
+
+
+def whole_array_solve_linear(forcings, x0, ensemble, plan):
+    """The linear base solve with every step on whole (n_paths, n_steps+1)
+    arrays: the formulas of the row-blocked `solve_linear`, one full-array
+    pass per term and one cumsum per integral.  Returns (x, y, z, xi)."""
+    f, m, n = forcings, ensemble.n_paths, ensemble.n_steps
+    dt, dL, dB = ensemble.grid.dt, ensemble.dL, ensemble.dB
+    w = np.exp(-(ensemble.grid.times()[None, :] + ensemble.L))
+    I = _whole_array_trapezoid(w * (f.g0 + f.b0), dt) + _whole_array_trapezoid(
+        w * (f.h0 + f.delta0), dL
+    )
+    xi = w[:, -1] * f.phi0 + I[:, -1]
+    M = np.empty((m, n + 1))
+    M[:, 0] = np.mean(xi)
+    M[:, n] = xi
+    ztilde = np.zeros((m, n + 1))
+    M[:, 1:n], ztilde[:, 1:n] = plan.regress(xi)
+    mean_dL = float(np.mean(dL[:, 0]))
+    if mean_dL >= plan.floor:
+        ztilde[:, 0] = np.mean(xi * dB[:, 0]) / mean_dL
+    ybar = (M - I) / w
+    zbar = ztilde / w
+    z = 0.5 * (zbar + f.sigma0)
+    z[:, n] = 0.0
+    inv_w = 1.0 / w
+    acc = _whole_array_trapezoid(inv_w * (f.b0 - ybar), dt) + _whole_array_trapezoid(
+        inv_w * (f.delta0 - ybar), dL
+    )
+    ito = 0.5 * inv_w[:, :n] * (f.sigma0[:, :n] - zbar[:, :n]) * dB
+    acc[:, 1:] += np.cumsum(ito, axis=1)
+    x = w * (x0 + acc)
+    return x, x + ybar, z, xi

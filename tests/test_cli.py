@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from subfbsde import cli
+from subfbsde import cli, coefficients
 from subfbsde.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
     EXIT_HYPOTHESIS,
+    EXIT_NUMERICAL,
     EXIT_OK,
     ScenarioConfig,
     main,
@@ -251,3 +252,67 @@ def test_csv_writer_matches_per_value_format(tmp_path, monkeypatch):
     expected = "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in table)
     assert body == expected.encode()
     assert b"-0," in body and b"e-324" in body and b"inf" in body and b"nan" in body
+
+
+def _nan_bundle(where):
+    """canonical_monotone whose b is NaN where `where(t, x)` holds."""
+
+    def factory():
+        bundle = coefficients.get_bundle("canonical_monotone")
+        bundle.b = lambda t, st, x, y: np.where(where(t, x), np.nan, -y)
+        return bundle
+
+    return factory
+
+
+def _assert_numerical_failure(capsys, message):
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("subcommand", ["check-hypothesis", "solve"])
+def test_nan_in_hypothesis_cloud_is_numerical_failure(tmp_path, capsys, monkeypatch, subcommand):
+    nan_everywhere = _nan_bundle(lambda t, x: np.ones(np.shape(x), dtype=bool))
+    monkeypatch.setitem(coefficients._REGISTRY, "nan_cloud", nan_everywhere)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(bundle="nan_cloud", output_dir=str(out)))
+    assert run(subcommand, path) == EXIT_NUMERICAL
+    _assert_numerical_failure(capsys, "coefficient b produced non-finite values")
+    assert not out.exists()
+
+
+def test_nan_during_solve_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    # NaN only at the terminal node t = T, which the hypothesis cloud (t < T)
+    # never samples
+    nan_at_T = _nan_bundle(lambda t, x: np.broadcast_to(t >= 1.0, np.shape(x)))
+    monkeypatch.setitem(coefficients._REGISTRY, "nan_at_T", nan_at_T)
+    path = write_config(tmp_path, base_config(bundle="nan_at_T", output_dir=str(tmp_path)))
+    assert run("check-hypothesis", path, strict=True) == EXIT_OK
+    capsys.readouterr()
+    assert run("solve", path) == EXIT_NUMERICAL
+    _assert_numerical_failure(capsys, "forcing b0 contains non-finite values")
+
+
+def test_non_finite_linear_solve_is_numerical_failure(tmp_path, capsys):
+    # a finite forcing whose weighted Ito integral overflows
+    cfg = base_config(output_dir=str(tmp_path), forcings={"sigma0": 1e308})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("solve-linear", write_config(tmp_path, cfg)) == EXIT_NUMERICAL
+    _assert_numerical_failure(capsys, "linear solve produced non-finite values")
+
+
+def test_singular_design_is_numerical_failure(tmp_path, capsys):
+    # without jumps R is identically zero, so an unridged basis in (X, R) is
+    # rank deficient
+    cfg = base_config(output_dir=str(tmp_path), basis={"ridge": 0.0})
+    assert run("solve", write_config(tmp_path, cfg)) == EXIT_NUMERICAL
+    _assert_numerical_failure(capsys, "rank deficient at slice 1")
+
+
+def test_too_few_paths_is_a_config_error(tmp_path, capsys):
+    cfg = base_config(output_dir=str(tmp_path), n_paths=3, forcings={"b0": 1.0})
+    for subcommand in ("solve-linear", "solve"):
+        assert run(subcommand, write_config(tmp_path, cfg)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "need at least basis dimension + 1" in err and "Traceback" not in err
