@@ -20,11 +20,9 @@ from .clock import (
 from .coefficients import (
     BUNDLE_NAMES,
     CoefficientBundle,
-    ContinuationParams,
     HypothesisReport,
     PointCloud,
     check_hypothesis,
-    continuation_transform,
     default_c1,
     eta0,
     get_bundle,
@@ -40,12 +38,7 @@ from .fbsde_solver import (
     solve_fbsde,
     solve_level,
 )
-from .linear_solver import (
-    ForcingSet,
-    LinearWorkspace,
-    SolutionTriple,
-    solve_linear,
-)
+from .linear_solver import ForcingSet, SolutionTriple, solve_linear
 from .regression import (
     BasisSpec,
     CondExpEstimator,

@@ -332,7 +332,7 @@ def _cmd_solve_linear(config: ScenarioConfig) -> int:
     ens = config.ensemble()
     forcings = config.forcings(ens.n_paths, ens.n_steps)
     with _solver_config_errors():
-        theta, _ = solve_linear(forcings, config.x0, ens, config.basis)
+        theta = solve_linear(forcings, config.x0, ens, config.basis)
     _solution_csv(config, "solve-linear", ens, theta)
     _write_json(
         config.artifact_path("solve-linear", "json"),

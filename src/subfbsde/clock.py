@@ -145,13 +145,6 @@ class SubordinatorSkeleton:
         object.__setattr__(self, "jump_sizes", js)
         _check_jumps(np.zeros(jt.size, dtype=int), jt, js)
 
-    def evaluate(self, r) -> np.ndarray:
-        """S_r (right-continuous) at intrinsic times r."""
-        r = np.asarray(r, dtype=float)
-        csum = np.concatenate(([0.0], np.cumsum(self.jump_sizes)))
-        idx = np.searchsorted(self.jump_times, r, side="right")
-        return self.spec.kappa * r + csum[idx]
-
 
 @dataclass(frozen=True)
 class TimeGrid:

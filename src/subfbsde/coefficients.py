@@ -1,4 +1,5 @@
-"""Coefficient bundles, monotonicity checking, and the continuation family.
+"""Coefficient bundles, monotonicity checking, the continuation step bound,
+and the built-in catalog.
 
 A bundle carries vectorized evaluators
     b(t, state, x, y), g(t, state, x, y),
@@ -15,7 +16,7 @@ non-decreasing); orientation="increasing" is the sign-flipped mirror regime
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -26,13 +27,10 @@ from .subdiffusion import MarkovState
 __all__ = [
     "CoefficientBundle",
     "HypothesisReport",
-    "ContinuationParams",
     "PointCloud",
     "check_hypothesis",
-    "continuation_transform",
     "mirror_bundle",
     "eta0",
-    "eta0_terms",
     "default_c1",
     "get_bundle",
     "register_bundle",
@@ -90,16 +88,6 @@ class HypothesisReport:
             "violation": self.violation,
             "passed": self.passed,
         }
-
-
-@dataclass(frozen=True)
-class ContinuationParams:
-    alpha: float
-    c_alpha: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError("alpha must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -209,36 +197,6 @@ def check_hypothesis(
     )
 
 
-def continuation_transform(bundle: CoefficientBundle, alpha: float) -> CoefficientBundle:
-    """The alpha-interpolated bundle between the explicitly solvable base
-    system (alpha = 0) and the target system (alpha = 1):
-
-        b^a = a*b - (1-a)*y     delta^a = a*delta - (1-a)*y
-        sigma^a = a*sigma - (1-a)*z
-        g^a = a*g + (1-a)*x     h^a = a*h + (1-a)*x
-        phi^a = a*phi + (1-a)*x
-
-    The x-direction terms in g, h, phi carry a plus sign: that is what makes
-    the alpha = 0 system coincide with the solvable linear base case and what
-    preserves both monotonicity conditions with constant c_alpha.
-    """
-    params = ContinuationParams(alpha, c_alpha=alpha * bundle.monotonicity + (1.0 - alpha))
-    a = alpha
-    b, g, d, s, h, p = bundle.b, bundle.g, bundle.delta, bundle.sigma, bundle.h, bundle.phi
-    return replace(
-        bundle,
-        b=lambda t, st, x, y: a * b(t, st, x, y) - (1.0 - a) * y,
-        g=lambda t, st, x, y: a * g(t, st, x, y) + (1.0 - a) * x,
-        delta=lambda t, st, x, y, z: a * d(t, st, x, y, z) - (1.0 - a) * y,
-        sigma=lambda t, st, x, y, z: a * s(t, st, x, y, z) - (1.0 - a) * z,
-        h=lambda t, st, x, y, z: a * h(t, st, x, y, z) + (1.0 - a) * x,
-        phi=lambda st, x: a * p(st, x) + (1.0 - a) * x,
-        monotonicity=params.c_alpha,
-        lipschitz=max(1.0, a * bundle.lipschitz + (1.0 - a)),
-        name=f"{bundle.name}@alpha={alpha:g}" if bundle.name else f"alpha={alpha:g}",
-    )
-
-
 def mirror_bundle(bundle: CoefficientBundle) -> CoefficientBundle:
     """Map a sign-flipped (increasing) bundle to an equivalent decreasing one
     via (y, z) -> (-y, -z); solutions map back by negating y and z."""
@@ -264,18 +222,13 @@ def default_c1(lipschitz: float) -> float:
     return 4.0 * (1.0 + lipschitz) ** 2
 
 
-def eta0_terms(L: float, c: float, kappa: float, T: float, C1: float):
-    if min(L, c, kappa, T, C1) <= 0.0:
-        raise ValueError("all step-bound inputs must be positive")
-    c_eff = min(c, 1.0)
-    time_term = 1.0 / (3.0 * (1.0 + L) * ((1.0 + 1.0 / kappa) * T + 1.0))
-    contraction_term = c_eff / (1.0 + 4.0 * C1)
-    return time_term, contraction_term
-
-
 def eta0(L: float, c: float, kappa: float, T: float, C1: float) -> float:
     """Continuation step bound: min of a horizon term and a contraction term."""
-    return min(*eta0_terms(L, c, kappa, T, C1))
+    if min(L, c, kappa, T, C1) <= 0.0:
+        raise ValueError("all step-bound inputs must be positive")
+    time_term = 1.0 / (3.0 * (1.0 + L) * ((1.0 + 1.0 / kappa) * T + 1.0))
+    contraction_term = min(c, 1.0) / (1.0 + 4.0 * C1)
+    return min(time_term, contraction_term)
 
 
 # ---------------------------------------------------------------------------

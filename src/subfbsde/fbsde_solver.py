@@ -255,7 +255,7 @@ def solve_fbsde(
         linear base system."""
         if k == 0:
             diag.total_linear_solves += 1
-            return solve_linear(f, x0, ensemble, plan=plan)[0]
+            return solve_linear(f, x0, ensemble, plan=plan)
         step = alphas[k] - alphas[k - 1]
         theta, residuals, converged = solve_level(
             lambda g: solve_at(k - 1, g),

@@ -31,7 +31,6 @@ from .subdiffusion import PathEnsemble
 __all__ = [
     "ForcingSet",
     "SolutionTriple",
-    "LinearWorkspace",
     "solve_linear",
 ]
 
@@ -63,26 +62,6 @@ class ForcingSet:
             arr = getattr(f, key)
             arr += val
         return f
-
-    def scaled(self, factor: float) -> "ForcingSet":
-        return ForcingSet(
-            factor * self.b0,
-            factor * self.g0,
-            factor * self.delta0,
-            factor * self.h0,
-            factor * self.sigma0,
-            factor * self.phi0,
-        )
-
-    def added(self, other: "ForcingSet") -> "ForcingSet":
-        return ForcingSet(
-            self.b0 + other.b0,
-            self.g0 + other.g0,
-            self.delta0 + other.delta0,
-            self.h0 + other.h0,
-            self.sigma0 + other.sigma0,
-            self.phi0 + other.phi0,
-        )
 
     def validate(self, ensemble: PathEnsemble) -> None:
         shape = ensemble.X.shape
@@ -128,21 +107,6 @@ class SolutionTriple:
             self.x - other.x, self.y - other.y, self.z - other.z, self.dt, self.dL
         )
 
-    def scaled(self, factor: float) -> "SolutionTriple":
-        return SolutionTriple(
-            factor * self.x, factor * self.y, factor * self.z, self.dt, self.dL
-        )
-
-
-@dataclass
-class LinearWorkspace:
-    """Intermediates of the reduction: the terminal aggregate xi and the
-    integrand of its conditional-expectation martingale, the exponentially
-    weighted backward integrand."""
-
-    xi: np.ndarray
-    ztilde: np.ndarray
-
 
 def _cumulative_integral(out, a, d, dt, dL, ito=None):
     """Running integral of one row block into out (out[:, 0] = 0): trapezoid
@@ -168,7 +132,7 @@ def solve_linear(
     ensemble: PathEnsemble,
     basis: BasisSpec | None = None,
     plan: RegressionPlan | None = None,
-):
+) -> SolutionTriple:
     """Solve the linear base FBSDE on the ensemble.
 
     Backward pass: the weighted backward value is the conditional expectation
@@ -204,12 +168,11 @@ def solve_linear(
     xi = w[:, -1] * f.phi0 + y[:, -1]
 
     # conditional-expectation martingale M of xi along the grid, and its
-    # integrand; the filtration is trivial at time 0, so plain means there
-    ztilde = np.zeros((m, n + 1))
-    cond, ztilde[:, 1:n] = plan.regress(xi)
+    # integrand ztilde; the filtration is trivial at time 0, so plain means
+    # there, and ztilde is zero at the terminal node
+    cond, ztilde = plan.regress(xi)
     mean_dL = float(np.mean(dL[:, 0]))
-    if mean_dL >= plan.floor:
-        ztilde[:, 0] = np.mean(xi * dB[:, 0]) / mean_dL
+    ztilde0 = np.mean(xi * dB[:, 0]) / mean_dL if mean_dL >= plan.floor else 0.0
     mean_xi = np.mean(xi)
 
     # second sweep: ybar = (M - I) / w and zbar = ztilde / w, then the forward
@@ -223,7 +186,11 @@ def solve_linear(
         np.subtract(cond[rows], I[:, 1:n], out=ybar[:, 1:n])
         np.subtract(xi[rows], I[:, n], out=ybar[:, n])
         ybar *= iw
-        zbar = ztilde[rows] * iw
+        zbar = np.empty(I.shape)
+        zbar[:, 0] = ztilde0
+        zbar[:, 1:n] = ztilde[rows]
+        zbar[:, n] = 0.0
+        zbar *= iw
         zr = z[rows]
         np.add(zbar, f.sigma0[rows], out=zr)
         zr *= 0.5
@@ -244,5 +211,4 @@ def solve_linear(
         if not (np.isfinite(I).all() and np.isfinite(zr).all()):
             raise FloatingPointError("linear solve produced non-finite values")
 
-    solution = SolutionTriple(x=x, y=y, z=z, dt=dt, dL=dL)
-    return solution, LinearWorkspace(xi=xi, ztilde=ztilde)
+    return SolutionTriple(x=x, y=y, z=z, dt=dt, dL=dL)

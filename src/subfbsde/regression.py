@@ -1,9 +1,9 @@
 """Least-squares Monte Carlo conditional expectations on path ensembles.
 
 Conditional expectations given the path history are approximated by ridge
-least squares onto total-degree polynomials of the slice features (the
-augmented Markov state, optionally extended with the current solver
-iterates).  The martingale integrand z is recovered by the ratio estimator
+least squares onto total-degree polynomials of the slice features, the
+augmented Markov state (X_k, R_k) or X_k alone.  The martingale integrand z
+is recovered by the ratio estimator
     z_k = E[y_{k+1} dB_k | features] / E[dL_k | features],
 set to zero wherever the clock is predicted frozen: z is only defined
 dL-almost everywhere.
@@ -219,7 +219,9 @@ class RegressionPlan:
         self._grams = np.empty((3, n - 1, p, p))
         singular = ([], [])  # slices whose full / half designs are rank deficient
         for k in range(1, n):
-            A = polynomial_features(ensemble.features_at(k, basis.include_r), basis.degree)
+            A = polynomial_features(
+                np.column_stack([c[:, k - 1] for c in self._columns]), basis.degree
+            )
             designs = (A, A[:half], A[half:])
             for s, As in enumerate(designs):
                 self._grams[s, k - 1] = As.T @ As + basis.effective_ridge(sizes[s]) * np.eye(p)
@@ -233,7 +235,10 @@ class RegressionPlan:
         if singular[0]:
             raise SingularSliceError(singular[0][0])
         if not np.all(frozen) and half < p + 1:
-            raise ValueError(f"need at least basis dimension + 1 = {p + 1} paths, got {half}")
+            raise ValueError(
+                f"need at least 2 * (basis dimension + 1) = {2 * (p + 1)} paths to "
+                f"cross-fit the integrand, got {m}"
+            )
         if singular[1]:
             raise SingularSliceError(singular[1][0])
         # frozen slices are never cross-fitted (z is zero there); the identity

@@ -25,11 +25,11 @@ __all__ = [
 
 @dataclass
 class MarkovState:
-    """Augmented Markov state (X_t, R_t); solver iterates ride along in s."""
+    """Augmented Markov state (X_t, R_t) at which a bundle's coefficients are
+    evaluated."""
 
     x: object  # scalar or per-path array
     r: object
-    s: object = None
 
 
 @dataclass
@@ -63,12 +63,6 @@ class PathEnsemble:
     def n_steps(self) -> int:
         return self.grid.n_steps
 
-    def state_at(self, k: int) -> MarkovState:
-        """State (X[:, k], R[:, k]) at grid index k."""
-        if not (0 <= k <= self.n_steps):
-            raise IndexError(f"grid index {k} out of range [0, {self.n_steps}]")
-        return MarkovState(x=self.X[:, k], r=self.R[:, k])
-
     @cached_property
     def _exp_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """exp(-(t + L)) per node and its reciprocal: the weights of every
@@ -78,12 +72,6 @@ class PathEnsemble:
         inv_w = 1.0 / w
         w.flags.writeable = inv_w.flags.writeable = False
         return w, inv_w
-
-    def features_at(self, k: int, include_r: bool = True) -> np.ndarray:
-        cols = [self.X[:, k]]
-        if include_r:
-            cols.append(self.R[:, k])
-        return np.column_stack(cols)
 
 
 def build_ensemble(

@@ -8,7 +8,11 @@
   a sorted searchsorted over the jump levels instead of the ensemble
   inversion's per-node jump counts.
 * The linear base solve written on whole arrays, one full-array pass per
-  term: the reference for the row-blocked solver."""
+  term: the reference for the row-blocked solver.
+* The pathwise solution of `canonical_monotone(c)` on any clock.
+* The continuation family between the linear base system and a bundle."""
+
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -61,6 +65,15 @@ def riccati_coupled_oracle(t_eval, x0=1.0, c=1.0, eps=0.2):
     return _shoot(rhs, x0, lambda xT, yT: yT - xT - 0.5 * np.tanh(xT), t_eval)
 
 
+def canonical_pathwise_oracle(t, L, x0=1.0, c=1.0):
+    """Exact solution of `canonical_monotone(c)` on every path of any clock:
+    x = y = x0 exp(-c (t + L_t)) solves dx = -c x (dt + dL), -dy = c x (dt +
+    dL) with y(T) = x(T), and z = 0.  t is the grid, L the (n_paths, n_steps+1)
+    clock; returns (x, y, z)."""
+    x = x0 * np.exp(-c * (t[None, :] + L))
+    return x, x.copy(), np.zeros_like(x)
+
+
 def _invert_at(skeleton, u):
     """Exact inverse: returns (L_u, S_{L_u}) for nonnegative real times u."""
     kappa = skeleton.spec.kappa
@@ -103,7 +116,9 @@ def _whole_array_trapezoid(node_values, dt_weights):
 def whole_array_solve_linear(forcings, x0, ensemble, plan):
     """The linear base solve with every step on whole (n_paths, n_steps+1)
     arrays: the formulas of the row-blocked `solve_linear`, one full-array
-    pass per term and one cumsum per integral.  Returns (x, y, z, xi)."""
+    pass per term and one cumsum per integral.  Returns (x, y, z, xi,
+    ztilde): the solution, the terminal aggregate xi and the integrand ztilde
+    of its conditional-expectation martingale."""
     f, m, n = forcings, ensemble.n_paths, ensemble.n_steps
     dt, dL, dB = ensemble.grid.dt, ensemble.dL, ensemble.dB
     w = np.exp(-(ensemble.grid.times()[None, :] + ensemble.L))
@@ -130,4 +145,36 @@ def whole_array_solve_linear(forcings, x0, ensemble, plan):
     ito = 0.5 * inv_w[:, :n] * (f.sigma0[:, :n] - zbar[:, :n]) * dB
     acc[:, 1:] += np.cumsum(ito, axis=1)
     x = w * (x0 + acc)
-    return x, x + ybar, z, xi
+    return x, x + ybar, z, xi, ztilde
+
+
+def continuation_transform(bundle, alpha):
+    """The alpha-interpolated bundle between the explicitly solvable base
+    system (alpha = 0) and the target system (alpha = 1):
+
+        b^a = a*b - (1-a)*y     delta^a = a*delta - (1-a)*y
+        sigma^a = a*sigma - (1-a)*z
+        g^a = a*g + (1-a)*x     h^a = a*h + (1-a)*x
+        phi^a = a*phi + (1-a)*x
+
+    The x-direction terms in g, h, phi carry a plus sign: that is what makes
+    the alpha = 0 system coincide with the solvable linear base case and what
+    preserves both monotonicity conditions with constant
+    c_alpha = a*c + (1-a).
+    """
+    if not (0.0 <= alpha <= 1.0):
+        raise ValueError("alpha must lie in [0, 1]")
+    a = alpha
+    b, g, d, s, h, p = bundle.b, bundle.g, bundle.delta, bundle.sigma, bundle.h, bundle.phi
+    return replace(
+        bundle,
+        b=lambda t, st, x, y: a * b(t, st, x, y) - (1.0 - a) * y,
+        g=lambda t, st, x, y: a * g(t, st, x, y) + (1.0 - a) * x,
+        delta=lambda t, st, x, y, z: a * d(t, st, x, y, z) - (1.0 - a) * y,
+        sigma=lambda t, st, x, y, z: a * s(t, st, x, y, z) - (1.0 - a) * z,
+        h=lambda t, st, x, y, z: a * h(t, st, x, y, z) + (1.0 - a) * x,
+        phi=lambda st, x: a * p(st, x) + (1.0 - a) * x,
+        monotonicity=alpha * bundle.monotonicity + (1.0 - alpha),
+        lipschitz=max(1.0, a * bundle.lipschitz + (1.0 - a)),
+        name=f"{bundle.name}@alpha={alpha:g}" if bundle.name else f"alpha={alpha:g}",
+    )

@@ -21,7 +21,6 @@ from subfbsde import (
     TimeGrid,
     build_ensemble,
     check_hypothesis,
-    continuation_transform,
     contraction_fit,
     eta0,
     get_bundle,
@@ -31,7 +30,7 @@ from subfbsde import (
     solve_linear,
 )
 from subfbsde.cli import EXIT_OK, run
-from oracles import canonical_coupled_oracle, linear_forced_oracle
+from oracles import canonical_coupled_oracle, continuation_transform, linear_forced_oracle
 
 JUMP_SPEC = SubordinatorSpec(kappa=1.0, jump_kind="exponential", rate=1.0, jump_param=1.0)
 DRIFT_SPEC = SubordinatorSpec(kappa=1.0)
@@ -108,14 +107,14 @@ def test_criterion_04_linear_solver_closed_form():
     # stochastic clock, zero forcings: pathwise exponential decay, no regression
     grid = TimeGrid(a=0.0, T=1.0, n_steps=50)
     ens = build_ensemble(JUMP_SPEC, grid, 2000, seed=400)
-    theta, _ = solve_linear(ForcingSet.zeros(ens.n_paths, ens.n_steps), 1.0, ens)
+    theta = solve_linear(ForcingSet.zeros(ens.n_paths, ens.n_steps), 1.0, ens)
     exact = np.exp(-(grid.times()[None, :] + ens.L))
     err_exact = float(np.max(np.abs(theta.x - exact) / exact))
     # drift-only forced case vs the deterministic ODE oracle
     grid2 = TimeGrid(a=0.0, T=1.0, n_steps=100)
     ens2 = build_ensemble(DRIFT_SPEC, grid2, 10_000, seed=401)
     f = ForcingSet.constant(ens2.n_paths, ens2.n_steps, b0=1.0)
-    theta2, _ = solve_linear(f, 0.0, ens2)
+    theta2 = solve_linear(f, 0.0, ens2)
     x_o, y_o = linear_forced_oracle(grid2.times(), x0=0.0, b0=1.0)
     scale = max(np.max(np.abs(x_o)), np.max(np.abs(y_o)))
     mean_err = max(
@@ -138,14 +137,15 @@ def test_criterion_05_linearity_superposition():
     ens = build_ensemble(JUMP_SPEC, grid, 10_000, seed=500)
     m, n = ens.n_paths, ens.n_steps
     rng = np.random.default_rng(501)
-    f1 = ForcingSet.constant(m, n, b0=rng.standard_normal(), g0=rng.standard_normal(),
-                             sigma0=rng.standard_normal(), phi0=rng.standard_normal())
-    f2 = ForcingSet.constant(m, n, delta0=rng.standard_normal(), h0=rng.standard_normal(),
-                             b0=rng.standard_normal(), phi0=rng.standard_normal())
+    v1 = dict(b0=rng.standard_normal(), g0=rng.standard_normal(),
+              sigma0=rng.standard_normal(), phi0=rng.standard_normal())
+    v2 = dict(delta0=rng.standard_normal(), h0=rng.standard_normal(),
+              b0=rng.standard_normal(), phi0=rng.standard_normal())
+    v12 = {k: v1.get(k, 0.0) + v2.get(k, 0.0) for k in {**v1, **v2}}
     basis = BasisSpec(degree=2)
-    t1, _ = solve_linear(f1, 1.0, ens, basis)
-    t2, _ = solve_linear(f2, 0.5, ens, basis)
-    t12, _ = solve_linear(f1.added(f2), 1.5, ens, basis)
+    t1 = solve_linear(ForcingSet.constant(m, n, **v1), 1.0, ens, basis)
+    t2 = solve_linear(ForcingSet.constant(m, n, **v2), 0.5, ens, basis)
+    t12 = solve_linear(ForcingSet.constant(m, n, **v12), 1.5, ens, basis)
     diff = SolutionTriple(
         t1.x + t2.x - t12.x, t1.y + t2.y - t12.y, t1.z + t2.z - t12.z, t1.dt, t1.dL
     )

@@ -311,8 +311,16 @@ def test_singular_design_is_numerical_failure(tmp_path, capsys):
 
 
 def test_too_few_paths_is_a_config_error(tmp_path, capsys):
-    cfg = base_config(output_dir=str(tmp_path), n_paths=3, forcings={"b0": 1.0})
-    for subcommand in ("solve-linear", "solve"):
-        assert run(subcommand, write_config(tmp_path, cfg)) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "need at least basis dimension + 1" in err and "Traceback" not in err
+    # the default basis has dimension 6: 7 paths fit a slice in-sample, and
+    # each cross-fit half needs 7 as well
+    expected = {
+        3: "need at least basis dimension + 1 = 7 paths, got 3",
+        7: "need at least 2 * (basis dimension + 1) = 14 paths to cross-fit the integrand, got 7",
+        13: "need at least 2 * (basis dimension + 1) = 14 paths to cross-fit the integrand, got 13",
+    }
+    for n_paths, message in expected.items():
+        cfg = base_config(output_dir=str(tmp_path), n_paths=n_paths, forcings={"b0": 1.0})
+        for subcommand in ("solve-linear", "solve"):
+            assert run(subcommand, write_config(tmp_path, cfg)) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err

@@ -7,12 +7,12 @@ from subfbsde import (
     MarkovState,
     PointCloud,
     check_hypothesis,
-    continuation_transform,
     default_c1,
     eta0,
     get_bundle,
     mirror_bundle,
 )
+from oracles import continuation_transform
 
 
 def _rng():

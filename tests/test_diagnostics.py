@@ -43,7 +43,8 @@ def test_m_norm_homogeneous(jump_ensemble):
     t.x += rng.standard_normal(t.x.shape)
     t.y += rng.standard_normal(t.y.shape)
     t.z += rng.standard_normal(t.z.shape)
-    assert m_norm(t.scaled(-2.5)).value == pytest.approx(2.5 * m_norm(t).value, rel=1e-12)
+    scaled = SolutionTriple(-2.5 * t.x, -2.5 * t.y, -2.5 * t.z, t.dt, t.dL)
+    assert m_norm(scaled).value == pytest.approx(2.5 * m_norm(t).value, rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,8 +5,10 @@ from subfbsde import (
     ContinuationConfig,
     DivergedError,
     ForcingSet,
+    MarkovState,
     SolutionTriple,
-    continuation_transform,
+    SubordinatorSpec,
+    build_ensemble,
     eta0,
     get_bundle,
     m_norm,
@@ -14,7 +16,12 @@ from subfbsde import (
     solve_fbsde,
     solve_linear,
 )
-from oracles import canonical_coupled_oracle, riccati_coupled_oracle
+from oracles import (
+    canonical_coupled_oracle,
+    canonical_pathwise_oracle,
+    continuation_transform,
+    riccati_coupled_oracle,
+)
 
 
 def test_config_validation():
@@ -56,7 +63,8 @@ def test_picard_forcings_linear_in_iterate(jump_ensemble):
     theta.y += rng.standard_normal((m, n + 1))
     theta.z += rng.standard_normal((m, n + 1))
     f1 = picard_forcings(bundle, theta, 0.7, base, jump_ensemble)
-    f2 = picard_forcings(bundle, theta.scaled(2.0), 0.7, base, jump_ensemble)
+    doubled = SolutionTriple(2.0 * theta.x, 2.0 * theta.y, 2.0 * theta.z, theta.dt, theta.dL)
+    f2 = picard_forcings(bundle, doubled, 0.7, base, jump_ensemble)
     for name in ("b0", "g0", "delta0", "h0", "sigma0", "phi0"):
         assert np.allclose(getattr(f2, name), 2.0 * getattr(f1, name), atol=1e-12)
 
@@ -64,7 +72,7 @@ def test_picard_forcings_linear_in_iterate(jump_ensemble):
 def test_linear_bundle_matches_linear_solver(jump_ensemble):
     m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
     theta, diag = solve_fbsde(get_bundle("linear_test"), 1.0, jump_ensemble)
-    direct, _ = solve_linear(ForcingSet.zeros(m, n), 1.0, jump_ensemble)
+    direct = solve_linear(ForcingSet.zeros(m, n), 1.0, jump_ensemble)
     assert m_norm(theta.sub(direct)).value <= 1e-10
     assert diag.total_linear_solves == 2  # fixed point reached immediately
     assert diag.levels[0].converged
@@ -130,7 +138,7 @@ def test_terminal_condition_holds(jump_ensemble):
     config = ContinuationConfig(picard_tol=1e-5, max_picard=60)
     theta, diag = solve_fbsde(bundle, 1.0, jump_ensemble, config)
     n = jump_ensemble.n_steps
-    st = jump_ensemble.state_at(n)
+    st = MarkovState(x=jump_ensemble.X[:, n], r=jump_ensemble.R[:, n])
     gap = np.max(np.abs(theta.y[:, n] - bundle.phi(st, theta.x[:, n])))
     # terminal map is enforced through the Picard forcings, so the residual
     # gap is of the order of the stopping threshold
@@ -224,3 +232,25 @@ def test_user_seed_mirrored_for_increasing_orientation(drift_ensemble):
     assert np.allclose(inc.x, dec.x, atol=1e-10)
     assert np.allclose(inc.y, -dec.y, atol=1e-10)
     assert np.allclose(inc.z, -dec.z, atol=1e-10)
+
+
+PARETO_SPEC = SubordinatorSpec(kappa=1.0, jump_kind="pareto", rate=2.0, jump_param=(0.3, 1.5))
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.5], ids=["flatten", "eta0.5"])
+@pytest.mark.parametrize("clock", ["exponential", "pareto"])
+@pytest.mark.parametrize("c", [0.5, 2.0])
+def test_canonical_matches_pathwise_oracle_under_jumps(jump_ensemble, grid, clock, c, eta):
+    # the Picard forcings vanish at the fixed point, so this checks the Picard
+    # and forward plumbing on a jump clock, not the regressions; relative
+    # M-norm errors measured on these ensembles: 1.8e-5 to 1.7e-4
+    ens = jump_ensemble
+    if clock == "pareto":
+        ens = build_ensemble(PARETO_SPEC, grid, n_paths=400, seed=12)
+    config = ContinuationConfig(eta=eta)
+    theta, diag = solve_fbsde(get_bundle("canonical_monotone", c=c), 1.0, ens, config)
+    assert diag.levels[-1].converged
+    x, y, z = canonical_pathwise_oracle(ens.grid.times(), ens.L, x0=1.0, c=c)
+    oracle = SolutionTriple(x, y, z, theta.dt, theta.dL)
+    rel = m_norm(theta.sub(oracle)).value / m_norm(oracle).value
+    assert rel <= 1e-3

@@ -18,6 +18,7 @@ from subfbsde import (
     solve_fbsde,
     solve_linear,
 )
+from oracles import whole_array_solve_linear
 
 
 class SliceBySlicePlan:
@@ -30,15 +31,20 @@ class SliceBySlicePlan:
         self.basis = basis
         self.floor = 1e-12 * ensemble.grid.dt / ensemble.kappa
 
+    def features_at(self, k):
+        ens = self.ensemble
+        cols = [ens.X[:, k], ens.R[:, k]] if self.basis.include_r else [ens.X[:, k]]
+        return np.column_stack(cols)
+
     def regress(self, xi):
         ens, basis = self.ensemble, self.basis
         cond = np.empty((ens.n_paths, ens.n_steps - 1))
         z = np.empty_like(cond)
         for k in range(1, ens.n_steps):
-            feats = ens.features_at(k, basis.include_r)
+            feats = self.features_at(k)
             cond[:, k - 1] = fit_condexp(feats, xi, basis, slice_index=k).predict(feats)
         for k in range(1, ens.n_steps):
-            feats = ens.features_at(k, basis.include_r)
+            feats = self.features_at(k)
             z[:, k - 1] = extract_z(
                 xi, ens.dB[:, k], ens.dL[:, k], feats, basis, self.floor, k
             )
@@ -69,8 +75,8 @@ def test_plan_matches_single_slice_path(request, which, degree, include_r):
     ens = request.getfixturevalue(which)
     basis = BasisSpec(degree=degree, include_r=include_r)
     f = state_dependent_forcings(ens)
-    theta, _ = solve_linear(f, 1.0, ens, basis)
-    ref, _ = solve_linear(f, 1.0, ens, plan=SliceBySlicePlan(ens, basis))
+    theta = solve_linear(f, 1.0, ens, basis)
+    ref = solve_linear(f, 1.0, ens, plan=SliceBySlicePlan(ens, basis))
     assert np.max(np.abs(ref.z)) > 0.0
     assert_same_solution(theta, ref)
 
@@ -112,10 +118,12 @@ def test_frozen_slice_gives_zero_z(drift_ensemble):
     ens = dataclasses.replace(_constant_x(drift_ensemble, k, slice(0, 200)), dL=dL, dB=dB)
     basis = BasisSpec(degree=2, include_r=False, ridge=0.0)
     f = state_dependent_forcings(ens)
-    theta, ws = solve_linear(f, 1.0, ens, basis)
-    assert np.all(ws.ztilde[:, k] == 0.0)
+    plan = RegressionPlan(ens, basis)
+    theta = solve_linear(f, 1.0, ens, plan=plan)
+    ztilde = whole_array_solve_linear(f, 1.0, ens, plan)[4]
+    assert np.all(ztilde[:, k] == 0.0)
     assert np.all(theta.z[:, k] == 0.5 * f.sigma0[:, k])
-    ref, _ = solve_linear(f, 1.0, ens, plan=SliceBySlicePlan(ens, basis))
+    ref = solve_linear(f, 1.0, ens, plan=SliceBySlicePlan(ens, basis))
     assert_same_solution(theta, ref)
 
 

@@ -39,15 +39,10 @@ def test_x0_shift(jump_spec, grid):
     assert np.array_equal(a.dB, b.dB)
 
 
-def test_markov_state_and_bounds(jump_spec, grid):
+def test_markov_state_at_time_zero(jump_spec, grid):
     ens = build_ensemble(jump_spec, grid, 3, seed=9, x0=1.0)
-    st = ens.state_at(0)
-    assert np.all(st.x == 1.0)
-    assert np.all(st.r == 0.0)
-    with pytest.raises(IndexError):
-        ens.state_at(grid.n_steps + 1)
-    with pytest.raises(IndexError):
-        ens.state_at(-1)
+    assert np.all(ens.X[:, 0] == 1.0)
+    assert np.all(ens.R[:, 0] == 0.0)
 
 
 def test_mismatched_grids_rejected(jump_spec):
@@ -71,16 +66,12 @@ def test_gaussian_block_drawn_from_its_own_stream(jump_spec, grid):
         assert np.array_equal(getattr(ens, name), getattr(clock, name))
 
 
-def test_ensemble_shapes_and_features(jump_ensemble):
+def test_ensemble_shapes(jump_ensemble):
     m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
-    assert jump_ensemble.X.shape == (m, n + 1)
-    assert jump_ensemble.dL.shape == (m, n)
-    f = jump_ensemble.features_at(3)
-    assert f.shape == (m, 2)
-    assert np.array_equal(f[:, 0], jump_ensemble.X[:, 3])
-    assert jump_ensemble.features_at(3, include_r=False).shape == (m, 1)
-    st = jump_ensemble.state_at(n)
-    assert np.array_equal(st.x, jump_ensemble.X[:, n])
+    for name in ("L", "R", "X"):
+        assert getattr(jump_ensemble, name).shape == (m, n + 1)
+    for name in ("dL", "dB"):
+        assert getattr(jump_ensemble, name).shape == (m, n)
 
 
 def test_build_ensemble_deterministic(jump_spec, grid):
