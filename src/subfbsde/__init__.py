@@ -36,7 +36,6 @@ from .fbsde_solver import (
     SolveDiagnostics,
     picard_forcings,
     solve_fbsde,
-    solve_level,
 )
 from .linear_solver import ForcingSet, SolutionTriple, solve_linear
 from .regression import (

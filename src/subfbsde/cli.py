@@ -26,7 +26,7 @@ from .coefficients import PointCloud, check_hypothesis, get_bundle
 from .diagnostics import apriori_ratio, m_norm
 from .fbsde_solver import ContinuationConfig, DivergedError, solve_fbsde
 from .linear_solver import ForcingSet, solve_linear
-from .regression import BasisSpec, SingularSliceError
+from .regression import BasisSpec, RegressionPlan, SingularSliceError
 from .subdiffusion import build_ensemble
 
 __all__ = ["CONFIG_SCHEMA", "ScenarioConfig", "run", "main"]
@@ -332,7 +332,7 @@ def _cmd_solve_linear(config: ScenarioConfig) -> int:
     ens = config.ensemble()
     forcings = config.forcings(ens.n_paths, ens.n_steps)
     with _solver_config_errors():
-        theta = solve_linear(forcings, config.x0, ens, config.basis)
+        theta = solve_linear(forcings, config.x0, RegressionPlan(ens, config.basis))
     _solution_csv(config, "solve-linear", ens, theta)
     _write_json(
         config.artifact_path("solve-linear", "json"),

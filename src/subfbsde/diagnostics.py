@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linear_solver import ForcingSet, SolutionTriple
+from .regression import _row_slices
 
 __all__ = [
     "MNormValue",
@@ -58,14 +59,22 @@ class AprioriReport:
         }
 
 
-def m_norm(theta: SolutionTriple) -> MNormValue:
-    n = theta.dL.shape[1]
-    m = theta.x.shape[0]
-    x, y, z = theta.x[:, :n], theta.y[:, :n], theta.z[:, :n]
-    x0_part = float(np.mean(theta.x[:, 0] ** 2))
-    # sums of squares by einsum: no squared grid temporaries
-    dt_part = float(np.einsum("ij,ij->", x, x) + np.einsum("ij,ij->", y, y)) / m * theta.dt
-    dL_part = float(np.einsum("ij,ij,ij->", z, z, theta.dL)) / m
+def m_norm(theta: SolutionTriple, other: SolutionTriple | None = None) -> MNormValue:
+    """M-norm of theta, or of theta - other.  The sums of squares run over
+    row blocks of paths, so a difference only ever exists one block at a
+    time."""
+    m, n = theta.x.shape[0], theta.dL.shape[1]
+    x0_sum = dt_sum = dL_sum = 0.0
+    for rows in _row_slices(0, m):
+        x, y, z = theta.x[rows, :n], theta.y[rows, :n], theta.z[rows, :n]
+        if other is not None:
+            x = x - other.x[rows, :n]
+            y = y - other.y[rows, :n]
+            z = z - other.z[rows, :n]
+        x0_sum += float(np.dot(x[:, 0], x[:, 0]))
+        dt_sum += float(np.einsum("ij,ij->", x, x) + np.einsum("ij,ij->", y, y))
+        dL_sum += float(np.einsum("ij,ij,ij->", z, z, theta.dL[rows]))
+    x0_part, dt_part, dL_part = x0_sum / m, dt_sum / m * theta.dt, dL_sum / m
     return MNormValue(
         value=math.sqrt(x0_part + dt_part + dL_part),
         x0_part=x0_part,

@@ -31,7 +31,6 @@ __all__ = [
     "SolveDiagnostics",
     "DivergedError",
     "picard_forcings",
-    "solve_level",
     "solve_fbsde",
 ]
 
@@ -49,6 +48,8 @@ class ContinuationConfig:
             raise ValueError("eta must lie in (0, 1]")
         if not (self.picard_tol > 0.0):
             raise ValueError("picard_tol must be positive")
+        if self.max_picard < 1:
+            raise ValueError("max_picard must be at least 1")
 
     def resolved_eta(self, bundle: CoefficientBundle, kappa: float, T: float) -> float:
         if self.eta is not None:
@@ -82,7 +83,6 @@ class SolveDiagnostics:
     apriori: AprioriReport | None = None
     diverged: bool = False
     total_linear_solves: int = 0
-    picard_threshold: float = 0.0
 
     def to_json_dict(self) -> dict:
         """The solve/diagnose JSON payload; the contraction entry describes
@@ -155,45 +155,6 @@ def picard_forcings(
     return ForcingSet(**out, phi0=phi0)
 
 
-def solve_level(
-    level_solver,
-    bundle: CoefficientBundle,
-    eta: float,
-    base_forcings: ForcingSet,
-    ensemble: PathEnsemble,
-    config: ContinuationConfig,
-    alpha: float = 0.0,
-    theta0: SolutionTriple | None = None,
-):
-    """Picard loop for one continuation step.
-
-    level_solver(forcings) must solve the anchor system with the given
-    forcings.  Returns (solution, residual norms, converged).
-    """
-    theta = theta0 if theta0 is not None else SolutionTriple.zeros(ensemble)
-    residuals: list[float] = []
-    threshold = None
-    converged = False
-    for _ in range(config.max_picard):
-        f = picard_forcings(bundle, theta, eta, base_forcings, ensemble)
-        theta_new = level_solver(f)
-        res = m_norm(theta_new.sub(theta)).value
-        residuals.append(res)
-        if threshold is None:
-            threshold = config.picard_tol * max(m_norm(theta_new).value, 1e-12)
-        theta = theta_new
-        if res <= threshold:
-            converged = True
-            break
-        if len(residuals) >= 4 and (
-            residuals[-1] > residuals[-2] > residuals[-3] > residuals[-4]
-        ):
-            raise DivergedError(alpha, eta, residuals)
-        if res > 1e6 * max(residuals[0], 1e-300):
-            raise DivergedError(alpha, eta, residuals)
-    return theta, residuals, converged
-
-
 def _record_level(diag: SolveDiagnostics, alpha, eta, residuals, converged):
     ratio = None
     if len(residuals) >= 3 and all(r > 0.0 for r in residuals):
@@ -248,33 +209,45 @@ def solve_fbsde(
 
     diag = SolveDiagnostics()
     plan = RegressionPlan(ensemble, basis)  # shared by every linear solve below
-    warm: list = [None] * (n_levels + 1)  # last solution of each level
+    # last solution of each level, the seed of its next Picard loop; the top
+    # level is seeded by theta0, every level without a seed by zero
+    warm: list = [None] * n_levels + [theta0]
 
-    def solve_at(k: int, f: ForcingSet, seed: SolutionTriple | None = None):
-        """Solve the level-alphas[k] system with forcings f; level 0 is the
-        linear base system."""
+    def solve_at(k: int, f: ForcingSet) -> SolutionTriple:
+        """Solve the level-alphas[k] system with forcings f.  Level 0 is the
+        linear base system; level k runs the Picard loop of the step from
+        alphas[k-1], each iterate solving the anchor system at level k-1."""
         if k == 0:
             diag.total_linear_solves += 1
-            return solve_linear(f, x0, ensemble, plan=plan)
-        step = alphas[k] - alphas[k - 1]
-        theta, residuals, converged = solve_level(
-            lambda g: solve_at(k - 1, g),
-            work,
-            step,
-            f,
-            ensemble,
-            config,
-            alpha=alphas[k],
-            theta0=seed if seed is not None else warm[k],
-        )
+            return solve_linear(f, x0, plan)
+        alpha, step = alphas[k], alphas[k] - alphas[k - 1]
+        theta = warm[k] if warm[k] is not None else SolutionTriple.zeros(ensemble)
+        residuals: list[float] = []
+        threshold = None
+        converged = False
+        for _ in range(config.max_picard):
+            theta_new = solve_at(k - 1, picard_forcings(work, theta, step, f, ensemble))
+            res = m_norm(theta_new, theta).value
+            residuals.append(res)
+            if threshold is None:
+                threshold = config.picard_tol * max(m_norm(theta_new).value, 1e-12)
+            theta = theta_new
+            if res <= threshold:
+                converged = True
+                break
+            if res > 1e6 * max(residuals[0], 1e-300) or (
+                len(residuals) >= 4
+                and residuals[-1] > residuals[-2] > residuals[-3] > residuals[-4]
+            ):
+                raise DivergedError(alpha, step, residuals)
         warm[k] = theta
         if k == n_levels:
-            _record_level(diag, alphas[k], step, residuals, converged)
+            _record_level(diag, alpha, step, residuals, converged)
         return theta
 
     base = ForcingSet.zeros(ensemble.n_paths, ensemble.n_steps)
     try:
-        theta = solve_at(n_levels, base, theta0)
+        theta = solve_at(n_levels, base)
     except DivergedError as err:
         diag.diverged = True
         _record_level(diag, err.alpha, err.eta, err.residuals, False)
@@ -284,7 +257,6 @@ def solve_fbsde(
     if flipped:
         theta = _mirrored(theta)
     diag.m_norm = m_norm(theta)
-    diag.picard_threshold = config.picard_tol * max(diag.m_norm.value, 1e-12)
     # a priori data: the bundle's coefficients at the zero solution
     data = _zero_point_forcings(bundle, SolutionTriple.zeros(ensemble), 1.0, base, ensemble)
     diag.apriori = apriori_ratio(theta, data, x0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regression import BasisSpec, RegressionPlan, _NonFiniteError, _row_slices
+from .regression import RegressionPlan, _NonFiniteError, _row_slices
 
 # unused here: kept because the benchmark tracer (perfbench/spans.py) wraps these names
 from .regression import extract_z, fit_condexp  # noqa: F401
@@ -102,11 +102,6 @@ class SolutionTriple:
             dL=ensemble.dL,
         )
 
-    def sub(self, other: "SolutionTriple") -> "SolutionTriple":
-        return SolutionTriple(
-            self.x - other.x, self.y - other.y, self.z - other.z, self.dt, self.dL
-        )
-
 
 def _cumulative_integral(out, a, d, dt, dL, ito=None):
     """Running integral of one row block into out (out[:, 0] = 0): trapezoid
@@ -126,31 +121,21 @@ def _cumulative_integral(out, a, d, dt, dL, ito=None):
     np.cumsum(inc, axis=1, out=out[:, 1:])
 
 
-def solve_linear(
-    forcings: ForcingSet,
-    x0: float,
-    ensemble: PathEnsemble,
-    basis: BasisSpec | None = None,
-    plan: RegressionPlan | None = None,
-) -> SolutionTriple:
-    """Solve the linear base FBSDE on the ensemble.
+def solve_linear(forcings: ForcingSet, x0: float, plan: RegressionPlan) -> SolutionTriple:
+    """Solve the linear base FBSDE on the ensemble of the regression plan.
 
     Backward pass: the weighted backward value is the conditional expectation
     of xi minus the running integral, estimated per slice by least squares on
     the Markov features; the integrand comes from the ratio estimator.
-    Forward pass: closed-form weighted integrals.  plan: the ensemble's
-    regression plan for basis, built here when not given; callers that solve
-    repeatedly on one ensemble pass it to set the regressions up once.
+    Forward pass: closed-form weighted integrals.  plan fixes the ensemble and
+    the basis; callers that solve repeatedly on one ensemble build it once.
 
     Everything but the regressions is per path, so it runs in two sweeps over
     row blocks of paths that stay in cache, around the one global step
     `plan.regress(xi)`.
     """
+    ensemble = plan.ensemble
     forcings.validate(ensemble)
-    if plan is None:
-        plan = RegressionPlan(ensemble, basis or BasisSpec())
-    elif plan.ensemble is not ensemble or basis not in (None, plan.basis):
-        raise ValueError("regression plan was built for another ensemble or basis")
     f = forcings
     m, n = ensemble.n_paths, ensemble.n_steps
     dt, dL, dB = ensemble.grid.dt, ensemble.dL, ensemble.dB

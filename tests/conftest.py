@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subfbsde import SubordinatorSpec, TimeGrid, build_ensemble
+from subfbsde import BasisSpec, RegressionPlan, SubordinatorSpec, TimeGrid, build_ensemble
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +27,16 @@ def drift_ensemble(drift_spec, grid):
 @pytest.fixture(scope="session")
 def jump_ensemble(jump_spec, grid):
     return build_ensemble(jump_spec, grid, n_paths=400, seed=12, x0=0.0)
+
+
+@pytest.fixture(scope="session")
+def drift_plan(drift_ensemble):
+    return RegressionPlan(drift_ensemble, BasisSpec())
+
+
+@pytest.fixture(scope="session")
+def jump_plan(jump_ensemble):
+    return RegressionPlan(jump_ensemble, BasisSpec())
 
 
 def rng(seed=0):

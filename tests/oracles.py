@@ -113,13 +113,14 @@ def _whole_array_trapezoid(node_values, dt_weights):
     return out
 
 
-def whole_array_solve_linear(forcings, x0, ensemble, plan):
+def whole_array_solve_linear(forcings, x0, plan):
     """The linear base solve with every step on whole (n_paths, n_steps+1)
     arrays: the formulas of the row-blocked `solve_linear`, one full-array
     pass per term and one cumsum per integral.  Returns (x, y, z, xi,
     ztilde): the solution, the terminal aggregate xi and the integrand ztilde
     of its conditional-expectation martingale."""
-    f, m, n = forcings, ensemble.n_paths, ensemble.n_steps
+    f, ensemble = forcings, plan.ensemble
+    m, n = ensemble.n_paths, ensemble.n_steps
     dt, dL, dB = ensemble.grid.dt, ensemble.dL, ensemble.dB
     w = np.exp(-(ensemble.grid.times()[None, :] + ensemble.L))
     I = _whole_array_trapezoid(w * (f.g0 + f.b0), dt) + _whole_array_trapezoid(

@@ -16,6 +16,7 @@ from subfbsde import (
     ForcingSet,
     MarkovState,
     PointCloud,
+    RegressionPlan,
     SolutionTriple,
     SubordinatorSpec,
     TimeGrid,
@@ -107,14 +108,15 @@ def test_criterion_04_linear_solver_closed_form():
     # stochastic clock, zero forcings: pathwise exponential decay, no regression
     grid = TimeGrid(a=0.0, T=1.0, n_steps=50)
     ens = build_ensemble(JUMP_SPEC, grid, 2000, seed=400)
-    theta = solve_linear(ForcingSet.zeros(ens.n_paths, ens.n_steps), 1.0, ens)
+    plan = RegressionPlan(ens, BasisSpec())
+    theta = solve_linear(ForcingSet.zeros(ens.n_paths, ens.n_steps), 1.0, plan)
     exact = np.exp(-(grid.times()[None, :] + ens.L))
     err_exact = float(np.max(np.abs(theta.x - exact) / exact))
     # drift-only forced case vs the deterministic ODE oracle
     grid2 = TimeGrid(a=0.0, T=1.0, n_steps=100)
     ens2 = build_ensemble(DRIFT_SPEC, grid2, 10_000, seed=401)
     f = ForcingSet.constant(ens2.n_paths, ens2.n_steps, b0=1.0)
-    theta2 = solve_linear(f, 0.0, ens2)
+    theta2 = solve_linear(f, 0.0, RegressionPlan(ens2, BasisSpec()))
     x_o, y_o = linear_forced_oracle(grid2.times(), x0=0.0, b0=1.0)
     scale = max(np.max(np.abs(x_o)), np.max(np.abs(y_o)))
     mean_err = max(
@@ -142,10 +144,10 @@ def test_criterion_05_linearity_superposition():
     v2 = dict(delta0=rng.standard_normal(), h0=rng.standard_normal(),
               b0=rng.standard_normal(), phi0=rng.standard_normal())
     v12 = {k: v1.get(k, 0.0) + v2.get(k, 0.0) for k in {**v1, **v2}}
-    basis = BasisSpec(degree=2)
-    t1 = solve_linear(ForcingSet.constant(m, n, **v1), 1.0, ens, basis)
-    t2 = solve_linear(ForcingSet.constant(m, n, **v2), 0.5, ens, basis)
-    t12 = solve_linear(ForcingSet.constant(m, n, **v12), 1.5, ens, basis)
+    plan = RegressionPlan(ens, BasisSpec(degree=2))
+    t1 = solve_linear(ForcingSet.constant(m, n, **v1), 1.0, plan)
+    t2 = solve_linear(ForcingSet.constant(m, n, **v2), 0.5, plan)
+    t12 = solve_linear(ForcingSet.constant(m, n, **v12), 1.5, plan)
     diff = SolutionTriple(
         t1.x + t2.x - t12.x, t1.y + t2.y - t12.y, t1.z + t2.z - t12.z, t1.dt, t1.dL
     )
@@ -200,8 +202,8 @@ def test_criterion_07_uniqueness_probe():
         pert.y += 0.5
         pert.x -= 0.25
         t1, _ = solve_fbsde(bundle, 1.0, ens, config, theta0=pert)
-        gap = m_norm(t0.sub(t1)).value
-        worst.append((gap, 2.0 * d0.picard_threshold))
+        gap = m_norm(t0, t1).value
+        worst.append((gap, 2.0 * config.picard_tol * max(d0.m_norm.value, 1e-12)))
     ok = all(g <= b for g, b in worst)
     detail = "; ".join(f"gap {g:.2e} <= 2tol {b:.2e}" for g, b in worst)
     report("7 uniqueness probe", ok, detail)
@@ -219,7 +221,7 @@ def test_criterion_08_coupled_solve_vs_oracle():
         dt=theta.dt,
         dL=theta.dL,
     )
-    rel = m_norm(theta.sub(oracle)).value / m_norm(oracle).value
+    rel = m_norm(theta, oracle).value / m_norm(oracle).value
     ok = rel <= 0.02
     report("8 coupled solve vs shooting oracle", ok, f"relative M-norm error {rel:.4f} <= 0.02")
 

@@ -73,8 +73,13 @@ def test_drift_only_clock_csv_L_equals_t(tmp_path):
         assert float(vals[it]) == pytest.approx(float(vals[iL]), abs=1e-14)
 
 
-def test_reruns_byte_identical(tmp_path):
-    cfg = base_config(bundle="canonical_monotone")
+@pytest.mark.parametrize(
+    "strategy",
+    [{"strategy": "flatten"}, {"strategy": "nested", "eta": 0.5}],
+    ids=["flatten", "nested"],
+)
+def test_reruns_byte_identical(tmp_path, strategy):
+    cfg = base_config(bundle="canonical_monotone", **strategy)
     path = write_config(tmp_path, cfg)
     outs = []
     for d in ("a", "b"):

@@ -75,8 +75,8 @@ def test_plan_matches_single_slice_path(request, which, degree, include_r):
     ens = request.getfixturevalue(which)
     basis = BasisSpec(degree=degree, include_r=include_r)
     f = state_dependent_forcings(ens)
-    theta = solve_linear(f, 1.0, ens, basis)
-    ref = solve_linear(f, 1.0, ens, plan=SliceBySlicePlan(ens, basis))
+    theta = solve_linear(f, 1.0, RegressionPlan(ens, basis))
+    ref = solve_linear(f, 1.0, SliceBySlicePlan(ens, basis))
     assert np.max(np.abs(ref.z)) > 0.0
     assert_same_solution(theta, ref)
 
@@ -103,9 +103,9 @@ def test_ridge_zero_singular_slice_index(drift_ensemble, flat, expected):
     basis = BasisSpec(degree=1, include_r=False, ridge=0.0)
     f = state_dependent_forcings(ens)
     with pytest.raises(SingularSliceError) as ref_err:
-        solve_linear(f, 1.0, ens, plan=SliceBySlicePlan(ens, basis))
+        solve_linear(f, 1.0, SliceBySlicePlan(ens, basis))
     with pytest.raises(SingularSliceError) as err:
-        solve_linear(f, 1.0, ens, basis)
+        solve_linear(f, 1.0, RegressionPlan(ens, basis))
     assert err.value.slice_index == ref_err.value.slice_index == expected
 
 
@@ -119,11 +119,11 @@ def test_frozen_slice_gives_zero_z(drift_ensemble):
     basis = BasisSpec(degree=2, include_r=False, ridge=0.0)
     f = state_dependent_forcings(ens)
     plan = RegressionPlan(ens, basis)
-    theta = solve_linear(f, 1.0, ens, plan=plan)
-    ztilde = whole_array_solve_linear(f, 1.0, ens, plan)[4]
+    theta = solve_linear(f, 1.0, plan)
+    ztilde = whole_array_solve_linear(f, 1.0, plan)[4]
     assert np.all(ztilde[:, k] == 0.0)
     assert np.all(theta.z[:, k] == 0.5 * f.sigma0[:, k])
-    ref = solve_linear(f, 1.0, ens, plan=SliceBySlicePlan(ens, basis))
+    ref = solve_linear(f, 1.0, SliceBySlicePlan(ens, basis))
     assert_same_solution(theta, ref)
 
 
@@ -160,14 +160,3 @@ def test_no_stale_plan_after_replace(jump_ensemble):
     assert not np.allclose(after.y, before.y)
     for name in ("x", "y", "z"):
         assert np.array_equal(getattr(after, name), getattr(expected, name))
-
-
-def test_plan_for_another_ensemble_is_refused(jump_ensemble, drift_ensemble):
-    m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
-    f = ForcingSet.constant(m, n, b0=1.0)
-    plan = RegressionPlan(drift_ensemble, BasisSpec())
-    with pytest.raises(ValueError):
-        solve_linear(f, 0.0, jump_ensemble, plan=plan)
-    plan = RegressionPlan(jump_ensemble, BasisSpec())
-    with pytest.raises(ValueError):
-        solve_linear(f, 0.0, jump_ensemble, BasisSpec(degree=1), plan=plan)

@@ -61,8 +61,8 @@ def test_blocked_solve_matches_whole_array_reference(ensembles, m):
     ens = ensembles[m]
     plan = RegressionPlan(ens, BasisSpec())
     f = path_dependent_forcings(ens)
-    theta = solve_linear(f, 0.7, ens, plan=plan)
-    x, y, z, _, _ = whole_array_solve_linear(f, 0.7, ens, plan)
+    theta = solve_linear(f, 0.7, plan)
+    x, y, z, _, _ = whole_array_solve_linear(f, 0.7, plan)
     assert np.max(np.abs(z)) > 0.0
     for value, ref in ((theta.x, x), (theta.y, y), (theta.z, z)):
         assert rel_err(value, ref) <= 1e-12
@@ -118,25 +118,29 @@ def test_picard_forcings_bit_identical_to_whole_array(ensembles, m, bundle):
 @pytest.mark.parametrize("m", SIZES)
 def test_m_norm_matches_explicit_formula(ensembles, m):
     ens = ensembles[m]
-    theta = random_triple(ens, seed=3)
+    a, b = random_triple(ens, seed=3), random_triple(ens, seed=4)
     n = ens.n_steps
-    x0_part = np.mean(theta.x[:, 0] ** 2)
-    dt_part = np.mean(np.sum(theta.x[:, :n] ** 2 + theta.y[:, :n] ** 2, axis=1)) * theta.dt
-    dL_part = np.mean(np.sum(theta.z[:, :n] ** 2 * theta.dL, axis=1))
-    value = m_norm(theta)
-    for got, want in (
-        (value.x0_part, x0_part),
-        (value.dt_part, dt_part),
-        (value.dL_part, dL_part),
-        (value.value, np.sqrt(x0_part + dt_part + dL_part)),
+    for value, (x, y, z) in (
+        (m_norm(a), (a.x, a.y, a.z)),
+        (m_norm(a, b), (a.x - b.x, a.y - b.y, a.z - b.z)),
     ):
-        assert got == pytest.approx(want, rel=1e-13)
+        x0_part = np.mean(x[:, 0] ** 2)
+        dt_part = np.mean(np.sum(x[:, :n] ** 2 + y[:, :n] ** 2, axis=1)) * a.dt
+        dL_part = np.mean(np.sum(z[:, :n] ** 2 * a.dL, axis=1))
+        for got, want in (
+            (value.x0_part, x0_part),
+            (value.dt_part, dt_part),
+            (value.dL_part, dL_part),
+            (value.value, np.sqrt(x0_part + dt_part + dL_part)),
+        ):
+            assert got == pytest.approx(want, rel=1e-13)
+    assert m_norm(a, a).value == 0.0
 
 
-def test_non_finite_solution_raises(jump_ensemble):
+def test_non_finite_solution_raises(jump_ensemble, jump_plan):
     m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
     # finite forcings whose weighted Ito integral overflows
     f = ForcingSet.constant(m, n, sigma0=1e308)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match="non-finite"):
-            solve_linear(f, 0.0, jump_ensemble)
+            solve_linear(f, 0.0, jump_plan)
