@@ -21,7 +21,6 @@ from .coefficients import (
     BUNDLE_NAMES,
     CoefficientBundle,
     HypothesisReport,
-    PointCloud,
     check_hypothesis,
     default_c1,
     eta0,

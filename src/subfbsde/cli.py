@@ -21,8 +21,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from .clock import SubordinatorSpec, TimeGrid
-from .coefficients import PointCloud, check_hypothesis, get_bundle
+from .clock import _JUMP_KINDS, SubordinatorSpec, TimeGrid
+from .coefficients import check_hypothesis, get_bundle
 from .diagnostics import apriori_ratio, m_norm
 from .fbsde_solver import ContinuationConfig, DivergedError, solve_fbsde
 from .linear_solver import ForcingSet, solve_linear
@@ -30,15 +30,6 @@ from .regression import BasisSpec, RegressionPlan, SingularSliceError
 from .subdiffusion import build_ensemble
 
 __all__ = ["CONFIG_SCHEMA", "ScenarioConfig", "run", "main"]
-
-SUBCOMMANDS = (
-    "sample-clock",
-    "sample-subdiffusion",
-    "check-hypothesis",
-    "solve-linear",
-    "solve",
-    "diagnose",
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,9 +52,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["jump_kind"],
             "properties": {
-                "jump_kind": {
-                    "enum": ["none", "exponential", "pareto", "fixed", "truncated_stable"]
-                },
+                "jump_kind": {"enum": list(_JUMP_KINDS)},
                 "rate": {"type": "number", "minimum": 0},
                 "jump_param": {
                     "anyOf": [
@@ -137,7 +126,9 @@ def _solver_config_errors():
 
 class ScenarioConfig:
     """Validated scenario: subordinator spec, grid, ensemble size, bundle
-    selection, solver settings, and output directory."""
+    selection, solver settings, and output directory.  A settings key the
+    scenario leaves out takes the default of the settings object it feeds
+    (`SubordinatorSpec`, `BasisSpec`, `ContinuationConfig`)."""
 
     def __init__(self, raw: dict):
         try:
@@ -148,16 +139,11 @@ class ScenarioConfig:
         self.raw = raw
         self.scenario = raw["scenario"]
         self.seed = raw["seed"]
-        jumps = raw.get("jumps", {"jump_kind": "none"})
-        jp = jumps.get("jump_param")
+        jumps = dict(raw.get("jumps", {}))
+        if isinstance(jumps.get("jump_param"), list):
+            jumps["jump_param"] = tuple(jumps["jump_param"])
         try:
-            self.subordinator = SubordinatorSpec(
-                kappa=raw["kappa"],
-                jump_kind=jumps.get("jump_kind", "none"),
-                rate=jumps.get("rate", 0.0),
-                jump_param=tuple(jp) if isinstance(jp, list) else jp,
-                cutoff=jumps.get("cutoff"),
-            )
+            self.subordinator = SubordinatorSpec(kappa=raw["kappa"], **jumps)
             self.grid = TimeGrid(a=raw.get("a", 0.0), T=raw["T"], n_steps=raw["n_steps"])
         except ValueError as err:
             raise ConfigError(str(err)) from None
@@ -167,26 +153,17 @@ class ScenarioConfig:
         self.bundle_params = raw.get("bundle_params", {})
         self.strict = raw.get("strict", False)
         self.output_dir = Path(raw.get("output_dir", "."))
-        b = raw.get("basis", {})
-        self.basis = BasisSpec(
-            degree=b.get("degree", 2),
-            include_r=b.get("include_r", True),
-            ridge=b.get("ridge"),
-        )
+        self.basis = BasisSpec(**raw.get("basis", {}))
         # "flatten" is the one-level ladder; "nested" steps by the eta key,
         # or by the derived bound (from C1) when it is absent
         nested = raw.get("strategy", "flatten") == "nested"
         for key in ("eta", "C1"):
             if key in raw and not nested:
                 raise ConfigError(f'config key {key}: only read with "strategy": "nested"')
+        keys = ("picard_tol", "max_picard", "nested_max_depth", "C1")
+        solver = {k: raw[k] for k in keys if k in raw}
         try:
-            self.solver = ContinuationConfig(
-                eta=raw.get("eta") if nested else 1.0,
-                picard_tol=raw.get("picard_tol", 1e-3),
-                max_picard=raw.get("max_picard", 25),
-                nested_max_depth=raw.get("nested_max_depth", 3),
-                C1=raw.get("C1"),
-            )
+            self.solver = ContinuationConfig(eta=raw.get("eta") if nested else 1.0, **solver)
         except ValueError as err:
             raise ConfigError(str(err)) from None
         self.forcing_values = raw.get("forcings", {})
@@ -240,63 +217,47 @@ def _write_json(path: Path, config: ScenarioConfig, payload: dict) -> None:
         fh.write("\n")
 
 
-def _long_rows(ensemble, columns: dict) -> np.ndarray:
-    """Long format: one row (path_id, t, *columns) per path and grid node."""
+def _write_samples(
+    config: ScenarioConfig, subcommand: str, ensemble, columns: dict, payload: dict
+) -> int:
+    """The sample subcommands' artifacts: a long-format CSV with one row
+    (path_id, t, *columns) per path and grid node, and a JSON summary."""
     m, nodes = ensemble.n_paths, ensemble.n_steps + 1
     ids = np.repeat(np.arange(m), nodes)
     t = np.tile(ensemble.grid.times(), m)
-    return np.column_stack([ids, t] + [arr.ravel() for arr in columns.values()])
-
-
-def _cmd_sample_clock(config: ScenarioConfig) -> int:
-    ens = config.ensemble()
-    _write_csv(
-        config.artifact_path("sample-clock", "csv"),
-        config,
-        ["path_id", "t", "L", "R"],
-        _long_rows(ens, {"L": ens.L, "R": ens.R}),
-    )
+    rows = np.column_stack([ids, t] + [arr.ravel() for arr in columns.values()])
+    _write_csv(config.artifact_path(subcommand, "csv"), config, ["path_id", "t", *columns], rows)
     _write_json(
-        config.artifact_path("sample-clock", "json"),
+        config.artifact_path(subcommand, "json"),
         config,
         {
             "subordinator": config.subordinator.to_json_dict(),
-            "grid": {"a": config.grid.a, "T": config.grid.T, "n_steps": config.grid.n_steps},
-            "n_paths": ens.n_paths,
-            "mean_L_T": float(np.mean(ens.L[:, -1])),
+            "n_paths": ensemble.n_paths,
+            "mean_L_T": float(np.mean(ensemble.L[:, -1])),
+            **payload,
         },
     )
     return EXIT_OK
 
 
-def _cmd_sample_subdiffusion(config: ScenarioConfig) -> int:
+def _sample_clock(config: ScenarioConfig, subcommand: str) -> int:
     ens = config.ensemble()
-    _write_csv(
-        config.artifact_path("sample-subdiffusion", "csv"),
-        config,
-        ["path_id", "t", "L", "R", "X"],
-        _long_rows(ens, {"L": ens.L, "R": ens.R, "X": ens.X}),
-    )
-    _write_json(
-        config.artifact_path("sample-subdiffusion", "json"),
-        config,
-        {
-            "subordinator": config.subordinator.to_json_dict(),
-            "x0": config.x0,
-            "n_paths": ens.n_paths,
-            "var_X_T": float(np.var(ens.X[:, -1])),
-            "mean_L_T": float(np.mean(ens.L[:, -1])),
-        },
-    )
-    return EXIT_OK
+    grid = {"a": config.grid.a, "T": config.grid.T, "n_steps": config.grid.n_steps}
+    return _write_samples(config, subcommand, ens, {"L": ens.L, "R": ens.R}, {"grid": grid})
 
 
-def _cmd_check_hypothesis(config: ScenarioConfig) -> int:
+def _sample_subdiffusion(config: ScenarioConfig, subcommand: str) -> int:
+    ens = config.ensemble()
+    columns = {"L": ens.L, "R": ens.R, "X": ens.X}
+    payload = {"x0": config.x0, "var_X_T": float(np.var(ens.X[:, -1]))}
+    return _write_samples(config, subcommand, ens, columns, payload)
+
+
+def _check_hypothesis(config: ScenarioConfig, subcommand: str) -> int:
     bundle = config.bundle()
-    rng = np.random.default_rng(config.seed)
-    report = check_hypothesis(bundle, PointCloud(), rng)
+    report = check_hypothesis(bundle, np.random.default_rng(config.seed))
     _write_json(
-        config.artifact_path("check-hypothesis", "json"),
+        config.artifact_path(subcommand, "json"),
         config,
         {"bundle": bundle.name, "report": report.to_json_dict()},
     )
@@ -307,35 +268,27 @@ def _cmd_check_hypothesis(config: ScenarioConfig) -> int:
 
 
 def _solution_csv(config: ScenarioConfig, subcommand: str, ensemble, theta) -> None:
-    t = ensemble.grid.times()
-    rows = []
-    for k in range(ensemble.n_steps + 1):
-        rows.append(
-            [
-                t[k],
-                np.mean(theta.x[:, k]),
-                np.mean(theta.y[:, k]),
-                np.mean(theta.z[:, k]),
-                np.std(theta.x[:, k]),
-                np.std(theta.y[:, k]),
-            ]
-        )
+    # one reduction per moment over node-major copies: each node's row is
+    # contiguous, so it is summed in the order of np.mean(a[:, k]), which a
+    # column-wise mean(axis=0) does not keep
+    x, y, z = (np.ascontiguousarray(a.T) for a in (theta.x, theta.y, theta.z))
+    columns = [x.mean(axis=1), y.mean(axis=1), z.mean(axis=1), x.std(axis=1), y.std(axis=1)]
     _write_csv(
         config.artifact_path(subcommand, "csv"),
         config,
         ["t", "mean_x", "mean_y", "mean_z", "sd_x", "sd_y"],
-        rows,
+        np.column_stack([ensemble.grid.times(), *columns]),
     )
 
 
-def _cmd_solve_linear(config: ScenarioConfig) -> int:
+def _solve_linear(config: ScenarioConfig, subcommand: str) -> int:
     ens = config.ensemble()
     forcings = config.forcings(ens.n_paths, ens.n_steps)
     with _solver_config_errors():
         theta = solve_linear(forcings, config.x0, RegressionPlan(ens, config.basis))
-    _solution_csv(config, "solve-linear", ens, theta)
+    _solution_csv(config, subcommand, ens, theta)
     _write_json(
-        config.artifact_path("solve-linear", "json"),
+        config.artifact_path(subcommand, "json"),
         config,
         {
             "m_norm": m_norm(theta).to_json_dict(),
@@ -345,10 +298,10 @@ def _cmd_solve_linear(config: ScenarioConfig) -> int:
     return EXIT_OK
 
 
-def _run_solve(config: ScenarioConfig, subcommand: str, write_solution: bool) -> int:
+def _run_solve(config: ScenarioConfig, subcommand: str) -> int:
+    """`solve` and `diagnose`: the same solve; only `solve` writes the CSV."""
     bundle = config.bundle()
-    rng = np.random.default_rng(config.seed)
-    report = check_hypothesis(bundle, PointCloud(), rng)
+    report = check_hypothesis(bundle, np.random.default_rng(config.seed))
     if not report.passed:
         print(
             f"warning: bundle {bundle.name} fails the hypothesis check; solving anyway",
@@ -371,27 +324,20 @@ def _run_solve(config: ScenarioConfig, subcommand: str, write_solution: bool) ->
         )
         print(str(err), file=sys.stderr)
         return EXIT_DIVERGED
-    if write_solution:
+    if subcommand == "solve":
         _solution_csv(config, subcommand, ens, theta)
     _write_json(config.artifact_path(subcommand, "json"), config, diag.to_json_dict())
     return EXIT_OK
 
 
-def _cmd_solve(config: ScenarioConfig) -> int:
-    return _run_solve(config, "solve", write_solution=True)
-
-
-def _cmd_diagnose(config: ScenarioConfig) -> int:
-    return _run_solve(config, "diagnose", write_solution=False)
-
-
+# subcommand -> handler(config, subcommand); argparse offers these keys
 _HANDLERS = {
-    "sample-clock": _cmd_sample_clock,
-    "sample-subdiffusion": _cmd_sample_subdiffusion,
-    "check-hypothesis": _cmd_check_hypothesis,
-    "solve-linear": _cmd_solve_linear,
-    "solve": _cmd_solve,
-    "diagnose": _cmd_diagnose,
+    "sample-clock": _sample_clock,
+    "sample-subdiffusion": _sample_subdiffusion,
+    "check-hypothesis": _check_hypothesis,
+    "solve-linear": _solve_linear,
+    "solve": _run_solve,
+    "diagnose": _run_solve,
 }
 
 
@@ -417,7 +363,7 @@ def run(subcommand: str, config_path, output_dir=None, strict=None) -> int:
     if strict is not None:
         config.strict = strict
     try:
-        return _HANDLERS[subcommand](config)
+        return _HANDLERS[subcommand](config, subcommand)
     except ConfigError as err:
         print(str(err), file=sys.stderr)
         return EXIT_CONFIG
@@ -432,7 +378,7 @@ def main(argv=None) -> int:
         description="Monte Carlo FBSDE solvers driven by sub-diffusions",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("config", help="scenario JSON path")
         p.add_argument("--output-dir", default=None, help="override the output directory")

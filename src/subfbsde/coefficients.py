@@ -27,7 +27,6 @@ from .subdiffusion import MarkovState
 __all__ = [
     "CoefficientBundle",
     "HypothesisReport",
-    "PointCloud",
     "check_hypothesis",
     "mirror_bundle",
     "eta0",
@@ -39,6 +38,15 @@ __all__ = [
 
 # numeric slack on the monotonicity margins at equality cases
 MARGIN_SLACK = 1e-12
+
+# the hypothesis checker's sampling box: t uniform in [0, CLOUD_T_MAX), the
+# state (X, R) in [-CLOUD_STATE_X_BOX, CLOUD_STATE_X_BOX] x [0, CLOUD_R_MAX),
+# and x, y, z in [-CLOUD_BOX, CLOUD_BOX]
+CLOUD_SAMPLES = 2000
+CLOUD_T_MAX = 1.0
+CLOUD_BOX = 2.0
+CLOUD_R_MAX = 1.0
+CLOUD_STATE_X_BOX = 2.0
 
 
 @dataclass
@@ -90,31 +98,18 @@ class HypothesisReport:
         }
 
 
-@dataclass(frozen=True)
-class PointCloud:
-    """Sampling box for the hypothesis checker."""
-
-    n_samples: int = 2000
-    t_max: float = 1.0
-    box: float = 2.0  # x, y, z sampled uniformly in [-box, box]
-    r_max: float = 1.0
-    state_x_box: float = 2.0
-
-
-def _sample_cloud(cloud: PointCloud, rng: np.random.Generator):
-    m = cloud.n_samples
-    t = rng.random(m) * cloud.t_max
+def _sample_cloud(rng: np.random.Generator):
+    m = CLOUD_SAMPLES
+    t = rng.random(m) * CLOUD_T_MAX
     state = MarkovState(
-        x=(rng.random(m) * 2.0 - 1.0) * cloud.state_x_box,
-        r=rng.random(m) * cloud.r_max,
+        x=(rng.random(m) * 2.0 - 1.0) * CLOUD_STATE_X_BOX,
+        r=rng.random(m) * CLOUD_R_MAX,
     )
-    pts = (rng.random((6, m)) * 2.0 - 1.0) * cloud.box
+    pts = (rng.random((6, m)) * 2.0 - 1.0) * CLOUD_BOX
     return t, state, pts
 
 
-def check_hypothesis(
-    bundle: CoefficientBundle, sampler: PointCloud, rng: np.random.Generator
-) -> HypothesisReport:
+def check_hypothesis(bundle: CoefficientBundle, rng: np.random.Generator) -> HypothesisReport:
     """Sampling falsifier for the monotonicity hypothesis.
 
     A pass is necessary evidence only; a fail returns a concrete violating
@@ -123,7 +118,7 @@ def check_hypothesis(
         c*(...) - LHS                              (increasing orientation)
     so that <= slack means pass.
     """
-    t, state, (x1, x2, y1, y2, z1, z2) = _sample_cloud(sampler, rng)
+    t, state, (x1, x2, y1, y2, z1, z2) = _sample_cloud(rng)
     c = bundle.monotonicity
     sgn = 1.0 if bundle.orientation == "decreasing" else -1.0
 
@@ -191,7 +186,7 @@ def check_hypothesis(
         m1_margin=m1_margin,
         m2_margin=m2_margin,
         phi_monotone=phi_ok,
-        samples_used=sampler.n_samples,
+        samples_used=CLOUD_SAMPLES,
         verdict=verdict,
         violation=violation,
     )

@@ -279,7 +279,18 @@ class RegressionPlan:
                     rhs[i, :, j] += np.einsum(spec, target, mono)
         if not np.all(np.isfinite(rhs)):
             raise _NonFiniteError("non-finite regression targets")
-        coef = np.linalg.solve(self._grams[[s for _, s in fits]], rhs[..., None])[..., 0]
+        grams = self._grams[[s for _, s in fits]]
+        try:
+            coef = np.linalg.solve(grams, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # exactly singular in LU despite the ridge (a pathological jump
+            # law can make R huge); the batched solve does not say where
+            for k in range(n_slices):
+                try:
+                    np.linalg.solve(grams[:, k], rhs[:, k, :, None])
+                except np.linalg.LinAlgError:
+                    raise SingularSliceError(k + 1) from None
+            raise
         out = [np.zeros(self._columns[0].shape) for _ in jobs]
         for rows, half, monomials in self._row_blocks():
             expand = [

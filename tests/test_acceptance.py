@@ -15,7 +15,6 @@ from subfbsde import (
     ContinuationConfig,
     ForcingSet,
     MarkovState,
-    PointCloud,
     RegressionPlan,
     SolutionTriple,
     SubordinatorSpec,
@@ -245,15 +244,14 @@ def test_criterion_09_apriori_scale_stability():
 
 def test_criterion_10_hypothesis_checker():
     rng = lambda: np.random.default_rng(1000)
-    cloud = PointCloud()
-    r_canon = check_hypothesis(get_bundle("canonical_monotone"), cloud, rng())
-    r_hp2 = check_hypothesis(get_bundle("canonical_flipped_hp2"), cloud, rng())
-    r_mirror = check_hypothesis(mirror_bundle(get_bundle("canonical_flipped_hp2")), cloud, rng())
+    r_canon = check_hypothesis(get_bundle("canonical_monotone"), rng())
+    r_hp2 = check_hypothesis(get_bundle("canonical_flipped_hp2"), rng())
+    r_mirror = check_hypothesis(mirror_bundle(get_bundle("canonical_flipped_hp2")), rng())
     zero_margin = max(
         r_canon.m1_margin, r_canon.m2_margin, r_hp2.m1_margin, r_hp2.m2_margin
     ) <= 1e-12
     bundle = get_bundle("flipped_b_demo")
-    r_flip = check_hypothesis(bundle, cloud, rng())
+    r_flip = check_hypothesis(bundle, rng())
     witness_ok = False
     if r_flip.violation is not None:
         v = r_flip.violation
@@ -264,7 +262,7 @@ def test_criterion_10_hypothesis_checker():
         dx, dy = v["x1"] - v["x2"], v["y1"] - v["y2"]
         witness_ok = float(db * dy - dg * dx) > -bundle.monotonicity * (dx**2 + dy**2)
     cross = get_bundle("cross_lipschitz", c=1.0, cross=0.4)
-    r_cross = check_hypothesis(cross, cloud, rng())
+    r_cross = check_hypothesis(cross, rng())
     ok = (
         r_canon.passed
         and r_hp2.passed

@@ -1,9 +1,18 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from subfbsde import cli, coefficients
+from subfbsde import (
+    BasisSpec,
+    ContinuationConfig,
+    SubordinatorSpec,
+    cli,
+    coefficients,
+    solve_fbsde,
+)
 from subfbsde.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -315,6 +324,18 @@ def test_singular_design_is_numerical_failure(tmp_path, capsys):
     _assert_numerical_failure(capsys, "rank deficient at slice 1")
 
 
+@pytest.mark.parametrize("subcommand", ["solve-linear", "solve"])
+def test_pathological_jump_law_is_numerical_failure(tmp_path, capsys, subcommand):
+    # Pareto jumps of shape 0.2 push R to 3.5e9, so a cross-fit half's Gram at
+    # slice 1 is singular in LU even with the default ridge
+    jumps = {"jump_kind": "pareto", "rate": 5, "jump_param": [0.01, 0.2]}
+    out = tmp_path / "out"
+    cfg = base_config(seed=1, kappa=1, T=1, x0=1, jumps=jumps, output_dir=str(out))
+    assert run(subcommand, write_config(tmp_path, cfg)) == EXIT_NUMERICAL
+    _assert_numerical_failure(capsys, "rank deficient at slice 1")
+    assert not out.exists()
+
+
 def test_too_few_paths_is_a_config_error(tmp_path, capsys):
     # the default basis has dimension 6: 7 paths fit a slice in-sample, and
     # each cross-fit half needs 7 as well
@@ -329,3 +350,47 @@ def test_too_few_paths_is_a_config_error(tmp_path, capsys):
             assert run(subcommand, write_config(tmp_path, cfg)) == EXIT_CONFIG
             err = capsys.readouterr().err
             assert message in err and "Traceback" not in err
+
+
+def test_solve_csv_moments_are_the_per_node_reductions(tmp_path):
+    jumps = {"jump_kind": "exponential", "rate": 1.0, "jump_param": 1.0}
+    cfg = base_config(bundle="riccati_test", jumps=jumps, n_paths=1000, output_dir=str(tmp_path))
+    assert run("solve", write_config(tmp_path, cfg)) == EXIT_OK
+    table = np.loadtxt(tmp_path / "t_solve_9.csv", delimiter=",", skiprows=2)
+    sc = ScenarioConfig(cfg)
+    ens = sc.ensemble()
+    theta, _ = solve_fbsde(sc.bundle(), sc.x0, ens, sc.solver, sc.basis)
+    expected = [
+        [ens.grid.times()[k]]
+        + [np.mean(a[:, k]) for a in (theta.x, theta.y, theta.z)]
+        + [np.std(a[:, k]) for a in (theta.x, theta.y)]
+        for k in range(ens.n_steps + 1)
+    ]
+    # %.17g round-trips every float64, so equal here means equal bit for bit
+    assert np.array_equal(table, np.array(expected))
+
+
+def test_absent_keys_take_the_settings_defaults():
+    sc = ScenarioConfig(base_config())
+    assert sc.basis == BasisSpec()
+    assert sc.solver == ContinuationConfig(eta=1.0)
+    assert sc.subordinator == SubordinatorSpec(kappa=1.0)
+    # nested without eta steps by the bound derived from C1
+    assert ScenarioConfig(base_config(strategy="nested")).solver.eta is None
+
+
+def test_readme_matches_cli():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```(\w+)\n(.*?)```", readme, flags=re.S)
+    scenarios = [json.loads(body) for lang, body in blocks if lang == "json"]
+    assert scenarios
+    for raw in scenarios:
+        ScenarioConfig(raw)
+    documented = {
+        line.split()[1]
+        for lang, body in blocks
+        if lang == "sh"
+        for line in body.splitlines()
+        if line.startswith("subfbsde ")
+    }
+    assert documented == set(cli._HANDLERS)

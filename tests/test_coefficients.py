@@ -5,7 +5,6 @@ from subfbsde import (
     BUNDLE_NAMES,
     CoefficientBundle,
     MarkovState,
-    PointCloud,
     check_hypothesis,
     default_c1,
     eta0,
@@ -39,7 +38,7 @@ def test_bundle_validation():
 
 
 def test_canonical_passes():
-    report = check_hypothesis(get_bundle("canonical_monotone"), PointCloud(), _rng())
+    report = check_hypothesis(get_bundle("canonical_monotone"), _rng())
     assert report.passed
     assert report.violation is None
     assert report.m1_margin <= 1e-12
@@ -47,13 +46,13 @@ def test_canonical_passes():
 
 
 def test_flipped_hp2_passes_under_increasing_orientation():
-    report = check_hypothesis(get_bundle("canonical_flipped_hp2"), PointCloud(), _rng())
+    report = check_hypothesis(get_bundle("canonical_flipped_hp2"), _rng())
     assert report.passed
 
 
 def test_flipped_b_fails_with_concrete_witness():
     bundle = get_bundle("flipped_b_demo")
-    report = check_hypothesis(bundle, PointCloud(), _rng())
+    report = check_hypothesis(bundle, _rng())
     assert not report.passed
     v = report.violation
     assert v is not None and v["condition"] == "m1"
@@ -68,7 +67,7 @@ def test_flipped_b_fails_with_concrete_witness():
 
 
 def test_cross_lipschitz_passes_with_halved_constant():
-    report = check_hypothesis(get_bundle("cross_lipschitz"), PointCloud(), _rng())
+    report = check_hypothesis(get_bundle("cross_lipschitz"), _rng())
     assert report.passed
     assert get_bundle("cross_lipschitz").monotonicity == 0.5
 
@@ -92,7 +91,7 @@ def test_mirror_equates_flipped_and_canonical():
 
 def test_mirrored_bundle_passes_decreasing_check():
     mirrored = mirror_bundle(get_bundle("canonical_flipped_hp2"))
-    assert check_hypothesis(mirrored, PointCloud(), _rng()).passed
+    assert check_hypothesis(mirrored, _rng()).passed
 
 
 def test_continuation_endpoints():
@@ -120,7 +119,7 @@ def test_continuation_preserves_monotonicity():
     bundle = get_bundle("canonical_monotone", c=0.5)
     for alpha in (0.25, 0.6, 0.9):
         mid = continuation_transform(bundle, alpha)
-        report = check_hypothesis(mid, PointCloud(), _rng())
+        report = check_hypothesis(mid, _rng())
         assert report.passed, f"alpha={alpha}: {report.verdict}"
         assert mid.monotonicity == pytest.approx(alpha * 0.5 + (1 - alpha))
 
