@@ -6,7 +6,9 @@ hash and seed, and reruns with an identical config are byte identical.
 
 Exit codes: 0 success, 2 config validation error, 3 solver divergence,
 4 hypothesis-check failure in strict mode, 5 numerical failure (non-finite
-coefficients, forcings or solutions, or a singular regression design).
+coefficients, forcings or solutions, or a singular regression design), 6 a
+Picard loop of the top ladder level that stopped at max_picard without
+converging (its artifacts are still written).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_HYPOTHESIS = 4
 EXIT_NUMERICAL = 5
+EXIT_NOT_CONVERGED = 6
 
 _CSV_CHUNK_ROWS = 4096
 
@@ -327,6 +330,14 @@ def _run_solve(config: ScenarioConfig, subcommand: str) -> int:
     if subcommand == "solve":
         _solution_csv(config, subcommand, ens, theta)
     _write_json(config.artifact_path(subcommand, "json"), config, diag.to_json_dict())
+    top = diag.levels[-1]
+    if not top.converged:
+        print(
+            f"Picard iteration did not converge within max_picard={config.solver.max_picard} "
+            f"iterates; last residual {top.residuals[-1]:g}",
+            file=sys.stderr,
+        )
+        return EXIT_NOT_CONVERGED
     return EXIT_OK
 
 

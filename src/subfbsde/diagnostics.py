@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linear_solver import ForcingSet, SolutionTriple
-from .regression import _row_slices
+from .regression import _BLOCK_ROWS, _row_slices
 
 __all__ = [
     "MNormValue",
@@ -61,19 +61,32 @@ class AprioriReport:
 
 def m_norm(theta: SolutionTriple, other: SolutionTriple | None = None) -> MNormValue:
     """M-norm of theta, or of theta - other.  The sums of squares run over
-    row blocks of paths, so a difference only ever exists one block at a
-    time."""
+    row blocks of paths: each component's block (or the difference's) is
+    written into one reused buffer and reduced by BLAS dot products, so a
+    difference only ever exists one block at a time."""
     m, n = theta.x.shape[0], theta.dL.shape[1]
+    buf = np.empty((min(m, _BLOCK_ROWS), n))
+
+    def block(name: str, rows: slice) -> np.ndarray:
+        out = buf[: rows.stop - rows.start]
+        a = getattr(theta, name)[rows, :n]
+        if other is None:
+            np.copyto(out, a)
+        else:
+            np.subtract(a, getattr(other, name)[rows, :n], out=out)
+        return out
+
     x0_sum = dt_sum = dL_sum = 0.0
     for rows in _row_slices(0, m):
-        x, y, z = theta.x[rows, :n], theta.y[rows, :n], theta.z[rows, :n]
-        if other is not None:
-            x = x - other.x[rows, :n]
-            y = y - other.y[rows, :n]
-            z = z - other.z[rows, :n]
-        x0_sum += float(np.dot(x[:, 0], x[:, 0]))
-        dt_sum += float(np.einsum("ij,ij->", x, x) + np.einsum("ij,ij->", y, y))
-        dL_sum += float(np.einsum("ij,ij,ij->", z, z, theta.dL[rows]))
+        x = block("x", rows)
+        x0_sum += float(x[:, 0] @ x[:, 0])
+        v = x.ravel()
+        dt_sum += float(v @ v)
+        v = block("y", rows).ravel()
+        dt_sum += float(v @ v)
+        z = block("z", rows)
+        z *= z
+        dL_sum += float(z.ravel() @ theta.dL[rows].ravel())
     x0_part, dt_part, dL_part = x0_sum / m, dt_sum / m * theta.dt, dL_sum / m
     return MNormValue(
         value=math.sqrt(x0_part + dt_part + dL_part),

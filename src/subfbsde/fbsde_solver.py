@@ -123,7 +123,7 @@ def picard_forcings(
     bundle: CoefficientBundle,
     theta_prev: SolutionTriple,
     eta: float,
-    base_forcings: ForcingSet,
+    base_forcings: ForcingSet | None,
     ensemble: PathEnsemble,
 ) -> ForcingSet:
     """Forcings that carry the previous iterate across a continuation step of
@@ -131,9 +131,10 @@ def picard_forcings(
     the level-(alpha0+eta) coefficients are recovered in the Picard limit,
     mirroring the plus signs in the continuation family for g, h, phi.
 
-    Each node forcing base + eta * (v + coefficient) is built in place, one
-    row block of paths at a time: the bundle's pointwise evaluators see the
-    block's states and iterates."""
+    base_forcings None stands for zero base forcings.  Each node forcing
+    base + eta * (v + coefficient) is built in place, one row block of paths
+    at a time: the bundle's pointwise evaluators see the block's states and
+    iterates.  A factor eta of 1 and a zero base are not applied."""
     t = ensemble.grid.times()
     x, y, z = theta_prev.x, theta_prev.y, theta_prev.z
     out = {name: np.empty(x.shape) for name in ("b0", "g0", "delta0", "h0", "sigma0")}
@@ -147,11 +148,17 @@ def picard_forcings(
         np.subtract(bundle.g(t, st, xr, yr), xr, out=out["g0"][rows])
         for name, arr in out.items():
             block = arr[rows]
-            block *= eta
-            block += getattr(base_forcings, name)[rows]
+            if eta != 1.0:
+                block *= eta
+            if base_forcings is not None:
+                block += getattr(base_forcings, name)[rows]
     st_T = MarkovState(x=ensemble.X[:, -1], r=ensemble.R[:, -1])
     x_T = x[:, -1]
-    phi0 = base_forcings.phi0 + eta * (-x_T + np.broadcast_to(bundle.phi(st_T, x_T), x_T.shape))
+    phi0 = -x_T + np.broadcast_to(bundle.phi(st_T, x_T), x_T.shape)
+    if eta != 1.0:
+        phi0 *= eta
+    if base_forcings is not None:
+        phi0 += base_forcings.phi0
     return ForcingSet(**out, phi0=phi0)
 
 
@@ -213,10 +220,11 @@ def solve_fbsde(
     # level is seeded by theta0, every level without a seed by zero
     warm: list = [None] * n_levels + [theta0]
 
-    def solve_at(k: int, f: ForcingSet) -> SolutionTriple:
-        """Solve the level-alphas[k] system with forcings f.  Level 0 is the
-        linear base system; level k runs the Picard loop of the step from
-        alphas[k-1], each iterate solving the anchor system at level k-1."""
+    def solve_at(k: int, f: ForcingSet | None) -> SolutionTriple:
+        """Solve the level-alphas[k] system with forcings f (None: zero
+        forcings, k >= 1 only).  Level 0 is the linear base system; level k
+        runs the Picard loop of the step from alphas[k-1], each iterate
+        solving the anchor system at level k-1."""
         if k == 0:
             diag.total_linear_solves += 1
             return solve_linear(f, x0, plan)
@@ -245,9 +253,8 @@ def solve_fbsde(
             _record_level(diag, alpha, step, residuals, converged)
         return theta
 
-    base = ForcingSet.zeros(ensemble.n_paths, ensemble.n_steps)
     try:
-        theta = solve_at(n_levels, base)
+        theta = solve_at(n_levels, None)
     except DivergedError as err:
         diag.diverged = True
         _record_level(diag, err.alpha, err.eta, err.residuals, False)
@@ -258,6 +265,6 @@ def solve_fbsde(
         theta = _mirrored(theta)
     diag.m_norm = m_norm(theta)
     # a priori data: the bundle's coefficients at the zero solution
-    data = _zero_point_forcings(bundle, SolutionTriple.zeros(ensemble), 1.0, base, ensemble)
+    data = _zero_point_forcings(bundle, SolutionTriple.zeros(ensemble), 1.0, None, ensemble)
     diag.apriori = apriori_ratio(theta, data, x0)
     return theta, diag

@@ -43,11 +43,21 @@ class _NonFiniteError(ValueError, FloatingPointError):
 
 
 class SingularSliceError(RuntimeError):
-    def __init__(self, slice_index):
+    """A slice regression that cannot be solved: its design is rank deficient
+    under ridge 0, or its ridged Gram matrix is singular in LU, which happens
+    when the features are so large that the ridge vanishes next to them."""
+
+    def __init__(self, slice_index, ridge: float = 0.0):
         self.slice_index = slice_index
+        if ridge == 0.0:
+            advice = "add ridge regularization or drop collinear features"
+        else:
+            advice = (
+                f"its Gram matrix is singular despite the ridge {ridge:g}, "
+                "which is too small for the scale of the features"
+            )
         super().__init__(
-            f"regression design matrix is rank deficient at slice {slice_index}; "
-            "add ridge regularization or drop collinear features"
+            f"regression design matrix is rank deficient at slice {slice_index}; {advice}"
         )
 
 
@@ -204,18 +214,27 @@ class RegressionPlan:
         # predicted clock activity below the floor counts as a frozen clock
         self.floor = 1e-12 * ensemble.grid.dt / ensemble.kappa
         self._columns = [ensemble.X[:, inner]]
-        if basis.include_r:
+        # Where R is zero on every path (a jump-free clock), the monomials
+        # that contain R vanish: their Gram rows are the ridge alone and
+        # their coefficients exactly zero, so the plan fits without them.
+        # The checks below still judge the design the basis asks for.
+        r_vanishes = basis.include_r and not ensemble.R[:, inner].any()
+        if basis.include_r and not r_vanishes:
             self._columns.append(ensemble.R[:, inner])
         self._dB = ensemble.dB[:, inner]
         self._half = half = m // 2
 
         dL = ensemble.dL[:, inner]
         frozen = np.all(dL == 0.0, axis=0)
-        p = math.comb(len(self._columns) + basis.degree, basis.degree)
+        dim = math.comb(1 + basis.include_r + basis.degree, basis.degree)
         sizes = (m, half, m - half)
-        if n > 1 and m < p + 1:
-            raise ValueError(f"need at least basis dimension + 1 = {p + 1} paths, got {m}")
+        self._ridges = [basis.effective_ridge(size) for size in sizes]
+        if n > 1 and m < dim + 1:
+            raise ValueError(f"need at least basis dimension + 1 = {dim + 1} paths, got {m}")
+        if n > 1 and r_vanishes and basis.degree > 0 and basis.ridge == 0.0:
+            raise SingularSliceError(1)  # the zero R column of every design
 
+        p = math.comb(len(self._columns) + basis.degree, basis.degree)
         self._grams = np.empty((3, n - 1, p, p))
         singular = ([], [])  # slices whose full / half designs are rank deficient
         for k in range(1, n):
@@ -224,7 +243,7 @@ class RegressionPlan:
             )
             designs = (A, A[:half], A[half:])
             for s, As in enumerate(designs):
-                self._grams[s, k - 1] = As.T @ As + basis.effective_ridge(sizes[s]) * np.eye(p)
+                self._grams[s, k - 1] = As.T @ As + self._ridges[s] * np.eye(p)
             if basis.ridge == 0.0:
                 if np.linalg.matrix_rank(A) < p:
                     singular[0].append(k)
@@ -234,9 +253,9 @@ class RegressionPlan:
         # every slice come before the cross-fits
         if singular[0]:
             raise SingularSliceError(singular[0][0])
-        if not np.all(frozen) and half < p + 1:
+        if not np.all(frozen) and half < dim + 1:
             raise ValueError(
-                f"need at least 2 * (basis dimension + 1) = {2 * (p + 1)} paths to "
+                f"need at least 2 * (basis dimension + 1) = {2 * (dim + 1)} paths to "
                 f"cross-fit the integrand, got {m}"
             )
         if singular[1]:
@@ -245,7 +264,7 @@ class RegressionPlan:
         # keeps their possibly singular half Grams out of the batched solve
         self._grams[1:, frozen] = np.eye(p)
 
-        (den,) = self._fit_predict((dL, (1, 2)))
+        (den,) = self._fit_predict((lambda rows: dL[rows], (1, 2)))
         self._zero = (den < self.floor) | frozen
         self._den = np.maximum(den, self.floor)
 
@@ -260,19 +279,20 @@ class RegressionPlan:
                 yield rows, half, _monomials(cols, self.basis.degree, cols[0].shape)
 
     def _fit_predict(self, *jobs) -> list:
-        """Batched slice regressions.  Each job is (target, samples): the
-        target of slice k is target[:, k], or target itself for a 1-d target
-        shared by all slices; it is fitted on every slice at once for each
-        sample in samples (0: all paths, 1 and 2: the two halves) and
-        predicted in-sample for sample 0 and on the other half for a half,
-        into one output per job."""
+        """Batched slice regressions.  Each job is (target, samples):
+        target(rows) gives the targets of a row block of paths, column k - 1
+        for slice k, or a 1-d block shared by all slices; they are fitted on
+        every slice at once for each sample in samples (0: all paths, 1 and
+        2: the two halves) and predicted in-sample for sample 0 and on the
+        other half for a half, into one (n_paths, n_steps - 1) output per
+        job.  A job fits either in-sample or on both halves, so every row of
+        an output is predicted by exactly one fit."""
         n_slices, p = self._grams.shape[1:3]
         fits = [(job, s) for job, (_, samples) in enumerate(jobs) for s in samples]
         rhs = np.zeros((len(fits), n_slices, p))
         for rows, half, monomials in self._row_blocks():
-            reduce = [
-                (i, jobs[job][0][rows]) for i, (job, s) in enumerate(fits) if s in (0, half)
-            ]
+            targets = [target(rows) for target, _ in jobs]
+            reduce = [(i, targets[job]) for i, (job, s) in enumerate(fits) if s in (0, half)]
             for j, mono in enumerate(monomials):
                 for i, target in reduce:
                     spec = "i,ik->k" if target.ndim == 1 else "ik,ik->k"
@@ -286,19 +306,28 @@ class RegressionPlan:
             # exactly singular in LU despite the ridge (a pathological jump
             # law can make R huge); the batched solve does not say where
             for k in range(n_slices):
-                try:
-                    np.linalg.solve(grams[:, k], rhs[:, k, :, None])
-                except np.linalg.LinAlgError:
-                    raise SingularSliceError(k + 1) from None
+                for i, (_, s) in enumerate(fits):
+                    try:
+                        np.linalg.solve(grams[i, k], rhs[i, k])
+                    except np.linalg.LinAlgError:
+                        raise SingularSliceError(k + 1, self._ridges[s]) from None
             raise
-        out = [np.zeros(self._columns[0].shape) for _ in jobs]
+        # (fits, p, slices): each monomial's coefficients are one contiguous row
+        coef = np.ascontiguousarray(coef.transpose(0, 2, 1))
+        out = [np.empty(self._columns[0].shape) for _ in jobs]
+        term = np.empty((_BLOCK_ROWS, n_slices))
         for rows, half, monomials in self._row_blocks():
             expand = [
                 (out[job][rows], coef[i]) for i, (job, s) in enumerate(fits) if s in (0, 3 - half)
             ]
-            for j, mono in enumerate(monomials):
+            prod = term[: rows.stop - rows.start]
+            next(monomials)  # the intercept, written directly
+            for dest, c in expand:
+                dest[...] = c[0]
+            for j, mono in enumerate(monomials, start=1):
                 for dest, c in expand:
-                    dest += mono * c[:, j]
+                    np.multiply(mono, c[j], out=prod)
+                    dest += prod
         return out
 
     def regress(self, xi: np.ndarray):
@@ -307,7 +336,11 @@ class RegressionPlan:
         E[xi | F_k] (`fit_condexp` per slice) and the cross-fitted ratio
         estimate E[xi dB_k | F] / E[dL_k | F] of the integrand (`extract_z`
         per slice)."""
-        cond, num = self._fit_predict((xi, (0,)), (xi[:, None] * self._dB, (1, 2)))
-        z = num / self._den
+        dB = self._dB
+        cond, z = self._fit_predict(
+            (lambda rows: xi[rows], (0,)),
+            (lambda rows: xi[rows, None] * dB[rows], (1, 2)),
+        )
+        z /= self._den
         z[self._zero] = 0.0
         return cond, z

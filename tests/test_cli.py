@@ -17,6 +17,7 @@ from subfbsde.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
     EXIT_HYPOTHESIS,
+    EXIT_NOT_CONVERGED,
     EXIT_NUMERICAL,
     EXIT_OK,
     ScenarioConfig,
@@ -149,6 +150,19 @@ def test_divergence_exit_code_and_artifact(tmp_path):
     doc = json.loads((tmp_path / "t_solve_9.json").read_text())
     assert doc["diverged"] is True
     assert "error" in doc
+
+
+@pytest.mark.parametrize("subcommand", ["solve", "diagnose"])
+def test_picard_budget_exhausted_exit_code_and_artifacts(tmp_path, capsys, subcommand):
+    cfg = base_config(bundle="riccati_test", max_picard=1, output_dir=str(tmp_path))
+    assert run(subcommand, write_config(tmp_path, cfg)) == EXIT_NOT_CONVERGED
+    err = capsys.readouterr().err
+    assert "did not converge within max_picard=1" in err and "Traceback" not in err
+    doc = json.loads((tmp_path / f"t_{subcommand}_9.json").read_text())
+    assert doc["levels"][-1]["converged"] is False
+    assert len(doc["levels"][-1]["residuals"]) == 1
+    assert doc["diverged"] is False and doc["total_linear_solves"] == 1
+    assert (tmp_path / "t_solve_9.csv").exists() == (subcommand == "solve")
 
 
 def test_strict_hypothesis_failure(tmp_path):
@@ -321,7 +335,7 @@ def test_singular_design_is_numerical_failure(tmp_path, capsys):
     # rank deficient
     cfg = base_config(output_dir=str(tmp_path), basis={"ridge": 0.0})
     assert run("solve", write_config(tmp_path, cfg)) == EXIT_NUMERICAL
-    _assert_numerical_failure(capsys, "rank deficient at slice 1")
+    _assert_numerical_failure(capsys, "rank deficient at slice 1; add ridge regularization")
 
 
 @pytest.mark.parametrize("subcommand", ["solve-linear", "solve"])
@@ -332,7 +346,9 @@ def test_pathological_jump_law_is_numerical_failure(tmp_path, capsys, subcommand
     out = tmp_path / "out"
     cfg = base_config(seed=1, kappa=1, T=1, x0=1, jumps=jumps, output_dir=str(out))
     assert run(subcommand, write_config(tmp_path, cfg)) == EXIT_NUMERICAL
-    _assert_numerical_failure(capsys, "rank deficient at slice 1")
+    # the ridge of a 50-path half, 1e-10 per path, is named; no advice to add one
+    _assert_numerical_failure(capsys, "rank deficient at slice 1; its Gram matrix is singular "
+                              "despite the ridge 5e-09")
     assert not out.exists()
 
 

@@ -12,6 +12,8 @@ from subfbsde import (
     PathEnsemble,
     RegressionPlan,
     SingularSliceError,
+    TimeGrid,
+    build_ensemble,
     extract_z,
     fit_condexp,
     get_bundle,
@@ -77,6 +79,42 @@ def test_plan_matches_single_slice_path(request, which, degree, include_r):
     f = state_dependent_forcings(ens)
     theta = solve_linear(f, 1.0, RegressionPlan(ens, basis))
     ref = solve_linear(f, 1.0, SliceBySlicePlan(ens, basis))
+    assert np.max(np.abs(ref.z)) > 0.0
+    assert_same_solution(theta, ref)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_vanishing_r_monomials_leave_the_plan(drift_ensemble, degree):
+    # a jump-free clock has R = 0 on every path: include_r fits exactly as
+    # without it, down to the last bit (at degree 3 a 10 x 10 Gram with zero
+    # rows rounds differently from the 4 x 4 one, so only dropping them gives
+    # equality)
+    f = state_dependent_forcings(drift_ensemble)
+    with_r, without_r = (
+        solve_linear(f, 1.0, RegressionPlan(drift_ensemble, BasisSpec(degree, include_r)))
+        for include_r in (True, False)
+    )
+    for name in ("x", "y", "z"):
+        assert np.array_equal(getattr(with_r, name), getattr(without_r, name)), name
+
+
+def test_jump_ensemble_keeps_its_r_monomials(jump_ensemble, jump_plan):
+    assert jump_plan._grams.shape[-1] == 6
+    f = state_dependent_forcings(jump_ensemble)
+    with_r = solve_linear(f, 1.0, jump_plan)
+    without_r = solve_linear(f, 1.0, RegressionPlan(jump_ensemble, BasisSpec(include_r=False)))
+    assert not np.allclose(with_r.y, without_r.y)
+
+
+@pytest.mark.parametrize("which", ["jump", "drift"])
+def test_plan_matches_single_slice_path_on_ragged_blocks(jump_spec, drift_spec, which):
+    # 1300 paths: the cross-fit split at 650 is no multiple of the 512-row
+    # block, so each half ends in a partial block
+    spec = jump_spec if which == "jump" else drift_spec
+    ens = build_ensemble(spec, TimeGrid(a=0.0, T=1.0, n_steps=10), n_paths=1300, seed=5, x0=0.3)
+    f = state_dependent_forcings(ens)
+    theta = solve_linear(f, 1.0, RegressionPlan(ens, BasisSpec()))
+    ref = solve_linear(f, 1.0, SliceBySlicePlan(ens, BasisSpec()))
     assert np.max(np.abs(ref.z)) > 0.0
     assert_same_solution(theta, ref)
 

@@ -12,6 +12,7 @@ from subfbsde import (
     MarkovState,
     RegressionPlan,
     SolutionTriple,
+    TimeGrid,
     build_ensemble,
     get_bundle,
     m_norm,
@@ -115,9 +116,18 @@ def test_picard_forcings_bit_identical_to_whole_array(ensembles, m, bundle):
         assert np.array_equal(getattr(out, name), arr), name
 
 
-@pytest.mark.parametrize("m", SIZES)
-def test_m_norm_matches_explicit_formula(ensembles, m):
-    ens = ensembles[m]
+@pytest.mark.parametrize("eta", [1.0, 0.7])
+def test_picard_forcings_none_base_is_zero_base(ensembles, eta):
+    ens = ensembles[SIZES[-1]]
+    theta = random_triple(ens, seed=5)
+    bundle = _state_and_scalar_bundle()
+    out = picard_forcings(bundle, theta, eta, None, ens)
+    ref = picard_forcings(bundle, theta, eta, ForcingSet.zeros(ens.n_paths, ens.n_steps), ens)
+    for name in ("b0", "g0", "delta0", "h0", "sigma0", "phi0"):
+        assert np.array_equal(getattr(out, name), getattr(ref, name)), name
+
+
+def assert_m_norm_matches_explicit_formula(ens):
     a, b = random_triple(ens, seed=3), random_triple(ens, seed=4)
     n = ens.n_steps
     for value, (x, y, z) in (
@@ -135,6 +145,17 @@ def test_m_norm_matches_explicit_formula(ensembles, m):
         ):
             assert got == pytest.approx(want, rel=1e-13)
     assert m_norm(a, a).value == 0.0
+
+
+@pytest.mark.parametrize("m", SIZES)
+def test_m_norm_matches_explicit_formula(ensembles, m):
+    assert_m_norm_matches_explicit_formula(ensembles[m])
+
+
+def test_m_norm_matches_explicit_formula_on_full_and_partial_blocks(jump_spec):
+    # 1300 paths: two full 512-row blocks of the reused buffer and a partial one
+    ens = build_ensemble(jump_spec, TimeGrid(a=0.0, T=1.0, n_steps=10), n_paths=1300, seed=5)
+    assert_m_norm_matches_explicit_formula(ens)
 
 
 def test_non_finite_solution_raises(jump_ensemble, jump_plan):
