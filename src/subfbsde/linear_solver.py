@@ -12,8 +12,8 @@ whose partial sums only touch already-revealed nodes and therefore stay
 adapted; the dB integral is left-point (Ito).  The conditional expectations
 of the backward pass are the slice regressions of a `RegressionPlan`, which
 depends only on the ensemble and the basis and is shared by every solve on
-that ensemble; so are the weights exp(-(t + L)), which the ensemble computes
-once.  The rest of a solve is per path and runs over row blocks of paths.
+that ensemble; the plan also holds the weights exp(-(t + L)).  The rest of
+a solve is per path and runs over row blocks of paths.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def solve_linear(forcings: ForcingSet, x0: float, plan: RegressionPlan) -> Solut
     f = forcings
     m, n = ensemble.n_paths, ensemble.n_steps
     dt, dL, dB = ensemble.grid.dt, ensemble.dL, ensemble.dB
-    w, inv_w = ensemble._exp_weights
+    w = plan.w
     x, y, z = np.empty((m, n + 1)), np.empty((m, n + 1)), np.empty((m, n + 1))
 
     # first sweep: the running integral I of the weighted forcings; y holds
@@ -164,7 +164,7 @@ def solve_linear(forcings: ForcingSet, x0: float, plan: RegressionPlan) -> Solut
     # pass in closed form, trapezoid on the dt/dL integrals and left-point
     # (Ito) on the dB integral
     for rows in _row_slices(0, m):
-        iw = inv_w[rows]
+        iw = 1.0 / w[rows]
         I = y[rows]
         ybar = np.empty(I.shape)
         np.subtract(mean_xi, I[:, 0], out=ybar[:, 0])

@@ -97,10 +97,13 @@ def _monomials(columns, degree: int, shape):
 
 
 def polynomial_features(features: np.ndarray, degree: int) -> np.ndarray:
-    """All monomials of total degree <= degree, intercept first."""
-    F = np.atleast_2d(np.asarray(features, dtype=float))
+    """All monomials of total degree <= degree, intercept first.  features
+    is (n_paths, n_features), or 1-d for one feature per path."""
+    F = np.asarray(features, dtype=float)
+    if F.ndim == 1:
+        F = F[:, None]
     if F.ndim != 2:
-        raise ValueError("features must be a 2-d array (n_paths, n_features)")
+        raise ValueError("features must be a 1-d or 2-d array (n_paths, n_features)")
     columns = [F[:, j] for j in range(F.shape[1])]
     return np.column_stack(list(_monomials(columns, degree, F.shape[:1])))
 
@@ -165,7 +168,7 @@ def extract_z(
     if np.all(dL == 0.0):
         return np.zeros_like(dL)  # fully frozen slice
     m = dL.shape[0]
-    features = np.atleast_2d(np.asarray(features, dtype=float))
+    features = np.asarray(features, dtype=float)
     half = m // 2
     num = np.empty(m)
     den = np.empty(m)
@@ -199,11 +202,13 @@ class RegressionPlan:
     here: the ridged Gram matrix of every slice for all paths and for each
     cross-fit half, with the ridge `fit_condexp` uses at each sample size,
     and the cross-fitted denominator E[dL_k | F] of the ratio estimator with
-    the mask where z is set to zero.  `regress` then runs the regressions
-    of one linear solve on every slice at once, with the same checks as the
-    single-slice path.  Monomial columns are streamed from the
+    the mask where z is set to zero, and the read-only weights
+    w = exp(-(t + L)) of the linear solve.  `regress` then runs the
+    regressions of one linear solve on every slice at once, with the same
+    checks as the single-slice path.  Monomial columns are streamed from the
     ensemble's X and R arrays rather than stored, so the plan holds p x p
-    numbers per slice plus one (n_paths, n_steps - 1) denominator.
+    numbers per slice plus one (n_paths, n_steps - 1) denominator and one
+    (n_paths, n_steps + 1) weight grid.
     """
 
     def __init__(self, ensemble, basis: BasisSpec):
@@ -213,6 +218,8 @@ class RegressionPlan:
         self.basis = basis
         # predicted clock activity below the floor counts as a frozen clock
         self.floor = 1e-12 * ensemble.grid.dt / ensemble.kappa
+        self.w = np.exp(-(ensemble.grid.times()[None, :] + ensemble.L))
+        self.w.flags.writeable = False
         self._columns = [ensemble.X[:, inner]]
         # Where R is zero on every path (a jump-free clock), the monomials
         # that contain R vanish: their Gram rows are the ridge alone and

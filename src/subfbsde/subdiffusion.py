@@ -10,7 +10,6 @@ feature that restores Markovianity for the regression stages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -32,9 +31,10 @@ class MarkovState:
     r: object
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathEnsemble:
-    """Stacked path ensemble used by the solver modules.
+    """Stacked path ensemble used by the solver modules.  Its fields cannot
+    be reassigned; `dataclasses.replace` builds a new ensemble.
 
     Arrays are (n_paths, n_steps+1) for node values and (n_paths, n_steps)
     for increments.
@@ -62,16 +62,6 @@ class PathEnsemble:
     @property
     def n_steps(self) -> int:
         return self.grid.n_steps
-
-    @cached_property
-    def _exp_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """exp(-(t + L)) per node and its reciprocal: the weights of every
-        linear solve on the ensemble, computed on first use and read-only,
-        since every solve shares them."""
-        w = np.exp(-(self.grid.times()[None, :] + self.L))
-        inv_w = 1.0 / w
-        w.flags.writeable = inv_w.flags.writeable = False
-        return w, inv_w
 
 
 def build_ensemble(

@@ -330,6 +330,17 @@ def test_non_finite_linear_solve_is_numerical_failure(tmp_path, capsys):
     _assert_numerical_failure(capsys, "linear solve produced non-finite values")
 
 
+def test_non_finite_regression_targets_are_numerical_failure(tmp_path, capsys):
+    # finite forcings whose sum overflows the running integral, so the
+    # terminal aggregate the regressions fit is infinite
+    out = tmp_path / "out"
+    cfg = base_config(output_dir=str(out), forcings={"g0": 1e308, "b0": 1e308})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("solve-linear", write_config(tmp_path, cfg)) == EXIT_NUMERICAL
+    _assert_numerical_failure(capsys, "non-finite regression targets")
+    assert not out.exists()
+
+
 def test_singular_design_is_numerical_failure(tmp_path, capsys):
     # without jumps R is identically zero, so an unridged basis in (X, R) is
     # rank deficient

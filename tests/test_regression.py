@@ -22,6 +22,25 @@ def test_polynomial_feature_layout():
     assert polynomial_features(np.ones((5, 3)), 2).shape == (5, 10)
 
 
+def test_one_dimensional_features_are_one_column():
+    x = np.linspace(-1.0, 1.0, 50)
+    basis = BasisSpec(include_r=False, ridge=0.0)
+    assert np.array_equal(polynomial_features(x, 2), polynomial_features(x[:, None], 2))
+    est = fit_condexp(x, x**2, basis)
+    ref = fit_condexp(x[:, None], x**2, basis)
+    assert np.array_equal(est.coefficients, ref.coefficients)
+    assert np.allclose(ref.coefficients, [0.0, 0.0, 1.0], atol=1e-12)
+    assert np.array_equal(est.predict(x), ref.predict(x[:, None]))
+    rng = np.random.default_rng(4)
+    dL = rng.random(50)
+    dB = np.sqrt(dL) * rng.standard_normal(50)
+    y_next = x + dB
+    assert np.array_equal(
+        extract_z(y_next, dB, dL, x, basis, floor=1e-14),
+        extract_z(y_next, dB, dL, x[:, None], basis, floor=1e-14),
+    )
+
+
 def test_basis_validation():
     with pytest.raises(ValueError):
         BasisSpec(degree=-1)

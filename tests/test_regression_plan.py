@@ -32,6 +32,7 @@ class SliceBySlicePlan:
         self.ensemble = ensemble
         self.basis = basis
         self.floor = 1e-12 * ensemble.grid.dt / ensemble.kappa
+        self.w = np.exp(-(ensemble.grid.times()[None, :] + ensemble.L))
 
     def features_at(self, k):
         ens = self.ensemble
@@ -198,3 +199,18 @@ def test_no_stale_plan_after_replace(jump_ensemble):
     assert not np.allclose(after.y, before.y)
     for name in ("x", "y", "z"):
         assert np.array_equal(getattr(after, name), getattr(expected, name))
+
+
+def test_ensemble_is_a_frozen_snapshot(jump_ensemble, jump_plan):
+    ens = jump_ensemble
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ens.L = 0.5 * ens.L
+    solve_linear(state_dependent_forcings(ens), 1.0, jump_plan)
+    # a solve caches nothing on the ensemble
+    assert set(vars(ens)) == {field.name for field in dataclasses.fields(PathEnsemble)}
+
+
+def test_plan_owns_the_solve_weights(jump_ensemble, jump_plan):
+    ens = jump_ensemble
+    assert np.array_equal(jump_plan.w, np.exp(-(ens.grid.times()[None, :] + ens.L)))
+    assert not jump_plan.w.flags.writeable
