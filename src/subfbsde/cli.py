@@ -1,8 +1,9 @@
 """Scenario-driven command line entry point.
 
-One scenario JSON per invocation.  The config is validated against a JSON
-schema before any compute; every artifact (CSV or JSON) embeds the config
-hash and seed, and reruns with an identical config are byte identical.
+One scenario JSON per invocation, validated before any compute: the key
+table checks each key's JSON type, the settings objects check the ranges.
+Every artifact (CSV or JSON) embeds the config hash and seed, and reruns
+with an identical config are byte identical.
 
 Exit codes: 0 success, 2 config validation error, 3 solver divergence,
 4 hypothesis-check failure in strict mode, 5 numerical failure (non-finite
@@ -15,15 +16,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
-from .clock import _JUMP_KINDS, SubordinatorSpec, TimeGrid
+from .clock import SubordinatorSpec, TimeGrid
 from .coefficients import check_hypothesis, get_bundle
 from .diagnostics import apriori_ratio, m_norm
 from .fbsde_solver import ContinuationConfig, DivergedError, solve_fbsde
@@ -31,7 +34,7 @@ from .linear_solver import ForcingSet, solve_linear
 from .regression import BasisSpec, RegressionPlan, SingularSliceError
 from .subdiffusion import build_ensemble
 
-__all__ = ["CONFIG_SCHEMA", "ScenarioConfig", "run", "main"]
+__all__ = ["ScenarioConfig", "run", "main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,77 +45,72 @@ EXIT_NOT_CONVERGED = 6
 
 _CSV_CHUNK_ROWS = 4096
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["scenario", "seed", "kappa", "T", "n_steps", "n_paths"],
-    "properties": {
-        "scenario": {"type": "string", "pattern": r"^[A-Za-z0-9_\-]+$"},
-        "seed": {"type": "integer", "minimum": 0},
-        "kappa": {"type": "number", "exclusiveMinimum": 0},
-        "jumps": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["jump_kind"],
-            "properties": {
-                "jump_kind": {"enum": list(_JUMP_KINDS)},
-                "rate": {"type": "number", "minimum": 0},
-                "jump_param": {
-                    "anyOf": [
-                        {"type": "number"},
-                        {
-                            "type": "array",
-                            "items": {"type": "number"},
-                            "minItems": 2,
-                            "maxItems": 2,
-                        },
-                    ]
-                },
-                "cutoff": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "a": {"type": "number", "minimum": 0},
-        "T": {"type": "number", "exclusiveMinimum": 0},
-        "n_steps": {"type": "integer", "minimum": 1},
-        "n_paths": {"type": "integer", "minimum": 1},
-        "x0": {"type": "number"},
-        "bundle": {"type": "string"},
-        "bundle_params": {"type": "object"},
-        "strategy": {"enum": ["flatten", "nested"]},
-        "eta": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "picard_tol": {"type": "number", "exclusiveMinimum": 0},
-        "max_picard": {"type": "integer", "minimum": 1},
-        "nested_max_depth": {"type": "integer", "minimum": 1},
-        "C1": {"type": "number", "exclusiveMinimum": 0},
-        "basis": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "degree": {"type": "integer", "minimum": 0},
-                "include_r": {"type": "boolean"},
-                "ridge": {"type": "number", "minimum": 0},
-            },
-        },
-        "forcings": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "b0": {"type": "number"},
-                "g0": {"type": "number"},
-                "delta0": {"type": "number"},
-                "h0": {"type": "number"},
-                "sigma0": {"type": "number"},
-                "phi0": {"type": "number"},
-            },
-        },
-        "strict": {"type": "boolean"},
-        "output_dir": {"type": "string"},
-    },
+
+def _finite(v) -> bool:
+    return type(v) is int or (type(v) is float and math.isfinite(v))
+
+
+# JSON types: name -> (what a value must be, its test).  A settings field's type is
+# its annotation; the other names serve keys only a scenario has.  A bool is not a
+# number, an integer is a JSON integer (10.0 is not), and every number is finite.
+_TYPES = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a finite number", _finite),
+    "float | tuple[float, float]": (
+        "a finite number or a list of two",
+        lambda v: _finite(v) or (type(v) is list and len(v) == 2 and all(map(_finite, v))),
+    ),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "str": ("a string", lambda v: type(v) is str),
+    "object": ("an object", lambda v: type(v) is dict),
+    "seed": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "count": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "strategy": ("flatten or nested", lambda v: v in ("flatten", "nested")),
+    # a scenario name is a file name inside output_dir
+    "name": ("[A-Za-z0-9_-]+", lambda v: type(v) is str and re.fullmatch(r"[A-Za-z0-9_\-]+", v)),
+    "params": (
+        "an object whose numbers are finite",
+        lambda v: type(v) is dict and all(_finite(x) for x in v.values() if type(x) is float),
+    ),
 }
+
+
+def _fields(cls) -> dict:
+    return {f.name: f.type.removesuffix(" | None") for f in dataclasses.fields(cls)}
+
+
+# The key table: key -> type, for the nested objects and the top level.
+_SECTIONS = {
+    "jumps": {k: t for k, t in _fields(SubordinatorSpec).items() if k != "kappa"},
+    "basis": _fields(BasisSpec),
+    "forcings": dict.fromkeys(_fields(ForcingSet), "float"),
+}
+_KEYS = {
+    **_fields(TimeGrid), **_fields(ContinuationConfig), **dict.fromkeys(_SECTIONS, "object"),
+    "scenario": "name", "seed": "seed", "n_paths": "count", "kappa": "float", "x0": "float",
+    "bundle": "str", "bundle_params": "params", "strategy": "strategy", "strict": "bool",
+    "output_dir": "str",
+}
+_REQUIRED = {"scenario", "seed", "kappa", "T", "n_steps", "n_paths", "jumps/jump_kind"}
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _check_keys(obj: dict, keys: dict, prefix: str = "") -> None:
+    """Refuse a missing, unknown or mistyped key, naming its path."""
+    for key in keys:
+        if prefix + key in _REQUIRED and key not in obj:
+            raise ConfigError(f"config key {prefix}{key}: required")
+    for key, value in obj.items():
+        if key not in keys:
+            raise ConfigError(f"config key {prefix}{key}: unknown key")
+        what, ok = _TYPES[keys[key]]
+        if not ok(value):
+            raise ConfigError(f"config key {prefix}{key}: must be {what}, got {json.dumps(value)}")
+        if key in _SECTIONS and not prefix:
+            _check_keys(value, _SECTIONS[key], f"{key}/")
 
 
 @contextlib.contextmanager
@@ -134,42 +132,35 @@ class ScenarioConfig:
     (`SubordinatorSpec`, `BasisSpec`, `ContinuationConfig`)."""
 
     def __init__(self, raw: dict):
-        try:
-            jsonschema.validate(raw, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as err:
-            key = "/".join(str(p) for p in err.absolute_path) or "(top level)"
-            raise ConfigError(f"config key {key}: {err.message}") from None
+        _check_keys(raw, _KEYS)
         self.raw = raw
         self.scenario = raw["scenario"]
         self.seed = raw["seed"]
-        jumps = dict(raw.get("jumps", {}))
-        if isinstance(jumps.get("jump_param"), list):
-            jumps["jump_param"] = tuple(jumps["jump_param"])
-        try:
-            self.subordinator = SubordinatorSpec(kappa=raw["kappa"], **jumps)
-            self.grid = TimeGrid(a=raw.get("a", 0.0), T=raw["T"], n_steps=raw["n_steps"])
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
         self.n_paths = raw["n_paths"]
         self.x0 = raw.get("x0", 0.0)
         self.bundle_name = raw.get("bundle")
         self.bundle_params = raw.get("bundle_params", {})
         self.strict = raw.get("strict", False)
         self.output_dir = Path(raw.get("output_dir", "."))
-        self.basis = BasisSpec(**raw.get("basis", {}))
+        self.forcing_values = raw.get("forcings", {})
         # "flatten" is the one-level ladder; "nested" steps by the eta key,
         # or by the derived bound (from C1) when it is absent
         nested = raw.get("strategy", "flatten") == "nested"
         for key in ("eta", "C1"):
             if key in raw and not nested:
                 raise ConfigError(f'config key {key}: only read with "strategy": "nested"')
-        keys = ("picard_tol", "max_picard", "nested_max_depth", "C1")
-        solver = {k: raw[k] for k in keys if k in raw}
+        jumps = {k: tuple(v) if type(v) is list else v for k, v in raw.get("jumps", {}).items()}
+        solver = {k: raw[k] for k in _fields(ContinuationConfig) if k in raw and k != "eta"}
         try:
+            self.subordinator = SubordinatorSpec(kappa=raw["kappa"], **jumps)
+            self.grid = TimeGrid(a=raw.get("a", 0.0), T=raw["T"], n_steps=raw["n_steps"])
+            self.basis = BasisSpec(**raw.get("basis", {}))
             self.solver = ContinuationConfig(eta=raw.get("eta") if nested else 1.0, **solver)
         except ValueError as err:
-            raise ConfigError(str(err)) from None
-        self.forcing_values = raw.get("forcings", {})
+            # a settings object's message starts with the field it refuses
+            key = str(err).split()[0]
+            key = next((f"{s}/{key}" for s, keys in _SECTIONS.items() if key in keys), key)
+            raise ConfigError(f"config key {key}: {err}") from None
 
     @property
     def config_hash(self) -> str:
@@ -295,7 +286,7 @@ def _solve_linear(config: ScenarioConfig, subcommand: str) -> int:
         config,
         {
             "m_norm": m_norm(theta).to_json_dict(),
-            "apriori": apriori_ratio(theta, forcings, config.x0).to_json_dict(),
+            "apriori": apriori_ratio(theta, forcings.rows, config.x0).to_json_dict(),
         },
     )
     return EXIT_OK
@@ -366,14 +357,10 @@ def run(subcommand: str, config_path, output_dir=None, strict=None) -> int:
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
         config = ScenarioConfig(raw)
-    except ConfigError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_CONFIG
-    if output_dir is not None:
-        config.output_dir = Path(output_dir)
-    if strict is not None:
-        config.strict = strict
-    try:
+        if output_dir is not None:
+            config.output_dir = Path(output_dir)
+        if strict is not None:
+            config.strict = strict
         return _HANDLERS[subcommand](config, subcommand)
     except ConfigError as err:
         print(str(err), file=sys.stderr)

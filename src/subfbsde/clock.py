@@ -57,38 +57,34 @@ class SubordinatorSpec:
     kappa: float
     jump_kind: str = "none"
     rate: float = 0.0
-    jump_param: object = None
+    jump_param: float | tuple[float, float] | None = None
     cutoff: float | None = None
 
     def __post_init__(self):
         if not (self.kappa > 0.0):
-            raise ValueError(f"subordinator drift kappa must be > 0, got {self.kappa}")
+            raise ValueError(f"kappa (the subordinator drift) must be > 0, got {self.kappa}")
         if self.jump_kind not in _JUMP_KINDS:
-            raise ValueError(f"unknown jump_kind {self.jump_kind!r}")
+            raise ValueError(f"jump_kind must be one of {_JUMP_KINDS}, got {self.jump_kind!r}")
         if self.jump_kind == "none":
             return
         if self.jump_kind == "truncated_stable":
-            beta = self.jump_param
-            if not (isinstance(beta, (int, float)) and 0.0 < beta < 1.0):
-                raise ValueError("truncated_stable needs index jump_param in (0,1)")
+            if not (isinstance(self.jump_param, (int, float)) and 0.0 < self.jump_param < 1.0):
+                raise ValueError("jump_param of truncated_stable jumps must be an index in (0, 1)")
             if self.cutoff is None or not (self.cutoff > 0.0):
-                raise ValueError("truncated_stable needs cutoff > 0")
+                raise ValueError("cutoff of truncated_stable jumps must be > 0")
             return
         if self.rate < 0.0:
-            raise ValueError(f"jump rate must be >= 0, got {self.rate}")
-        if self.jump_kind == "exponential":
+            raise ValueError(f"rate must be >= 0, got {self.rate}")
+        if self.jump_kind in ("exponential", "fixed"):
             if not (isinstance(self.jump_param, (int, float)) and self.jump_param > 0):
-                raise ValueError("exponential jumps need a positive mean")
-        elif self.jump_kind == "fixed":
-            if not (isinstance(self.jump_param, (int, float)) and self.jump_param > 0):
-                raise ValueError("fixed jumps need a positive size")
+                raise ValueError(f"jump_param of {self.jump_kind} jumps must be a positive number")
         elif self.jump_kind == "pareto":
             try:
                 scale, shape = self.jump_param
             except (TypeError, ValueError):
-                raise ValueError("pareto jumps need jump_param = (scale, shape)") from None
+                raise ValueError("jump_param of pareto jumps must be (scale, shape)") from None
             if not (scale > 0 and shape > 0):
-                raise ValueError("pareto scale and shape must be positive")
+                raise ValueError("jump_param of pareto jumps must have a positive scale and shape")
 
     def effective_rate(self) -> float:
         """Poisson intensity of the (possibly truncated) jump stream."""
@@ -155,8 +151,10 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not (0.0 <= self.a < self.T < math.inf):
-            raise ValueError(f"need 0 <= a < T < inf, got a={self.a}, T={self.T}")
+        if not (0.0 < self.T < math.inf):
+            raise ValueError(f"T must be finite and > 0, got {self.T}")
+        if not (0.0 <= self.a < self.T):
+            raise ValueError(f"a must satisfy 0 <= a < T, got a={self.a}, T={self.T}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be a positive integer")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linear_solver import ForcingSet, SolutionTriple
+from .linear_solver import SolutionTriple
 from .regression import _BLOCK_ROWS, _row_slices
 
 __all__ = [
@@ -107,23 +107,25 @@ def contraction_fit(residuals) -> float:
     return float(np.exp(np.mean(np.log(ratios))))
 
 
-def apriori_ratio(theta: SolutionTriple, data: ForcingSet, x0: float) -> AprioriReport:
+def apriori_ratio(theta: SolutionTriple, data, x0: float) -> AprioriReport:
     """Monte Carlo ratio for the a priori solution estimate: solution energy
-    over data energy, per path, with a bootstrap standard error.  data holds
-    the forcings of the system theta solves; for a coupled bundle these are
-    its coefficients at the zero solution."""
-    n = theta.dL.shape[1]
-    lhs_paths = np.max(theta.x**2 + theta.y**2, axis=1) + np.sum(
-        theta.z[:, :n] ** 2 * theta.dL, axis=1
-    )
-    # row sums of squares by einsum: no grid-sized temporaries
-    b0, g0 = data.b0[:, :n], data.g0[:, :n]
-    dt_energy = (np.einsum("ij,ij->i", b0, b0) + np.einsum("ij,ij->i", g0, g0)) * theta.dt
-    dL_energy = sum(
-        np.einsum("ij,ij,ij->i", a[:, :n], a[:, :n], theta.dL)
-        for a in (data.delta0, data.h0, data.sigma0)
-    )
-    rhs_paths = x0**2 + data.phi0**2 + dt_energy + dL_energy
+    over data energy, per path, with a bootstrap standard error.  data(rows)
+    gives the forcings of the system theta solves on a row block of paths:
+    `ForcingSet.rows` of its forcings, or a coupled bundle's coefficients at
+    the zero solution.  The energies are summed block by block."""
+    m, n = theta.dL.shape
+    lhs_paths, rhs_paths = np.empty(m), np.empty(m)
+    for rows in _row_slices(0, m):
+        x, y, dL = theta.x[rows], theta.y[rows], theta.dL[rows]
+        lhs_paths[rows] = np.max(x**2 + y**2, axis=1) + np.sum(theta.z[rows, :n] ** 2 * dL, axis=1)
+        d = data(rows)
+        # row sums of squares by einsum: no block-sized temporaries
+        b0, g0 = d.b0[:, :n], d.g0[:, :n]
+        dt_energy = (np.einsum("ij,ij->i", b0, b0) + np.einsum("ij,ij->i", g0, g0)) * theta.dt
+        dL_energy = sum(
+            np.einsum("ij,ij,ij->i", a[:, :n], a[:, :n], dL) for a in (d.delta0, d.h0, d.sigma0)
+        )
+        rhs_paths[rows] = x0**2 + d.phi0**2 + dt_energy + dL_energy
 
     lhs = float(np.mean(lhs_paths))
     rhs = float(np.mean(rhs_paths))

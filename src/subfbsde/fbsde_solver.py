@@ -50,6 +50,10 @@ class ContinuationConfig:
             raise ValueError("picard_tol must be positive")
         if self.max_picard < 1:
             raise ValueError("max_picard must be at least 1")
+        if self.nested_max_depth < 1:
+            raise ValueError("nested_max_depth must be at least 1")
+        if self.C1 is not None and not (self.C1 > 0.0):
+            raise ValueError("C1 must be positive")
 
     def resolved_eta(self, bundle: CoefficientBundle, kappa: float, T: float) -> float:
         if self.eta is not None:
@@ -177,9 +181,15 @@ def _mirrored(theta: SolutionTriple) -> SolutionTriple:
     return SolutionTriple(theta.x, -theta.y, -theta.z, theta.dt, theta.dL)
 
 
-# Bound once: a priori data is not a Picard iterate, and the benchmark tracer
-# (perfbench/spans.py) counts iterates by wrapping the module-level name.
-_zero_point_forcings = picard_forcings
+def _zero_point_data(bundle: CoefficientBundle, ensemble: PathEnsemble, rows: slice) -> ForcingSet:
+    """The a priori data of a coupled system on a row block of paths: the
+    bundle's coefficients at the zero solution."""
+    t, st = ensemble.grid.times(), MarkovState(x=ensemble.X[rows], r=ensemble.R[rows])
+    o = np.zeros(st.x.shape)
+    b, g, delta = bundle.b(t, st, o, o), bundle.g(t, st, o, o), bundle.delta(t, st, o, o, o)
+    h, sigma = bundle.h(t, st, o, o, o), bundle.sigma(t, st, o, o, o)
+    phi = bundle.phi(MarkovState(x=st.x[:, -1], r=st.r[:, -1]), o[:, -1])
+    return ForcingSet(*(o + v for v in (b, g, delta, h, sigma)), o[:, -1] + phi)
 
 
 def solve_fbsde(
@@ -264,7 +274,5 @@ def solve_fbsde(
     if flipped:
         theta = _mirrored(theta)
     diag.m_norm = m_norm(theta)
-    # a priori data: the bundle's coefficients at the zero solution
-    data = _zero_point_forcings(bundle, SolutionTriple.zeros(ensemble), 1.0, None, ensemble)
-    diag.apriori = apriori_ratio(theta, data, x0)
+    diag.apriori = apriori_ratio(theta, lambda rows: _zero_point_data(bundle, ensemble, rows), x0)
     return theta, diag

@@ -18,7 +18,7 @@ a solve is per path and runs over row blocks of paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,6 +62,10 @@ class ForcingSet:
             arr = getattr(f, key)
             arr += val
         return f
+
+    def rows(self, rows: slice) -> ForcingSet:
+        """The forcings of a row block of paths, as views."""
+        return ForcingSet(*(getattr(self, f.name)[rows] for f in fields(self)))
 
     def validate(self, ensemble: PathEnsemble) -> None:
         shape = ensemble.X.shape

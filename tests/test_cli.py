@@ -131,7 +131,7 @@ def test_validation_errors(tmp_path, capsys):
     # wrong type names the key
     assert run("solve", write_config(tmp_path, base_config(kappa=-1.0), "b.json")) == EXIT_CONFIG
     assert "kappa" in capsys.readouterr().err
-    # unknown top-level key rejected by the schema
+    # unknown top-level key
     assert run("solve", write_config(tmp_path, base_config(extra=1), "c.json")) == EXIT_CONFIG
     # unknown bundle
     assert run("solve", write_config(tmp_path, base_config(bundle="nope"), "d.json")) == EXIT_CONFIG
@@ -141,6 +141,159 @@ def test_validation_errors(tmp_path, capsys):
     assert run("solve", lst) == EXIT_CONFIG
     # unknown subcommand
     assert run("frobnicate", write_config(tmp_path, base_config(), "e.json")) == EXIT_CONFIG
+
+
+_DROP = object()  # a key left out of the scenario
+
+
+def _assert_config_error(tmp_path, capsys, key, subcommand="solve", **over):
+    """The scenario base_config(**over) is refused before any compute: exit 2,
+    one stderr line naming the key, no traceback and no artifact."""
+    out = tmp_path / "out"
+    cfg = base_config(**{"output_dir": str(out), **over})
+    cfg = {k: v for k, v in cfg.items() if v is not _DROP}
+    assert run(subcommand, write_config(tmp_path, cfg)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config key {key}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not out.exists()
+    return err
+
+
+@pytest.mark.parametrize("subcommand", ["solve", "sample-clock"])
+@pytest.mark.parametrize(
+    "key, over",
+    [
+        ("n_steps", {"n_steps": 10.0}),
+        ("n_paths", {"n_paths": 200.0}),
+        ("seed", {"seed": 9.0}),
+        ("max_picard", {"max_picard": 5.0}),
+        ("basis/degree", {"basis": {"degree": 2.0}}),
+    ],
+)
+def test_integer_valued_floats_are_refused(tmp_path, capsys, subcommand, key, over):
+    # an integer key takes a JSON integer only; 10.0 is not coerced
+    err = _assert_config_error(tmp_path, capsys, key, subcommand, **over)
+    assert "must be an integer" in err
+
+
+_EXP = {"jump_kind": "exponential", "rate": 1.0, "jump_param": 1.0}
+_PARETO = {"jump_kind": "pareto", "rate": 1.0, "jump_param": [0.3, 1.5]}
+
+
+@pytest.mark.parametrize("subcommand", ["solve", "solve-linear"])
+@pytest.mark.parametrize(
+    "key, over",
+    [
+        ("x0", {"x0": float("nan")}),
+        ("kappa", {"kappa": float("inf")}),
+        ("T", {"T": float("-inf")}),
+        ("basis/ridge", {"basis": {"ridge": float("nan")}}),
+        ("jumps/jump_param", {"jumps": {**_EXP, "jump_param": float("inf")}}),
+        ("jumps/jump_param", {"jumps": {**_PARETO, "jump_param": [0.3, float("nan")]}}),
+        ("jumps/rate", {"jumps": {**_EXP, "rate": float("inf")}}),
+        ("C1", {"strategy": "nested", "C1": float("nan")}),
+        ("eta", {"strategy": "nested", "eta": float("nan")}),
+        ("picard_tol", {"picard_tol": float("inf")}),
+        ("forcings/b0", {"forcings": {"b0": float("nan")}}),
+        ("forcings/phi0", {"forcings": {"phi0": float("-inf")}}),
+        ("bundle_params", {"bundle_params": {"eps": float("nan")}, "bundle": "riccati_test"}),
+    ],
+)
+def test_non_finite_settings_are_refused(tmp_path, capsys, subcommand, key, over):
+    # json.load reads NaN and Infinity; every number in a scenario is finite
+    err = _assert_config_error(tmp_path, capsys, key, subcommand, **over)
+    assert "finite" in err
+
+
+_TRUNCATED = {"jump_kind": "truncated_stable", "jump_param": 0.5, "cutoff": 0.1}
+
+# (key named in the message, scenario overrides): each required key, unknown
+# key, JSON type, enum, name pattern and range rule of a scenario
+_REFUSED = [
+    # required keys
+    *[(k, {k: _DROP}) for k in ("scenario", "seed", "kappa", "T", "n_steps", "n_paths")],
+    ("jumps/jump_kind", {"jumps": {"rate": 1.0}}),
+    # unknown keys
+    ("extra", {"extra": 1}),
+    ("jumps/mean", {"jumps": {**_EXP, "mean": 1.0}}),
+    ("basis/order", {"basis": {"order": 2}}),
+    ("forcings/f0", {"forcings": {"f0": 1.0}}),
+    # JSON types, a bool for an integer and for a number among them
+    ("scenario", {"scenario": 7}),
+    ("seed", {"seed": "9"}),
+    ("seed", {"seed": True}),
+    ("kappa", {"kappa": "1"}),
+    ("kappa", {"kappa": True}),
+    ("jumps", {"jumps": ["exponential"]}),
+    ("jumps/jump_kind", {"jumps": {"jump_kind": 1}}),
+    ("jumps/rate", {"jumps": {**_EXP, "rate": "1"}}),
+    ("jumps/jump_param", {"jumps": {**_EXP, "jump_param": "1"}}),
+    ("jumps/jump_param", {"jumps": {**_EXP, "jump_param": [1.0]}}),
+    ("jumps/jump_param", {"jumps": {**_EXP, "jump_param": [1.0, 2.0, 3.0]}}),
+    ("jumps/jump_param", {"jumps": {**_EXP, "jump_param": [1.0, "2"]}}),
+    ("jumps/jump_param", {"jumps": {**_EXP, "jump_param": True}}),
+    ("jumps/cutoff", {"jumps": {**_TRUNCATED, "cutoff": "0.1"}}),
+    ("a", {"a": "0"}),
+    ("T", {"T": None}),
+    ("n_steps", {"n_steps": 1.5}),
+    ("n_steps", {"n_steps": True}),
+    ("n_paths", {"n_paths": "100"}),
+    ("x0", {"x0": "1"}),
+    ("x0", {"x0": False}),
+    ("bundle", {"bundle": 1}),
+    ("bundle_params", {"bundle_params": [1]}),
+    ("strategy", {"strategy": 1}),
+    ("eta", {"strategy": "nested", "eta": "0.5"}),
+    ("picard_tol", {"picard_tol": None}),
+    ("max_picard", {"max_picard": 2.5}),
+    ("nested_max_depth", {"nested_max_depth": "3"}),
+    ("C1", {"strategy": "nested", "C1": "2"}),
+    ("basis", {"basis": 2}),
+    ("basis/degree", {"basis": {"degree": "2"}}),
+    ("basis/degree", {"basis": {"degree": True}}),
+    ("basis/include_r", {"basis": {"include_r": 1}}),
+    ("basis/ridge", {"basis": {"ridge": "0"}}),
+    ("forcings", {"forcings": 1.0}),
+    *[(f"forcings/{k}", {"forcings": {k: "1"}}) for k in ("b0", "g0", "delta0", "h0", "sigma0")],
+    ("forcings/phi0", {"forcings": {"phi0": "1"}}),
+    ("forcings/g0", {"forcings": {"g0": True}}),
+    ("strict", {"strict": "yes"}),
+    ("output_dir", {"output_dir": 1}),
+    # enums
+    ("jumps/jump_kind", {"jumps": {"jump_kind": "gamma"}}),
+    ("strategy", {"strategy": "both"}),
+    # the scenario name stays a file name inside output_dir
+    ("scenario", {"scenario": "../x"}),
+    ("scenario", {"scenario": ""}),
+    # ranges ScenarioConfig and ContinuationConfig own
+    ("seed", {"seed": -1}),
+    ("n_paths", {"n_paths": 0}),
+    ("nested_max_depth", {"nested_max_depth": 0}),
+    ("C1", {"strategy": "nested", "C1": 0}),
+    ("C1", {"strategy": "nested", "C1": -1.0}),
+    # ranges the settings objects own
+    ("kappa", {"kappa": 0}),
+    ("jumps/rate", {"jumps": {**_EXP, "rate": -1.0}}),
+    ("jumps/cutoff", {"jumps": {**_TRUNCATED, "cutoff": 0.0}}),
+    ("jumps/jump_param", {"jumps": {**_EXP, "jump_param": 0.0}}),
+    ("a", {"a": -0.1}),
+    ("T", {"T": 0.0}),
+    ("n_steps", {"n_steps": 0}),
+    ("eta", {"strategy": "nested", "eta": 0}),
+    ("eta", {"strategy": "nested", "eta": 1.5}),
+    ("picard_tol", {"picard_tol": 0}),
+    ("max_picard", {"max_picard": 0}),
+    ("basis/degree", {"basis": {"degree": -1}}),
+    ("basis/ridge", {"basis": {"ridge": -1e-3}}),
+]
+
+
+@pytest.mark.parametrize(
+    "key, over", _REFUSED, ids=[f"{k}-{i}" for i, (k, _) in enumerate(_REFUSED)]
+)
+def test_scenario_rules_refuse(tmp_path, capsys, key, over):
+    _assert_config_error(tmp_path, capsys, key, **over)
 
 
 def test_divergence_exit_code_and_artifact(tmp_path):

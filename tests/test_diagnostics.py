@@ -7,6 +7,7 @@ from subfbsde import (
     ForcingSet,
     SolutionTriple,
     apriori_ratio,
+    build_ensemble,
     contraction_fit,
     get_bundle,
     m_norm,
@@ -94,7 +95,7 @@ def _zero_point_data(bundle, ensemble):
 
 def test_apriori_degenerate_zero_data(jump_ensemble):
     data = _zero_point_data(get_bundle("canonical_monotone"), jump_ensemble)
-    report = apriori_ratio(SolutionTriple.zeros(jump_ensemble), data, 0.0)
+    report = apriori_ratio(SolutionTriple.zeros(jump_ensemble), data.rows, 0.0)
     assert report.degenerate
     assert report.ratio == 0.0
 
@@ -102,7 +103,7 @@ def test_apriori_degenerate_zero_data(jump_ensemble):
 def test_apriori_finite_with_bootstrap(jump_ensemble):
     bundle = get_bundle("canonical_monotone", c=0.5)
     theta, diag = solve_fbsde(bundle, 1.0, jump_ensemble)
-    report = apriori_ratio(theta, _zero_point_data(bundle, jump_ensemble), 1.0)
+    report = apriori_ratio(theta, _zero_point_data(bundle, jump_ensemble).rows, 1.0)
     assert report == diag.apriori
     assert not report.degenerate
     assert report.ratio > 0.0 and np.isfinite(report.ratio)
@@ -111,10 +112,28 @@ def test_apriori_finite_with_bootstrap(jump_ensemble):
     assert set(doc) == {"lhs", "rhs", "ratio", "se", "degenerate"}
 
 
+def test_apriori_zero_point_data_by_row_blocks(jump_spec, grid):
+    # data at the zero solution that vary with t and the state (X, R), on
+    # 1100 paths, three row blocks; the offsets leave the coupling unchanged
+    bundle = get_bundle("canonical_monotone", c=0.5)
+    bundle.b = lambda t, st, x, y: -0.5 * y + np.cos(st.x)
+    bundle.g = lambda t, st, x, y: 0.5 * x + st.r
+    bundle.delta = lambda t, st, x, y, z: -0.5 * y + 0.3 * t
+    bundle.h = lambda t, st, x, y, z: 0.5 * x - 0.2 * st.x
+    bundle.sigma = lambda t, st, x, y, z: -0.5 * z + 0.1
+    bundle.phi = lambda st, x: x + 0.4 * np.sin(st.x)
+    ens = build_ensemble(jump_spec, grid, n_paths=1100, seed=5, x0=0.0)
+    theta, diag = solve_fbsde(bundle, 1.0, ens)
+    report = apriori_ratio(theta, _zero_point_data(bundle, ens).rows, 1.0)
+    assert report == diag.apriori
+    assert report.rhs > 1.5  # the data carry energy beyond x0**2 = 1
+
+
 def test_apriori_scale_stability(drift_ensemble):
     bundle = get_bundle("canonical_monotone")
     ratios = []
     for x0 in (1.0, 2.0, 4.0):
         theta, _ = solve_fbsde(bundle, x0, drift_ensemble)
-        ratios.append(apriori_ratio(theta, _zero_point_data(bundle, drift_ensemble), x0).ratio)
+        data = _zero_point_data(bundle, drift_ensemble)
+        ratios.append(apriori_ratio(theta, data.rows, x0).ratio)
     assert max(ratios) / min(ratios) <= 1.25

@@ -35,6 +35,27 @@ def test_config_validation():
         ContinuationConfig(max_picard=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"nested_max_depth": 0}, "nested_max_depth"),
+        ({"nested_max_depth": -2}, "nested_max_depth"),
+        ({"C1": 0.0}, "C1"),
+        ({"C1": -1.0}, "C1"),
+        ({"C1": float("nan")}, "C1"),
+    ],
+)
+def test_config_owns_depth_and_c1_ranges(kwargs, field):
+    # the error names the field first, which is how the CLI names the key
+    with pytest.raises(ValueError, match=f"^{field} "):
+        ContinuationConfig(**kwargs)
+
+
+def test_config_depth_and_c1_in_range():
+    assert ContinuationConfig(nested_max_depth=1, C1=1e-9).C1 == 1e-9
+    assert ContinuationConfig(C1=None).C1 is None
+
+
 def test_picard_forcings_eta_zero_is_identity(jump_ensemble):
     m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
     base = ForcingSet.constant(m, n, b0=0.4, phi0=0.2)

@@ -118,7 +118,7 @@ def test_forced_drift_only_matches_ode_oracle():
 def test_apriori_check_zero_data(jump_ensemble, jump_plan):
     m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
     theta = solve_linear(ForcingSet.zeros(m, n), 0.0, jump_plan)
-    report = apriori_ratio(theta, ForcingSet.zeros(m, n), 0.0)
+    report = apriori_ratio(theta, ForcingSet.zeros(m, n).rows, 0.0)
     assert report.degenerate
     assert report.ratio == 0.0
     assert report.lhs == 0.0
@@ -130,8 +130,8 @@ def test_apriori_check_scale_invariant(jump_ensemble, jump_plan):
     f2 = ForcingSet(*(2.0 * getattr(f, k) for k in FORCINGS))
     t1 = solve_linear(f, 1.0, jump_plan)
     t2 = solve_linear(f2, 2.0, jump_plan)
-    r1 = apriori_ratio(t1, f, 1.0)
-    r2 = apriori_ratio(t2, f2, 2.0)
+    r1 = apriori_ratio(t1, f.rows, 1.0)
+    r2 = apriori_ratio(t2, f2.rows, 2.0)
     assert r1.ratio == pytest.approx(r2.ratio, rel=1e-6)
     assert r2.lhs == pytest.approx(4.0 * r1.lhs, rel=1e-6)
 
