@@ -9,16 +9,12 @@ a Picard recursion of regression Monte Carlo linear solves at each step.
 from .clock import (
     MAX_EXPECTED_JUMPS,
     ClockEnsemble,
-    InsufficientHorizonError,
-    SubordinatorSkeleton,
     SubordinatorSpec,
     TimeGrid,
-    invert_clock,
     sample_clock_ensemble,
     sample_jumps,
 )
 from .coefficients import (
-    BUNDLE_NAMES,
     CoefficientBundle,
     HypothesisReport,
     check_hypothesis,

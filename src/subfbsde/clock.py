@@ -11,32 +11,29 @@ overshoot process R_t as (n_paths, n_steps+1) arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 __all__ = [
     "SubordinatorSpec",
-    "SubordinatorSkeleton",
     "TimeGrid",
     "ClockEnsemble",
-    "InsufficientHorizonError",
     "MAX_EXPECTED_JUMPS",
     "sample_jumps",
-    "invert_clock",
     "sample_clock_ensemble",
 ]
 
 _JUMP_KINDS = ("none", "exponential", "pareto", "fixed", "truncated_stable")
 
+# settings a jump law does not read, refused unless left at their defaults;
+# every other law ignores the cutoff
+_IGNORED = {"none": ("rate", "jump_param", "cutoff"), "truncated_stable": ("rate",)}
+
 # Expected jumps per ensemble above which sampling is refused before any draw.
 # Sampling plus inversion peak at ~90 (few long paths) to ~170 (many short
 # paths) bytes per jump, so this caps them at ~1-2 GB.
 MAX_EXPECTED_JUMPS = 10_000_000
-
-
-class InsufficientHorizonError(RuntimeError):
-    """The sampled skeleton does not cover the intrinsic times the grid needs."""
 
 
 @dataclass(frozen=True)
@@ -65,6 +62,13 @@ class SubordinatorSpec:
             raise ValueError(f"kappa (the subordinator drift) must be > 0, got {self.kappa}")
         if self.jump_kind not in _JUMP_KINDS:
             raise ValueError(f"jump_kind must be one of {_JUMP_KINDS}, got {self.jump_kind!r}")
+        ignored = _IGNORED.get(self.jump_kind, ("cutoff",))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in ignored and value != f.default:
+                raise ValueError(
+                    f"{f.name} is not read by {self.jump_kind} jumps; leave it out, got {value!r}"
+                )
         if self.jump_kind == "none":
             return
         if self.jump_kind == "truncated_stable":
@@ -100,14 +104,11 @@ class SubordinatorSpec:
             return rng.exponential(float(self.jump_param), size=n)
         if self.jump_kind == "fixed":
             return np.full(n, float(self.jump_param))
-        if self.jump_kind == "pareto":
-            scale, shape = self.jump_param
+        if self.jump_kind in ("pareto", "truncated_stable"):
+            pareto = self.jump_kind == "pareto"
+            scale, shape = self.jump_param if pareto else (self.cutoff, self.jump_param)
             u = 1.0 - rng.random(n)  # in (0, 1]
             return scale * u ** (-1.0 / shape)
-        if self.jump_kind == "truncated_stable":
-            beta = float(self.jump_param)
-            u = 1.0 - rng.random(n)
-            return self.cutoff * u ** (-1.0 / beta)
         return np.zeros(n)
 
     def to_json_dict(self) -> dict:
@@ -120,26 +121,6 @@ class SubordinatorSpec:
             else self.jump_param,
             "cutoff": self.cutoff,
         }
-
-
-@dataclass(frozen=True)
-class SubordinatorSkeleton:
-    """Finite jump skeleton of S on an intrinsic-time horizon.
-
-    S_r = kappa*r + sum of jump_sizes at intrinsic jump_times <= r.
-    """
-
-    spec: SubordinatorSpec
-    jump_times: np.ndarray
-    jump_sizes: np.ndarray
-    horizon: float
-
-    def __post_init__(self):
-        jt = np.asarray(self.jump_times, dtype=float)
-        js = np.asarray(self.jump_sizes, dtype=float)
-        object.__setattr__(self, "jump_times", jt)
-        object.__setattr__(self, "jump_sizes", js)
-        _check_jumps(np.zeros(jt.size, dtype=int), jt, js)
 
 
 @dataclass(frozen=True)
@@ -225,7 +206,7 @@ def sample_jumps(spec: SubordinatorSpec, horizon: float, n_paths: int, seed: int
     return np.bincount(path_id, minlength=n_paths), times, sizes
 
 
-def _invert(kappa, grid, horizon, counts, times, sizes) -> ClockEnsemble:
+def _invert(kappa, grid, counts, times, sizes) -> ClockEnsemble:
     """Exact inversion of valid flat skeletons (see `sample_jumps`) at the
     grid nodes.
 
@@ -263,10 +244,6 @@ def _invert(kappa, grid, horizon, counts, times, sizes) -> ClockEnsemble:
 
     flat = u >= at(s_minus)
     L_exact = np.where(flat, at(jt), (u - at(csum)) / kappa)
-    if np.any(L_exact[:, -1] > horizon):
-        raise InsufficientHorizonError(
-            f"skeleton horizon {horizon} < required intrinsic time {L_exact[:, -1].max()}"
-        )
     # float guard: the exact increments satisfy 0 <= dL <= dt/kappa; clip the
     # sub-ulp rounding noise so the bound holds as stored
     dL = np.clip(np.diff(L_exact, axis=1), 0.0, grid.dt / kappa)
@@ -276,19 +253,12 @@ def _invert(kappa, grid, horizon, counts, times, sizes) -> ClockEnsemble:
     return ClockEnsemble(grid=grid, L=L, R=R, dL=dL)
 
 
-def invert_clock(skeleton: SubordinatorSkeleton, grid: TimeGrid) -> ClockEnsemble:
-    """One-path entry into the ensemble inversion, for hand-built skeletons."""
-    jt = skeleton.jump_times
-    counts = np.array([jt.size])
-    return _invert(skeleton.spec.kappa, grid, skeleton.horizon, counts, jt, skeleton.jump_sizes)
-
-
 def sample_clock_ensemble(
     spec: SubordinatorSpec, grid: TimeGrid, n_paths: int, seed: int
 ) -> ClockEnsemble:
     """n_paths independent clock paths, inverted as one block."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    horizon = grid.T / spec.kappa  # drift alone reaches T
-    counts, times, sizes = sample_jumps(spec, horizon, n_paths, seed)
-    return _invert(spec.kappa, grid, horizon, counts, times, sizes)
+    # S_r >= kappa r, so L_T <= T / kappa: this horizon covers every grid node
+    counts, times, sizes = sample_jumps(spec, grid.T / spec.kappa, n_paths, seed)
+    return _invert(spec.kappa, grid, counts, times, sizes)

@@ -33,7 +33,6 @@ __all__ = [
     "default_c1",
     "get_bundle",
     "register_bundle",
-    "BUNDLE_NAMES",
 ]
 
 # numeric slack on the monotonicity margins at equality cases
@@ -335,8 +334,6 @@ _REGISTRY: dict[str, Callable[..., CoefficientBundle]] = {
     "flipped_b_demo": _flipped_b_demo,
     "divergence_demo": _divergence_demo,
 }
-
-BUNDLE_NAMES = tuple(_REGISTRY)
 
 
 def register_bundle(name: str, factory: Callable[..., CoefficientBundle]) -> None:

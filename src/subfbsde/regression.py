@@ -245,12 +245,17 @@ class RegressionPlan:
         self._grams = np.empty((3, n - 1, p, p))
         singular = ([], [])  # slices whose full / half designs are rank deficient
         for k in range(1, n):
-            A = polynomial_features(
-                np.column_stack([c[:, k - 1] for c in self._columns]), basis.degree
-            )
-            designs = (A, A[:half], A[half:])
-            for s, As in enumerate(designs):
-                self._grams[s, k - 1] = As.T @ As + self._ridges[s] * np.eye(p)
+            # features too large for floats overflow here; the check below
+            # names the slice instead of warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                A = polynomial_features(
+                    np.column_stack([c[:, k - 1] for c in self._columns]), basis.degree
+                )
+                designs = (A, A[:half], A[half:])
+                for s, As in enumerate(designs):
+                    self._grams[s, k - 1] = As.T @ As + self._ridges[s] * np.eye(p)
+            if not np.all(np.isfinite(self._grams[:, k - 1])):
+                raise _NonFiniteError(f"non-finite regression design at slice {k}")
             if basis.ridge == 0.0:
                 if np.linalg.matrix_rank(A) < p:
                     singular[0].append(k)

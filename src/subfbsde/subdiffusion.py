@@ -41,7 +41,6 @@ class PathEnsemble:
     """
 
     grid: TimeGrid
-    x0: float
     L: np.ndarray
     R: np.ndarray
     dL: np.ndarray
@@ -79,6 +78,4 @@ def build_ensemble(
     X = np.zeros((n_paths, grid.n_steps + 1))
     np.cumsum(dB, axis=1, out=X[:, 1:])
     X += x0
-    return PathEnsemble(
-        grid=grid, x0=x0, L=clock.L, R=clock.R, dL=clock.dL, X=X, dB=dB, kappa=spec.kappa
-    )
+    return PathEnsemble(grid=grid, L=clock.L, R=clock.R, dL=clock.dL, X=X, dB=dB, kappa=spec.kappa)

@@ -74,10 +74,10 @@ def canonical_pathwise_oracle(t, L, x0=1.0, c=1.0):
     return x, x.copy(), np.zeros_like(x)
 
 
-def _invert_at(skeleton, u):
-    """Exact inverse: returns (L_u, S_{L_u}) for nonnegative real times u."""
-    kappa = skeleton.spec.kappa
-    jt, js = skeleton.jump_times, skeleton.jump_sizes
+def _invert_at(kappa, jt, js, u):
+    """Exact inverse of S_r = kappa r + sum of the sizes js of the jumps at
+    intrinsic times jt <= r: returns (L_u, S_{L_u}) for nonnegative real
+    times u."""
     csum = np.concatenate(([0.0], np.cumsum(js)))
     s_minus = kappa * jt + csum[:-1]  # S just before each jump
     s_plus = s_minus + js  # S just after each jump
@@ -92,15 +92,14 @@ def _invert_at(skeleton, u):
     return L, s_at
 
 
-def invert_clock_reference(skeleton, grid):
-    """(L, R, dL) of one skeleton on the grid: the delayed clock
+def invert_clock_reference(kappa, jump_times, jump_sizes, grid):
+    """(L, R, dL) of one jump skeleton on the grid: the delayed clock
     L_{(t-a)^+}, the overshoot R_t = a + S_{L_{(t-a)^+}} - t and the clipped
     clock increments, with L rebuilt as their cumulative sum."""
     t = grid.times()
     u = np.maximum(t - grid.a, 0.0)
-    L_exact, s_at = _invert_at(skeleton, u)
-    assert L_exact[-1] <= skeleton.horizon, "skeleton too short for the grid"
-    dL = np.clip(np.diff(L_exact), 0.0, grid.dt / skeleton.spec.kappa)
+    L_exact, s_at = _invert_at(kappa, jump_times, jump_sizes, u)
+    dL = np.clip(np.diff(L_exact), 0.0, grid.dt / kappa)
     L = np.concatenate(([0.0], np.cumsum(dL)))
     R = np.maximum(grid.a + s_at - t, 0.0)
     return L, R, dL

@@ -286,6 +286,14 @@ _REFUSED = [
     ("max_picard", {"max_picard": 0}),
     ("basis/degree", {"basis": {"degree": -1}}),
     ("basis/ridge", {"basis": {"ridge": -1e-3}}),
+    # jump settings the chosen law does not read
+    ("jumps/rate", {"jumps": {"jump_kind": "none", "rate": 5.0}}),
+    ("jumps/jump_param", {"jumps": {"jump_kind": "none", "jump_param": 3.0}}),
+    ("jumps/cutoff", {"jumps": {"jump_kind": "none", "cutoff": 0.1}}),
+    ("jumps/rate", {"jumps": {**_TRUNCATED, "rate": 5.0}}),
+    ("jumps/cutoff", {"jumps": {**_EXP, "cutoff": 0.3}}),
+    ("jumps/cutoff", {"jumps": {**_EXP, "jump_kind": "fixed", "cutoff": 0.3}}),
+    ("jumps/cutoff", {"jumps": {**_PARETO, "cutoff": 0.3}}),
 ]
 
 
@@ -500,6 +508,28 @@ def test_singular_design_is_numerical_failure(tmp_path, capsys):
     cfg = base_config(output_dir=str(tmp_path), basis={"ridge": 0.0})
     assert run("solve", write_config(tmp_path, cfg)) == EXIT_NUMERICAL
     _assert_numerical_failure(capsys, "rank deficient at slice 1; add ridge regularization")
+
+
+@pytest.mark.parametrize("subcommand", ["solve-linear", "solve"])
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"x0": 1e100},  # the Gram's degree-4 entries overflow
+        {"x0": 1e160, "jumps": _EXP, "basis": {"ridge": 0}},  # so do the monomials themselves
+    ],
+    ids=["gram", "monomials"],
+)
+def test_overflowing_regression_design_is_numerical_failure(tmp_path, capfd, subcommand, over):
+    # one stderr line naming the design: no numpy warning, no LAPACK output
+    # on stdout, and no advice about a ridge
+    out = tmp_path / "out"
+    cfg = base_config(output_dir=str(out), **over)
+    assert run(subcommand, write_config(tmp_path, cfg)) == EXIT_NUMERICAL
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
+    assert "non-finite regression design" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("subcommand", ["solve-linear", "solve"])

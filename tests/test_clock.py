@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 
 from subfbsde import (
     MAX_EXPECTED_JUMPS,
-    InsufficientHorizonError,
-    SubordinatorSkeleton,
     SubordinatorSpec,
     TimeGrid,
     build_ensemble,
-    invert_clock,
     sample_clock_ensemble,
     sample_jumps,
 )
+from subfbsde.clock import _check_jumps, _invert
 from oracles import invert_clock_reference
 
 
@@ -34,6 +32,22 @@ def test_spec_validation():
         SubordinatorSpec(kappa=1.0, jump_kind="truncated_stable", jump_param=1.5, cutoff=0.1)
     with pytest.raises(ValueError):
         SubordinatorSpec(kappa=1.0, jump_kind="truncated_stable", jump_param=0.5)
+    # settings the chosen law does not read are refused, each by its field name
+    ignored = [
+        ("rate", {"jump_kind": "none", "rate": 5.0}),
+        ("jump_param", {"jump_kind": "none", "jump_param": 3.0}),
+        ("cutoff", {"jump_kind": "none", "cutoff": 0.1}),
+        ("rate", {"jump_kind": "truncated_stable", "rate": 5.0, "jump_param": 0.5, "cutoff": 0.1}),
+        ("cutoff", {"jump_kind": "exponential", "rate": 1.0, "jump_param": 1.0, "cutoff": 0.3}),
+        ("cutoff", {"jump_kind": "fixed", "rate": 1.0, "jump_param": 1.0, "cutoff": 0.3}),
+        ("cutoff", {"jump_kind": "pareto", "rate": 1.0, "jump_param": (0.3, 1.5), "cutoff": 0.3}),
+    ]
+    for name, settings in ignored:
+        with pytest.raises(ValueError, match=f"^{name} is not read by {settings['jump_kind']}"):
+            SubordinatorSpec(kappa=1.0, **settings)
+    # the default rate 0 is no setting
+    assert SubordinatorSpec(kappa=1.0, rate=0.0).effective_rate() == 0.0
+    SubordinatorSpec(kappa=1.0, jump_kind="truncated_stable", rate=0.0, jump_param=0.5, cutoff=0.1)
 
 
 def test_grid_validation():
@@ -54,6 +68,9 @@ def test_truncated_stable_rate():
     assert spec.effective_rate() == pytest.approx(eps ** (-beta) / math.gamma(1.0 - beta))
     sizes = spec.sample_jump_sizes(1000, np.random.default_rng(0))
     assert np.all(sizes >= eps)
+    # the sizes are the Pareto(cutoff, beta) draw, bit for bit
+    pareto = SubordinatorSpec(kappa=1.0, jump_kind="pareto", rate=1.0, jump_param=(eps, beta))
+    assert np.array_equal(sizes, pareto.sample_jump_sizes(1000, np.random.default_rng(0)))
 
 
 def test_drift_only_clock_is_time_over_kappa():
@@ -78,12 +95,11 @@ def test_delayed_clock_waits_until_activation():
 
 
 def test_hand_built_skeleton_inversion():
-    spec = SubordinatorSpec(kappa=1.0, jump_kind="fixed", rate=1.0, jump_param=1.0)
-    skel = SubordinatorSkeleton(spec, np.array([1.0, 2.0]), np.array([1.0, 1.0]), horizon=4.0)
+    # one path, kappa = 1, two unit jumps at intrinsic times 1 and 2
     grid = TimeGrid(a=0.0, T=4.0, n_steps=8)
-    clock = invert_clock(skel, grid)
-    assert clock.L.shape == (1, 9) and clock.dL.shape == (1, 8)
-    L, R = clock.L[0], clock.R[0]
+    one = _invert(1.0, grid, np.array([2]), np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+    assert one.L.shape == (1, 9) and one.dL.shape == (1, 8)
+    L, R = one.L[0], one.R[0]
     # S jumps over (1,2) at r=1 and over (3,4) at r=2
     expected_L = np.array([0.0, 0.5, 1.0, 1.0, 1.0, 1.5, 2.0, 2.0, 2.0])
     assert np.allclose(L, expected_L)
@@ -94,7 +110,6 @@ def test_hand_built_skeleton_inversion():
 
 
 def test_skeleton_validation():
-    spec = SubordinatorSpec(kappa=1.0, jump_kind="fixed", rate=1.0, jump_param=1.0)
     for times, sizes in (
         ([1.0, 2.0], [1.0]),  # unequal lengths
         ([2.0, 1.0], [1.0, 1.0]),  # decreasing
@@ -102,15 +117,9 @@ def test_skeleton_validation():
         ([0.0, 1.0], [1.0, 1.0]),  # jump at r = 0
         ([1.0, 2.0], [1.0, 0.0]),  # zero size
     ):
+        path_id = np.zeros(len(times), dtype=int)  # one path
         with pytest.raises(ValueError):
-            SubordinatorSkeleton(spec, np.array(times), np.array(sizes), horizon=4.0)
-
-
-def test_insufficient_horizon_raises():
-    spec = SubordinatorSpec(kappa=1.0)
-    skel = SubordinatorSkeleton(spec, np.empty(0), np.empty(0), horizon=0.5)
-    with pytest.raises(InsufficientHorizonError):
-        invert_clock(skel, TimeGrid(a=0.0, T=1.0, n_steps=4))
+            _check_jumps(path_id, np.array(times), np.array(sizes))
 
 
 def test_ensemble_reproducible(jump_spec, grid):
@@ -163,15 +172,11 @@ def test_block_inversion_matches_per_path_reference(kind, a):
     ends = np.cumsum(counts)
     for i in range(n_paths):
         own = slice(ends[i] - counts[i], ends[i])
-        skel = SubordinatorSkeleton(spec, times[own], sizes[own], horizon)
-        L, R, dL = invert_clock_reference(skel, grid)
+        L, R, dL = invert_clock_reference(spec.kappa, times[own], sizes[own], grid)
         # exactly equal, not within a tolerance
         assert np.array_equal(clock.L[i], L), f"L of path {i} ({counts[i]} jumps)"
         assert np.array_equal(clock.R[i], R), f"R of path {i} ({counts[i]} jumps)"
         assert np.array_equal(clock.dL[i], dL), f"dL of path {i} ({counts[i]} jumps)"
-        if counts[i] == counts.max():
-            one = invert_clock(skel, grid)  # the one-path entry agrees too
-            assert np.array_equal(one.L[0], L) and np.array_equal(one.R[0], R)
 
 
 def test_jump_budget_refused_before_any_draw(monkeypatch):

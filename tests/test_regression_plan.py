@@ -188,10 +188,10 @@ def test_no_stale_plan_after_replace(jump_ensemble):
     before, _ = solve_fbsde(bundle, 1.0, ens)
     rng = np.random.default_rng(3)
     dB = ens.dB * (1.0 + 0.5 * rng.random(ens.dB.shape))
-    X = ens.x0 + np.concatenate([np.zeros((ens.n_paths, 1)), np.cumsum(dB, axis=1)], axis=1)
+    X = ens.X[:, :1] + np.concatenate([np.zeros((ens.n_paths, 1)), np.cumsum(dB, axis=1)], axis=1)
     replaced = dataclasses.replace(ens, X=X, dB=dB)
     fresh = PathEnsemble(
-        grid=ens.grid, x0=ens.x0, L=ens.L.copy(), R=ens.R.copy(), dL=ens.dL.copy(),
+        grid=ens.grid, L=ens.L.copy(), R=ens.R.copy(), dL=ens.dL.copy(),
         X=X.copy(), dB=dB.copy(), kappa=ens.kappa,
     )
     after, _ = solve_fbsde(bundle, 1.0, replaced)

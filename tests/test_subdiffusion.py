@@ -25,11 +25,10 @@ def test_increment_variance_tracks_clock(jump_spec):
     assert np.all(np.abs(d.mean(axis=0)) <= 3.0 * se + 1e-12)
 
 
-def test_path_reconstruction_and_offset(jump_ensemble):
-    X = jump_ensemble.x0 + np.concatenate(
-        (np.zeros((jump_ensemble.n_paths, 1)), np.cumsum(jump_ensemble.dB, axis=1)), axis=1
-    )
-    assert np.array_equal(jump_ensemble.X, X)
+def test_path_reconstruction_and_offset(jump_spec, grid):
+    ens = build_ensemble(jump_spec, grid, 30, seed=8, x0=0.5)
+    X = 0.5 + np.concatenate((np.zeros((ens.n_paths, 1)), np.cumsum(ens.dB, axis=1)), axis=1)
+    assert np.array_equal(ens.X, X)
 
 
 def test_x0_shift(jump_spec, grid):
@@ -51,9 +50,9 @@ def test_mismatched_grids_rejected(jump_spec):
     ens = build_ensemble(jump_spec, g1, 2, seed=1)
     c2 = sample_clock_ensemble(jump_spec, g2, 2, seed=1)
     with pytest.raises(ValueError):
-        PathEnsemble(grid=g1, x0=0.0, L=c2.L, R=c2.R, dL=c2.dL, X=ens.X, dB=ens.dB)
+        PathEnsemble(grid=g1, L=c2.L, R=c2.R, dL=c2.dL, X=ens.X, dB=ens.dB)
     with pytest.raises(ValueError):
-        PathEnsemble(grid=g2, x0=0.0, L=c2.L, R=c2.R, dL=c2.dL, X=ens.X, dB=ens.dB)
+        PathEnsemble(grid=g2, L=c2.L, R=c2.R, dL=c2.dL, X=ens.X, dB=ens.dB)
 
 
 def test_gaussian_block_drawn_from_its_own_stream(jump_spec, grid):
