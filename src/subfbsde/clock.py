@@ -58,8 +58,10 @@ class SubordinatorSpec:
     cutoff: float | None = None
 
     def __post_init__(self):
-        if not (self.kappa > 0.0):
-            raise ValueError(f"kappa (the subordinator drift) must be > 0, got {self.kappa}")
+        if not (0.0 < self.kappa < math.inf):
+            raise ValueError(
+                f"kappa (the subordinator drift) must be finite and > 0, got {self.kappa}"
+            )
         if self.jump_kind not in _JUMP_KINDS:
             raise ValueError(f"jump_kind must be one of {_JUMP_KINDS}, got {self.jump_kind!r}")
         ignored = _IGNORED.get(self.jump_kind, ("cutoff",))
@@ -74,21 +76,21 @@ class SubordinatorSpec:
         if self.jump_kind == "truncated_stable":
             if not (isinstance(self.jump_param, (int, float)) and 0.0 < self.jump_param < 1.0):
                 raise ValueError("jump_param of truncated_stable jumps must be an index in (0, 1)")
-            if self.cutoff is None or not (self.cutoff > 0.0):
-                raise ValueError("cutoff of truncated_stable jumps must be > 0")
+            if self.cutoff is None or not (0.0 < self.cutoff < math.inf):
+                raise ValueError("cutoff of truncated_stable jumps must be finite and > 0")
             return
-        if self.rate < 0.0:
-            raise ValueError(f"rate must be >= 0, got {self.rate}")
+        if not (0.0 <= self.rate < math.inf):
+            raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
         if self.jump_kind in ("exponential", "fixed"):
-            if not (isinstance(self.jump_param, (int, float)) and self.jump_param > 0):
-                raise ValueError(f"jump_param of {self.jump_kind} jumps must be a positive number")
+            if not (isinstance(self.jump_param, (int, float)) and 0 < self.jump_param < math.inf):
+                raise ValueError(f"jump_param of {self.jump_kind} jumps must be finite and > 0")
         elif self.jump_kind == "pareto":
             try:
                 scale, shape = self.jump_param
             except (TypeError, ValueError):
                 raise ValueError("jump_param of pareto jumps must be (scale, shape)") from None
-            if not (scale > 0 and shape > 0):
-                raise ValueError("jump_param of pareto jumps must have a positive scale and shape")
+            if not (0 < scale < math.inf and 0 < shape < math.inf):
+                raise ValueError("jump_param of pareto jumps needs a finite scale and shape > 0")
 
     def effective_rate(self) -> float:
         """Poisson intensity of the (possibly truncated) jump stream."""

@@ -46,14 +46,14 @@ class ContinuationConfig:
     def __post_init__(self):
         if self.eta is not None and not (0.0 < self.eta <= 1.0):
             raise ValueError("eta must lie in (0, 1]")
-        if not (self.picard_tol > 0.0):
-            raise ValueError("picard_tol must be positive")
+        if not (0.0 < self.picard_tol < math.inf):
+            raise ValueError("picard_tol must be finite and positive")
         if self.max_picard < 1:
             raise ValueError("max_picard must be at least 1")
         if self.nested_max_depth < 1:
             raise ValueError("nested_max_depth must be at least 1")
-        if self.C1 is not None and not (self.C1 > 0.0):
-            raise ValueError("C1 must be positive")
+        if self.C1 is not None and not (0.0 < self.C1 < math.inf):
+            raise ValueError("C1 must be finite and positive")
 
     def resolved_eta(self, bundle: CoefficientBundle, kappa: float, T: float) -> float:
         if self.eta is not None:

@@ -43,9 +43,9 @@ class _NonFiniteError(ValueError, FloatingPointError):
 
 
 class SingularSliceError(RuntimeError):
-    """A slice regression that cannot be solved: its design is rank deficient
-    under ridge 0, or its ridged Gram matrix is singular in LU, which happens
-    when the features are so large that the ridge vanishes next to them."""
+    """A slice regression that cannot be solved: under ridge 0 its Gram is
+    numerically rank deficient; with a ridge its Gram is singular in LU,
+    because the features are so large that the ridge vanishes next to them."""
 
     def __init__(self, slice_index, ridge: float = 0.0):
         self.slice_index = slice_index
@@ -53,11 +53,11 @@ class SingularSliceError(RuntimeError):
             advice = "add ridge regularization or drop collinear features"
         else:
             advice = (
-                f"its Gram matrix is singular despite the ridge {ridge:g}, "
+                f"it is singular despite the ridge {ridge:g}, "
                 "which is too small for the scale of the features"
             )
         super().__init__(
-            f"regression design matrix is rank deficient at slice {slice_index}; {advice}"
+            f"regression Gram matrix is rank deficient at slice {slice_index}; {advice}"
         )
 
 
@@ -76,8 +76,8 @@ class BasisSpec:
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
-        if self.ridge is not None and self.ridge < 0.0:
-            raise ValueError("ridge must be >= 0")
+        if self.ridge is not None and not (0.0 <= self.ridge < math.inf):
+            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
 
     def effective_ridge(self, n_paths: int) -> float:
         return 1e-10 * n_paths if self.ridge is None else self.ridge
@@ -201,14 +201,14 @@ class RegressionPlan:
     features at k, so everything that depends on the designs alone is built
     here: the ridged Gram matrix of every slice for all paths and for each
     cross-fit half, with the ridge `fit_condexp` uses at each sample size,
-    and the cross-fitted denominator E[dL_k | F] of the ratio estimator with
-    the mask where z is set to zero, and the read-only weights
-    w = exp(-(t + L)) of the linear solve.  `regress` then runs the
-    regressions of one linear solve on every slice at once, with the same
-    checks as the single-slice path.  Monomial columns are streamed from the
-    ensemble's X and R arrays rather than stored, so the plan holds p x p
-    numbers per slice plus one (n_paths, n_steps - 1) denominator and one
-    (n_paths, n_steps + 1) weight grid.
+    the cross-fitted denominator E[dL_k | F] of the ratio estimator with the
+    mask where z is set to zero, and the read-only weights w = exp(-(t + L))
+    of the linear solve.  `regress` then runs the regressions of one linear
+    solve on every slice at once, with the same checks as the single-slice
+    path.  The monomials are streamed from the ensemble's X and R over row
+    blocks of paths, never stored: the Grams, the target reductions and the
+    fitted values all come from that stream, so the plan holds p x p numbers
+    per slice, one (n_paths, n_steps - 1) denominator and one weight grid.
     """
 
     def __init__(self, ensemble, basis: BasisSpec):
@@ -234,44 +234,44 @@ class RegressionPlan:
         dL = ensemble.dL[:, inner]
         frozen = np.all(dL == 0.0, axis=0)
         dim = math.comb(1 + basis.include_r + basis.degree, basis.degree)
-        sizes = (m, half, m - half)
-        self._ridges = [basis.effective_ridge(size) for size in sizes]
+        self._ridges = [basis.effective_ridge(size) for size in (m, half, m - half)]
         if n > 1 and m < dim + 1:
             raise ValueError(f"need at least basis dimension + 1 = {dim + 1} paths, got {m}")
         if n > 1 and r_vanishes and basis.degree > 0 and basis.ridge == 0.0:
             raise SingularSliceError(1)  # the zero R column of every design
 
         p = math.comb(len(self._columns) + basis.degree, basis.degree)
-        self._grams = np.empty((3, n - 1, p, p))
-        singular = ([], [])  # slices whose full / half designs are rank deficient
-        for k in range(1, n):
-            # features too large for floats overflow here; the check below
-            # names the slice instead of warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                A = polynomial_features(
-                    np.column_stack([c[:, k - 1] for c in self._columns]), basis.degree
-                )
-                designs = (A, A[:half], A[half:])
-                for s, As in enumerate(designs):
-                    self._grams[s, k - 1] = As.T @ As + self._ridges[s] * np.eye(p)
-            if not np.all(np.isfinite(self._grams[:, k - 1])):
-                raise _NonFiniteError(f"non-finite regression design at slice {k}")
-            if basis.ridge == 0.0:
-                if np.linalg.matrix_rank(A) < p:
-                    singular[0].append(k)
-                if not frozen[k - 1] and any(np.linalg.matrix_rank(As) < p for As in designs[1:]):
-                    singular[1].append(k)
-        # checks in the order of the single-slice path: the in-sample fits of
-        # every slice come before the cross-fits
-        if singular[0]:
-            raise SingularSliceError(singular[0][0])
+        # the raw Grams of the cross-fit halves (samples 1, 2) reduced over the
+        # monomial stream, and their sum; features too large for floats
+        # overflow here, and the check below names the slice instead of warning
+        self._grams = np.zeros((3, n - 1, p, p))
+        upper = np.triu_indices(p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _, h, monomials in self._row_blocks():
+                mono = list(monomials)
+                for i, j in zip(*upper):
+                    self._grams[h, :, i, j] += np.einsum("ik,ik->k", mono[i], mono[j])
+            self._grams[..., upper[1], upper[0]] = self._grams[..., upper[0], upper[1]]
+            self._grams[0] = self._grams[1] + self._grams[2]
+            self._grams += np.multiply.outer(self._ridges, np.eye(p))[:, None]
+        finite = np.isfinite(self._grams).all(axis=(0, 2, 3))
+        if not finite.all():
+            raise _NonFiniteError(f"non-finite regression design at slice {finite.argmin() + 1}")
+        # under ridge 0, singular Grams in the single-slice path's order: the
+        # in-sample fits of every slice come before the cross-fits
+        deficient = np.zeros((3, n - 1), dtype=bool)
+        if basis.ridge == 0.0:
+            deficient = np.linalg.matrix_rank(self._grams, hermitian=True) < p
+        crossfit = deficient[1:].any(axis=0) & ~frozen
+        if deficient[0].any():
+            raise SingularSliceError(int(deficient[0].argmax()) + 1)
         if not np.all(frozen) and half < dim + 1:
             raise ValueError(
                 f"need at least 2 * (basis dimension + 1) = {2 * (dim + 1)} paths to "
                 f"cross-fit the integrand, got {m}"
             )
-        if singular[1]:
-            raise SingularSliceError(singular[1][0])
+        if crossfit.any():
+            raise SingularSliceError(int(crossfit.argmax()) + 1)
         # frozen slices are never cross-fitted (z is zero there); the identity
         # keeps their possibly singular half Grams out of the batched solve
         self._grams[1:, frozen] = np.eye(p)

@@ -45,6 +45,21 @@ def test_spec_validation():
     for name, settings in ignored:
         with pytest.raises(ValueError, match=f"^{name} is not read by {settings['jump_kind']}"):
             SubordinatorSpec(kappa=1.0, **settings)
+    # non-finite settings are refused, each by its field name
+    nan, inf = float("nan"), float("inf")
+    non_finite = [
+        ("kappa", {"kappa": inf}),
+        ("rate", {"jump_kind": "exponential", "rate": nan, "jump_param": 1.0}),
+        ("rate", {"jump_kind": "pareto", "rate": inf, "jump_param": (0.3, 1.5)}),
+        ("jump_param", {"jump_kind": "exponential", "rate": 1.0, "jump_param": inf}),
+        ("jump_param", {"jump_kind": "fixed", "rate": 1.0, "jump_param": inf}),
+        ("jump_param", {"jump_kind": "pareto", "rate": 1.0, "jump_param": (inf, 1.5)}),
+        ("jump_param", {"jump_kind": "pareto", "rate": 1.0, "jump_param": (0.3, inf)}),
+        ("cutoff", {"jump_kind": "truncated_stable", "jump_param": 0.5, "cutoff": inf}),
+    ]
+    for name, settings in non_finite:
+        with pytest.raises(ValueError, match=f"^{name} "):
+            SubordinatorSpec(**{"kappa": 1.0, **settings})
     # the default rate 0 is no setting
     assert SubordinatorSpec(kappa=1.0, rate=0.0).effective_rate() == 0.0
     SubordinatorSpec(kappa=1.0, jump_kind="truncated_stable", rate=0.0, jump_param=0.5, cutoff=0.1)

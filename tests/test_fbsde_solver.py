@@ -8,6 +8,7 @@ from subfbsde import (
     MarkovState,
     SolutionTriple,
     SubordinatorSpec,
+    TimeGrid,
     build_ensemble,
     eta0,
     get_bundle,
@@ -43,6 +44,8 @@ def test_config_validation():
         ({"C1": 0.0}, "C1"),
         ({"C1": -1.0}, "C1"),
         ({"C1": float("nan")}, "C1"),
+        ({"C1": float("inf")}, "C1"),
+        ({"picard_tol": float("inf")}, "picard_tol"),
     ],
 )
 def test_config_owns_depth_and_c1_ranges(kwargs, field):
@@ -259,10 +262,15 @@ def test_user_seed_mirrored_for_increasing_orientation(drift_ensemble):
 
 
 PARETO_SPEC = SubordinatorSpec(kappa=1.0, jump_kind="pareto", rate=2.0, jump_param=(0.3, 1.5))
+# shape 0.2: on 100 paths at seed 1, R reaches 3.5e9 and its degree-2
+# monomials 1e19
+HEAVY_PARETO_SPEC = SubordinatorSpec(
+    kappa=1.0, jump_kind="pareto", rate=5.0, jump_param=(0.01, 0.2)
+)
 
 
 @pytest.mark.parametrize("eta", [1.0, 0.5], ids=["flatten", "eta0.5"])
-@pytest.mark.parametrize("clock", ["exponential", "pareto"])
+@pytest.mark.parametrize("clock", ["exponential", "pareto", "heavy_pareto"])
 @pytest.mark.parametrize("c", [0.5, 2.0])
 def test_canonical_matches_pathwise_oracle_under_jumps(jump_ensemble, grid, clock, c, eta):
     # the Picard forcings vanish at the fixed point, so this checks the Picard
@@ -271,6 +279,9 @@ def test_canonical_matches_pathwise_oracle_under_jumps(jump_ensemble, grid, cloc
     ens = jump_ensemble
     if clock == "pareto":
         ens = build_ensemble(PARETO_SPEC, grid, n_paths=400, seed=12)
+    elif clock == "heavy_pareto":
+        grid20 = TimeGrid(a=0.0, T=1.0, n_steps=20)
+        ens = build_ensemble(HEAVY_PARETO_SPEC, grid20, n_paths=100, seed=1)
     config = ContinuationConfig(eta=eta)
     theta, diag = solve_fbsde(get_bundle("canonical_monotone", c=c), 1.0, ens, config)
     assert diag.levels[-1].converged

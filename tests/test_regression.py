@@ -46,6 +46,9 @@ def test_basis_validation():
         BasisSpec(degree=-1)
     with pytest.raises(ValueError):
         BasisSpec(ridge=-1.0)
+    for ridge in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^ridge must be finite"):
+            BasisSpec(ridge=ridge)
     assert BasisSpec().effective_ridge(1000) == pytest.approx(1e-7)
     assert BasisSpec(ridge=0.5).effective_ridge(1000) == 0.5
 

@@ -17,6 +17,7 @@ from subfbsde import (
     extract_z,
     fit_condexp,
     get_bundle,
+    polynomial_features,
     solve_fbsde,
     solve_linear,
 )
@@ -146,6 +147,43 @@ def test_ridge_zero_singular_slice_index(drift_ensemble, flat, expected):
     with pytest.raises(SingularSliceError) as err:
         solve_linear(f, 1.0, RegressionPlan(ens, basis))
     assert err.value.slice_index == ref_err.value.slice_index == expected
+
+
+@pytest.mark.parametrize("rows", [slice(None), slice(200, 400)], ids=["all", "second_half"])
+def test_ridge_zero_rank_is_judged_on_the_gram(drift_ensemble, rows):
+    # X in [1, 1 + 1e-5] at slice 6, on every path or on the second cross-fit
+    # half only: the design [1, X, X^2] has full rank (condition ~1e11), but
+    # its Gram, the matrix LU factors, is numerically singular
+    k = 6
+    X = drift_ensemble.X.copy()
+    X[rows, k] = 1.0 + 1e-5 * np.random.default_rng(4).random(X[rows, k].shape)
+    assert np.linalg.matrix_rank(polynomial_features(X[rows, k], 2)) == 3
+    ens = dataclasses.replace(drift_ensemble, X=X)
+    with pytest.raises(SingularSliceError, match="at slice 6; add ridge regularization") as err:
+        RegressionPlan(ens, BasisSpec(degree=2, include_r=False, ridge=0.0))
+    assert err.value.slice_index == k
+
+
+def test_non_finite_design_names_its_first_slice(drift_ensemble):
+    # degree-4 Gram entries of X = 1e100 overflow at slices 5 and 8 only
+    X = drift_ensemble.X.copy()
+    X[:3, [5, 8]] = 1e100
+    with pytest.raises(FloatingPointError, match="non-finite regression design at slice 5$"):
+        RegressionPlan(dataclasses.replace(drift_ensemble, X=X), BasisSpec())
+
+
+def test_singular_half_gram_names_its_slice_and_ridge(jump_ensemble):
+    # the batched solve's fallback finds a Gram that is exactly singular in LU
+    # despite a positive ridge and names its slice and that half's ridge
+    # (1e-10 per path: 2e-08 for a 200-path half, 4e-08 for all 400 paths)
+    plan = RegressionPlan(jump_ensemble, BasisSpec())
+    k = 5
+    assert np.any(jump_ensemble.dL[:, k] > 0.0)  # not frozen, so cross-fitted
+    plan._grams[2, k - 1] = np.ones(plan._grams.shape[-2:])
+    with pytest.raises(SingularSliceError, match="at slice 5; it is singular despite the ridge "
+                       "2e-08") as err:
+        plan.regress(jump_ensemble.X[:, -1])
+    assert err.value.slice_index == k
 
 
 def test_frozen_slice_gives_zero_z(drift_ensemble):
