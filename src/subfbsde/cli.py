@@ -279,7 +279,7 @@ def _solve_linear(config: ScenarioConfig, subcommand: str) -> int:
     ens = config.ensemble()
     forcings = config.forcings(ens.n_paths, ens.n_steps)
     with _solver_config_errors():
-        theta = solve_linear(forcings, config.x0, RegressionPlan(ens, config.basis))
+        theta = solve_linear(forcings.rows, config.x0, RegressionPlan(ens, config.basis))
     _solution_csv(config, subcommand, ens, theta)
     _write_json(
         config.artifact_path(subcommand, "json"),

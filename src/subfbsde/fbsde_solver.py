@@ -16,14 +16,15 @@ machinery through the (y, z) -> (-y, -z) mirror.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
 from .coefficients import CoefficientBundle, default_c1, eta0, mirror_bundle
 from .diagnostics import AprioriReport, MNormValue, apriori_ratio, contraction_fit, m_norm
 from .linear_solver import ForcingSet, SolutionTriple, solve_linear
-from .regression import BasisSpec, RegressionPlan, _row_slices
+from .regression import BasisSpec, RegressionPlan
 from .subdiffusion import MarkovState, PathEnsemble
 
 __all__ = [
@@ -127,43 +128,41 @@ def picard_forcings(
     bundle: CoefficientBundle,
     theta_prev: SolutionTriple,
     eta: float,
-    base_forcings: ForcingSet | None,
+    base_forcings,
     ensemble: PathEnsemble,
-) -> ForcingSet:
+):
     """Forcings that carry the previous iterate across a continuation step of
     size eta.  The x-direction contributions enter with a minus sign so that
     the level-(alpha0+eta) coefficients are recovered in the Picard limit,
     mirroring the plus signs in the continuation family for g, h, phi.
 
-    base_forcings None stands for zero base forcings.  Each node forcing
-    base + eta * (v + coefficient) is built in place, one row block of paths
-    at a time: the bundle's pointwise evaluators see the block's states and
-    iterates.  A factor eta of 1 and a zero base are not applied."""
-    t = ensemble.grid.times()
-    x, y, z = theta_prev.x, theta_prev.y, theta_prev.z
-    out = {name: np.empty(x.shape) for name in ("b0", "g0", "delta0", "h0", "sigma0")}
-    for rows in _row_slices(0, x.shape[0]):
-        st = MarkovState(x=ensemble.X[rows], r=ensemble.R[rows])
-        xr, yr, zr = x[rows], y[rows], z[rows]
-        np.add(yr, bundle.b(t, st, xr, yr), out=out["b0"][rows])
-        np.add(yr, bundle.delta(t, st, xr, yr, zr), out=out["delta0"][rows])
-        np.add(zr, bundle.sigma(t, st, xr, yr, zr), out=out["sigma0"][rows])
-        np.subtract(bundle.h(t, st, xr, yr, zr), xr, out=out["h0"][rows])
-        np.subtract(bundle.g(t, st, xr, yr), xr, out=out["g0"][rows])
-        for name, arr in out.items():
-            block = arr[rows]
-            if eta != 1.0:
-                block *= eta
-            if base_forcings is not None:
-                block += getattr(base_forcings, name)[rows]
-    st_T = MarkovState(x=ensemble.X[:, -1], r=ensemble.R[:, -1])
-    x_T = x[:, -1]
-    phi0 = -x_T + np.broadcast_to(bundle.phi(st_T, x_T), x_T.shape)
-    if eta != 1.0:
-        phi0 *= eta
-    if base_forcings is not None:
-        phi0 += base_forcings.phi0
-    return ForcingSet(**out, phi0=phi0)
+    Returns the row-block forcings of `solve_linear`: base + eta * (v +
+    coefficient), the bundle evaluated on a row block's states and iterates.
+    base_forcings(rows) is the base; None stands for zero base forcings."""
+    return partial(_forcings_on_rows, bundle, theta_prev, eta, base_forcings, ensemble)
+
+
+def _forcings_on_rows(bundle, theta, eta, base_forcings, ensemble, rows: slice) -> ForcingSet:
+    """`picard_forcings` on a row block; an eta of 1 and a zero base are not applied."""
+    t, st = ensemble.grid.times(), MarkovState(x=ensemble.X[rows], r=ensemble.R[rows])
+    x, y, z = theta.x[rows], theta.y[rows], theta.z[rows]
+    st_T, x_T = MarkovState(x=st.x[:, -1], r=st.r[:, -1]), x[:, -1]
+    out = ForcingSet(
+        b0=np.add(y, bundle.b(t, st, x, y)),
+        g0=np.subtract(bundle.g(t, st, x, y), x),
+        delta0=np.add(y, bundle.delta(t, st, x, y, z)),
+        h0=np.subtract(bundle.h(t, st, x, y, z), x),
+        sigma0=np.add(z, bundle.sigma(t, st, x, y, z)),
+        phi0=np.subtract(bundle.phi(st_T, x_T), x_T),
+    )
+    base = base_forcings(rows) if base_forcings is not None else None
+    for f in fields(out):
+        arr = getattr(out, f.name)
+        if eta != 1.0:
+            arr *= eta
+        if base is not None:
+            arr += getattr(base, f.name)
+    return out
 
 
 def _record_level(diag: SolveDiagnostics, alpha, eta, residuals, converged):
@@ -179,17 +178,6 @@ def _mirrored(theta: SolutionTriple) -> SolutionTriple:
     """The (y, z) -> (-y, -z) mirror between a sign-flipped bundle's
     variables and the working variables of its mirror bundle."""
     return SolutionTriple(theta.x, -theta.y, -theta.z, theta.dt, theta.dL)
-
-
-def _zero_point_data(bundle: CoefficientBundle, ensemble: PathEnsemble, rows: slice) -> ForcingSet:
-    """The a priori data of a coupled system on a row block of paths: the
-    bundle's coefficients at the zero solution."""
-    t, st = ensemble.grid.times(), MarkovState(x=ensemble.X[rows], r=ensemble.R[rows])
-    o = np.zeros(st.x.shape)
-    b, g, delta = bundle.b(t, st, o, o), bundle.g(t, st, o, o), bundle.delta(t, st, o, o, o)
-    h, sigma = bundle.h(t, st, o, o, o), bundle.sigma(t, st, o, o, o)
-    phi = bundle.phi(MarkovState(x=st.x[:, -1], r=st.r[:, -1]), o[:, -1])
-    return ForcingSet(*(o + v for v in (b, g, delta, h, sigma)), o[:, -1] + phi)
 
 
 def solve_fbsde(
@@ -230,9 +218,9 @@ def solve_fbsde(
     # level is seeded by theta0, every level without a seed by zero
     warm: list = [None] * n_levels + [theta0]
 
-    def solve_at(k: int, f: ForcingSet | None) -> SolutionTriple:
-        """Solve the level-alphas[k] system with forcings f (None: zero
-        forcings, k >= 1 only).  Level 0 is the linear base system; level k
+    def solve_at(k: int, f) -> SolutionTriple:
+        """Solve the level-alphas[k] system with row-block forcings f (None:
+        zero forcings, k >= 1 only).  Level 0 is the linear base system; level k
         runs the Picard loop of the step from alphas[k-1], each iterate
         solving the anchor system at level k-1."""
         if k == 0:
@@ -270,9 +258,14 @@ def solve_fbsde(
         _record_level(diag, err.alpha, err.eta, err.residuals, False)
         err.diagnostics = diag
         raise
+    finally:
+        del solve_at  # it refers to itself: the cycle would hold the plan and the seeds
 
     if flipped:
         theta = _mirrored(theta)
     diag.m_norm = m_norm(theta)
-    diag.apriori = apriori_ratio(theta, lambda rows: _zero_point_data(bundle, ensemble, rows), x0)
+    # a priori data: the coefficients at the zero solution, a full Picard step from it
+    zero = SolutionTriple(*[np.broadcast_to(0.0, theta.x.shape)] * 3, theta.dt, theta.dL)
+    data = partial(_forcings_on_rows, bundle, zero, 1.0, None, ensemble)
+    diag.apriori = apriori_ratio(theta, data, x0)
     return theta, diag

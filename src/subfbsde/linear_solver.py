@@ -40,7 +40,7 @@ class ForcingSet:
     """Exogenous forcings on the grid: b0, g0 integrate against dt;
     delta0, h0, sigma0 against dL; phi0 shifts the terminal condition.
 
-    Node arrays are (n_paths, n_steps+1); phi0 is (n_paths,).
+    Node arrays are (paths, n_steps+1), phi0 is (paths,): all paths or a block.
     """
 
     b0: np.ndarray
@@ -64,18 +64,18 @@ class ForcingSet:
         return f
 
     def rows(self, rows: slice) -> ForcingSet:
-        """The forcings of a row block of paths, as views."""
-        return ForcingSet(*(getattr(self, f.name)[rows] for f in fields(self)))
+        """The forcings of a row block of paths, as views (a scalar as one value)."""
+        return ForcingSet(*(np.atleast_1d(getattr(self, f.name))[rows] for f in fields(self)))
 
-    def validate(self, ensemble: PathEnsemble) -> None:
-        shape = ensemble.X.shape
+    def validate(self, shape: tuple) -> None:
+        """Refuse node forcings not of `shape`, a phi0 not one per path, and non-finite values."""
         for name in ("b0", "g0", "delta0", "h0", "sigma0"):
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"forcing {name} has shape {arr.shape}, expected {shape}")
             if not np.all(np.isfinite(arr)):
                 raise _NonFiniteError(f"forcing {name} contains non-finite values")
-        if self.phi0.shape != (shape[0],):
+        if self.phi0.shape != shape[:1]:
             raise ValueError("phi0 must be one value per path")
         if not np.all(np.isfinite(self.phi0)):
             raise _NonFiniteError("phi0 contains non-finite values")
@@ -107,11 +107,11 @@ class SolutionTriple:
         )
 
 
-def _cumulative_integral(out, a, d, dt, dL, ito=None):
-    """Running integral of one row block into out (out[:, 0] = 0): trapezoid
-    of the node values a against dt plus d against dL, plus the left-point
-    increments 2 * ito.  All increments are summed into one block before the
-    one cumsum.  The k-th partial sum only touches nodes <= k, so the running
+def _increments(a, d, dt, dL, ito=None):
+    """Increments of a running integral on one row block, (paths, n_steps):
+    trapezoid of the node values a against dt plus d against dL, plus the
+    left-point increments 2 * ito, all summed into one block before the one
+    cumsum.  The k-th partial sum only touches nodes <= k, so the running
     integral stays adapted."""
     inc = a[:, :-1] + a[:, 1:]
     inc *= dt
@@ -121,11 +121,10 @@ def _cumulative_integral(out, a, d, dt, dL, ito=None):
     if ito is not None:
         inc += ito
     inc *= 0.5
-    out[:, 0] = 0.0
-    np.cumsum(inc, axis=1, out=out[:, 1:])
+    return inc
 
 
-def solve_linear(forcings: ForcingSet, x0: float, plan: RegressionPlan) -> SolutionTriple:
+def solve_linear(forcings, x0: float, plan: RegressionPlan) -> SolutionTriple:
     """Solve the linear base FBSDE on the ensemble of the regression plan.
 
     Backward pass: the weighted backward value is the conditional expectation
@@ -134,27 +133,37 @@ def solve_linear(forcings: ForcingSet, x0: float, plan: RegressionPlan) -> Solut
     Forward pass: closed-form weighted integrals.  plan fixes the ensemble and
     the basis; callers that solve repeatedly on one ensemble build it once.
 
-    Everything but the regressions is per path, so it runs in two sweeps over
+    Everything but the regressions is per path and runs in two sweeps over
     row blocks of paths that stay in cache, around the one global step
-    `plan.regress(xi)`.
+    `plan.regress(xi)`.  forcings(rows) gives the `ForcingSet` of a row block
+    (e.g. `ForcingSet.rows`), which the first sweep evaluates and checks once.
     """
     ensemble = plan.ensemble
-    forcings.validate(ensemble)
-    f = forcings
     m, n = ensemble.n_paths, ensemble.n_steps
     dt, dL, dB = ensemble.grid.dt, ensemble.dL, ensemble.dB
     w = plan.w
     x, y, z = np.empty((m, n + 1)), np.empty((m, n + 1)), np.empty((m, n + 1))
+    xi = np.empty(m)
 
-    # first sweep: the running integral I of the weighted forcings; y holds
-    # it until the second sweep overwrites it
+    # first sweep: y holds the running integral I of the weighted forcings, x
+    # the forcings' dt/dL forward increments and z sigma0; the last block is
+    # open-ended, so forcings of too many paths are refused
     for rows in _row_slices(0, m):
-        a = f.g0[rows] + f.b0[rows]
-        a *= w[rows]
-        d = f.h0[rows] + f.delta0[rows]
-        d *= w[rows]
-        _cumulative_integral(y[rows], a, d, dt, dL[rows])
-    xi = w[:, -1] * f.phi0 + y[:, -1]
+        f = forcings(slice(rows.start, rows.stop if rows.stop < m else None))
+        f.validate(y[rows].shape)
+        wr, dLr, yr = w[rows], dL[rows], y[rows]
+        a = f.g0 + f.b0
+        a *= wr
+        d = f.h0 + f.delta0
+        d *= wr
+        yr[:, 0] = 0.0
+        np.cumsum(_increments(a, d, dt, dLr), axis=1, out=yr[:, 1:])
+        iw = 1.0 / wr
+        np.multiply(f.b0, iw, out=a)
+        np.multiply(f.delta0, iw, out=d)
+        x[rows, 1:] = _increments(a, d, dt, dLr)
+        z[rows] = f.sigma0
+        xi[rows] = wr[:, -1] * f.phi0 + yr[:, -1]
 
     # conditional-expectation martingale M of xi along the grid, and its
     # integrand ztilde; the filtration is trivial at time 0, so plain means
@@ -165,8 +174,8 @@ def solve_linear(forcings: ForcingSet, x0: float, plan: RegressionPlan) -> Solut
     mean_xi = np.mean(xi)
 
     # second sweep: ybar = (M - I) / w and zbar = ztilde / w, then the forward
-    # pass in closed form, trapezoid on the dt/dL integrals and left-point
-    # (Ito) on the dB integral
+    # pass in closed form: its ybar (trapezoid) and Ito (left-point, sigma0
+    # read from z) increments are subtracted from x before one cumsum from x0
     for rows in _row_slices(0, m):
         iw = 1.0 / w[rows]
         I = y[rows]
@@ -181,19 +190,17 @@ def solve_linear(forcings: ForcingSet, x0: float, plan: RegressionPlan) -> Solut
         zbar[:, n] = 0.0
         zbar *= iw
         zr = z[rows]
-        np.add(zbar, f.sigma0[rows], out=zr)
-        zr *= 0.5
-        zr[:, n] = 0.0
-        ito = f.sigma0[rows, :n] - zbar[:, :n]
+        ito = zbar[:, :n] - zr[:, :n]
         ito *= iw[:, :n]
         ito *= dB[rows]
-        a = np.subtract(f.b0[rows], ybar, out=zbar)  # zbar is spent
-        a *= iw
-        d = f.delta0[rows] - ybar
-        d *= iw
+        zr += zbar
+        zr *= 0.5
+        zr[:, n] = 0.0
+        a = np.multiply(ybar, iw, out=zbar)  # zbar is spent
         xr = x[rows]
-        _cumulative_integral(xr, a, d, dt, dL[rows], ito)
-        xr += x0
+        np.subtract(xr[:, 1:], _increments(a, a, dt, dL[rows], ito), out=xr[:, 1:])
+        xr[:, 0] = x0
+        np.cumsum(xr, axis=1, out=xr)
         xr *= w[rows]
         np.add(xr, ybar, out=I)
         # x is finite wherever y = x + ybar is

@@ -108,14 +108,14 @@ def test_criterion_04_linear_solver_closed_form():
     grid = TimeGrid(a=0.0, T=1.0, n_steps=50)
     ens = build_ensemble(JUMP_SPEC, grid, 2000, seed=400)
     plan = RegressionPlan(ens, BasisSpec())
-    theta = solve_linear(ForcingSet.zeros(ens.n_paths, ens.n_steps), 1.0, plan)
+    theta = solve_linear(ForcingSet.zeros(ens.n_paths, ens.n_steps).rows, 1.0, plan)
     exact = np.exp(-(grid.times()[None, :] + ens.L))
     err_exact = float(np.max(np.abs(theta.x - exact) / exact))
     # drift-only forced case vs the deterministic ODE oracle
     grid2 = TimeGrid(a=0.0, T=1.0, n_steps=100)
     ens2 = build_ensemble(DRIFT_SPEC, grid2, 10_000, seed=401)
     f = ForcingSet.constant(ens2.n_paths, ens2.n_steps, b0=1.0)
-    theta2 = solve_linear(f, 0.0, RegressionPlan(ens2, BasisSpec()))
+    theta2 = solve_linear(f.rows, 0.0, RegressionPlan(ens2, BasisSpec()))
     x_o, y_o = linear_forced_oracle(grid2.times(), x0=0.0, b0=1.0)
     scale = max(np.max(np.abs(x_o)), np.max(np.abs(y_o)))
     mean_err = max(
@@ -144,9 +144,9 @@ def test_criterion_05_linearity_superposition():
               b0=rng.standard_normal(), phi0=rng.standard_normal())
     v12 = {k: v1.get(k, 0.0) + v2.get(k, 0.0) for k in {**v1, **v2}}
     plan = RegressionPlan(ens, BasisSpec(degree=2))
-    t1 = solve_linear(ForcingSet.constant(m, n, **v1), 1.0, plan)
-    t2 = solve_linear(ForcingSet.constant(m, n, **v2), 0.5, plan)
-    t12 = solve_linear(ForcingSet.constant(m, n, **v12), 1.5, plan)
+    t1 = solve_linear(ForcingSet.constant(m, n, **v1).rows, 1.0, plan)
+    t2 = solve_linear(ForcingSet.constant(m, n, **v2).rows, 0.5, plan)
+    t12 = solve_linear(ForcingSet.constant(m, n, **v12).rows, 1.5, plan)
     diff = SolutionTriple(
         t1.x + t2.x - t12.x, t1.y + t2.y - t12.y, t1.z + t2.z - t12.z, t1.dt, t1.dL
     )

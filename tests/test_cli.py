@@ -483,6 +483,24 @@ def test_nan_during_solve_is_numerical_failure(tmp_path, capsys, monkeypatch):
     _assert_numerical_failure(capsys, "forcing b0 contains non-finite values")
 
 
+def test_nan_in_last_partial_block_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    # 1100 paths are row blocks of 512, 512 and 76; b is NaN only on the
+    # last block, at the interior node t = 0.5, which the hypothesis cloud
+    # (1-d samples) never reaches
+    def where(t, x):
+        hit = np.zeros(np.shape(x), dtype=bool)
+        if np.shape(x) == (76, 21):
+            hit[:, 10] = True
+        return hit
+
+    monkeypatch.setitem(coefficients._REGISTRY, "nan_last_block", _nan_bundle(where))
+    out = tmp_path / "out"
+    cfg = base_config(bundle="nan_last_block", n_paths=1100, output_dir=str(out))
+    assert run("solve", write_config(tmp_path, cfg)) == EXIT_NUMERICAL
+    _assert_numerical_failure(capsys, "forcing b0 contains non-finite values")
+    assert not out.exists()
+
+
 def test_non_finite_linear_solve_is_numerical_failure(tmp_path, capsys):
     # a finite forcing whose weighted Ito integral overflows
     cfg = base_config(output_dir=str(tmp_path), forcings={"sigma0": 1e308})

@@ -88,14 +88,15 @@ def test_contraction_fit_drops_first_ratio():
 
 
 def _zero_point_data(bundle, ensemble):
-    """The bundle's coefficients at the zero solution, as the solver builds them."""
+    """The bundle's coefficients at the zero solution as a row-block
+    function, as the solver builds them."""
     base = ForcingSet.zeros(ensemble.n_paths, ensemble.n_steps)
-    return picard_forcings(bundle, SolutionTriple.zeros(ensemble), 1.0, base, ensemble)
+    return picard_forcings(bundle, SolutionTriple.zeros(ensemble), 1.0, base.rows, ensemble)
 
 
 def test_apriori_degenerate_zero_data(jump_ensemble):
     data = _zero_point_data(get_bundle("canonical_monotone"), jump_ensemble)
-    report = apriori_ratio(SolutionTriple.zeros(jump_ensemble), data.rows, 0.0)
+    report = apriori_ratio(SolutionTriple.zeros(jump_ensemble), data, 0.0)
     assert report.degenerate
     assert report.ratio == 0.0
 
@@ -103,7 +104,7 @@ def test_apriori_degenerate_zero_data(jump_ensemble):
 def test_apriori_finite_with_bootstrap(jump_ensemble):
     bundle = get_bundle("canonical_monotone", c=0.5)
     theta, diag = solve_fbsde(bundle, 1.0, jump_ensemble)
-    report = apriori_ratio(theta, _zero_point_data(bundle, jump_ensemble).rows, 1.0)
+    report = apriori_ratio(theta, _zero_point_data(bundle, jump_ensemble), 1.0)
     assert report == diag.apriori
     assert not report.degenerate
     assert report.ratio > 0.0 and np.isfinite(report.ratio)
@@ -124,7 +125,7 @@ def test_apriori_zero_point_data_by_row_blocks(jump_spec, grid):
     bundle.phi = lambda st, x: x + 0.4 * np.sin(st.x)
     ens = build_ensemble(jump_spec, grid, n_paths=1100, seed=5, x0=0.0)
     theta, diag = solve_fbsde(bundle, 1.0, ens)
-    report = apriori_ratio(theta, _zero_point_data(bundle, ens).rows, 1.0)
+    report = apriori_ratio(theta, _zero_point_data(bundle, ens), 1.0)
     assert report == diag.apriori
     assert report.rhs > 1.5  # the data carry energy beyond x0**2 = 1
 
@@ -135,5 +136,5 @@ def test_apriori_scale_stability(drift_ensemble):
     for x0 in (1.0, 2.0, 4.0):
         theta, _ = solve_fbsde(bundle, x0, drift_ensemble)
         data = _zero_point_data(bundle, drift_ensemble)
-        ratios.append(apriori_ratio(theta, data.rows, x0).ratio)
+        ratios.append(apriori_ratio(theta, data, x0).ratio)
     assert max(ratios) / min(ratios) <= 1.25

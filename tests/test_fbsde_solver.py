@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import subfbsde.fbsde_solver as fbsde_solver
 from subfbsde import (
     ContinuationConfig,
     DivergedError,
@@ -65,7 +66,8 @@ def test_picard_forcings_eta_zero_is_identity(jump_ensemble):
     theta = SolutionTriple.zeros(jump_ensemble)
     theta.x += 1.0
     theta.y -= 0.5
-    out = picard_forcings(get_bundle("canonical_monotone"), theta, 0.0, base, jump_ensemble)
+    bundle = get_bundle("canonical_monotone")
+    out = picard_forcings(bundle, theta, 0.0, base.rows, jump_ensemble)(slice(None))
     for name in ("b0", "g0", "delta0", "h0", "sigma0", "phi0"):
         assert np.array_equal(getattr(out, name), getattr(base, name))
 
@@ -74,7 +76,8 @@ def test_picard_forcings_zero_seed_canonical_vanishes(jump_ensemble):
     m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
     base = ForcingSet.zeros(m, n)
     theta = SolutionTriple.zeros(jump_ensemble)
-    out = picard_forcings(get_bundle("canonical_monotone"), theta, 1.0, base, jump_ensemble)
+    bundle = get_bundle("canonical_monotone")
+    out = picard_forcings(bundle, theta, 1.0, base.rows, jump_ensemble)(slice(None))
     for name in ("b0", "g0", "delta0", "h0", "sigma0", "phi0"):
         assert np.all(getattr(out, name) == 0.0)
 
@@ -88,17 +91,37 @@ def test_picard_forcings_linear_in_iterate(jump_ensemble):
     theta.x += rng.standard_normal((m, n + 1))
     theta.y += rng.standard_normal((m, n + 1))
     theta.z += rng.standard_normal((m, n + 1))
-    f1 = picard_forcings(bundle, theta, 0.7, base, jump_ensemble)
+    f1 = picard_forcings(bundle, theta, 0.7, base.rows, jump_ensemble)(slice(None))
     doubled = SolutionTriple(2.0 * theta.x, 2.0 * theta.y, 2.0 * theta.z, theta.dt, theta.dL)
-    f2 = picard_forcings(bundle, doubled, 0.7, base, jump_ensemble)
+    f2 = picard_forcings(bundle, doubled, 0.7, base.rows, jump_ensemble)(slice(None))
     for name in ("b0", "g0", "delta0", "h0", "sigma0", "phi0"):
         assert np.allclose(getattr(f2, name), 2.0 * getattr(f1, name), atol=1e-12)
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.5], ids=["flatten", "nested"])
+def test_picard_forcings_runs_once_per_picard_iterate(drift_ensemble, monkeypatch, eta):
+    # the benchmark's fbsde_solver.picard_iterates counts these calls
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return picard_forcings(*args)
+
+    monkeypatch.setattr(fbsde_solver, "picard_forcings", counted)
+    bundle = get_bundle("canonical_monotone", c=0.5)
+    _, diag = solve_fbsde(bundle, 1.0, drift_ensemble, ContinuationConfig(eta=eta))
+    solves, top_iterates = diag.total_linear_solves, len(diag.levels[-1].residuals)
+    if eta == 1.0:
+        assert len(calls) == solves == top_iterates
+    else:
+        assert solves > top_iterates
+        assert len(calls) == top_iterates + solves
 
 
 def test_linear_bundle_matches_linear_solver(jump_ensemble, jump_plan):
     m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
     theta, diag = solve_fbsde(get_bundle("linear_test"), 1.0, jump_ensemble)
-    direct = solve_linear(ForcingSet.zeros(m, n), 1.0, jump_plan)
+    direct = solve_linear(ForcingSet.zeros(m, n).rows, 1.0, jump_plan)
     assert m_norm(theta, direct).value <= 1e-10
     assert diag.total_linear_solves == 2  # fixed point reached immediately
     assert diag.levels[0].converged

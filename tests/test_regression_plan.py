@@ -79,8 +79,8 @@ def test_plan_matches_single_slice_path(request, which, degree, include_r):
     ens = request.getfixturevalue(which)
     basis = BasisSpec(degree=degree, include_r=include_r)
     f = state_dependent_forcings(ens)
-    theta = solve_linear(f, 1.0, RegressionPlan(ens, basis))
-    ref = solve_linear(f, 1.0, SliceBySlicePlan(ens, basis))
+    theta = solve_linear(f.rows, 1.0, RegressionPlan(ens, basis))
+    ref = solve_linear(f.rows, 1.0, SliceBySlicePlan(ens, basis))
     assert np.max(np.abs(ref.z)) > 0.0
     assert_same_solution(theta, ref)
 
@@ -93,7 +93,7 @@ def test_vanishing_r_monomials_leave_the_plan(drift_ensemble, degree):
     # equality)
     f = state_dependent_forcings(drift_ensemble)
     with_r, without_r = (
-        solve_linear(f, 1.0, RegressionPlan(drift_ensemble, BasisSpec(degree, include_r)))
+        solve_linear(f.rows, 1.0, RegressionPlan(drift_ensemble, BasisSpec(degree, include_r)))
         for include_r in (True, False)
     )
     for name in ("x", "y", "z"):
@@ -103,8 +103,8 @@ def test_vanishing_r_monomials_leave_the_plan(drift_ensemble, degree):
 def test_jump_ensemble_keeps_its_r_monomials(jump_ensemble, jump_plan):
     assert jump_plan._grams.shape[-1] == 6
     f = state_dependent_forcings(jump_ensemble)
-    with_r = solve_linear(f, 1.0, jump_plan)
-    without_r = solve_linear(f, 1.0, RegressionPlan(jump_ensemble, BasisSpec(include_r=False)))
+    with_r = solve_linear(f.rows, 1.0, jump_plan)
+    without_r = solve_linear(f.rows, 1.0, RegressionPlan(jump_ensemble, BasisSpec(include_r=False)))
     assert not np.allclose(with_r.y, without_r.y)
 
 
@@ -115,8 +115,8 @@ def test_plan_matches_single_slice_path_on_ragged_blocks(jump_spec, drift_spec, 
     spec = jump_spec if which == "jump" else drift_spec
     ens = build_ensemble(spec, TimeGrid(a=0.0, T=1.0, n_steps=10), n_paths=1300, seed=5, x0=0.3)
     f = state_dependent_forcings(ens)
-    theta = solve_linear(f, 1.0, RegressionPlan(ens, BasisSpec()))
-    ref = solve_linear(f, 1.0, SliceBySlicePlan(ens, BasisSpec()))
+    theta = solve_linear(f.rows, 1.0, RegressionPlan(ens, BasisSpec()))
+    ref = solve_linear(f.rows, 1.0, SliceBySlicePlan(ens, BasisSpec()))
     assert np.max(np.abs(ref.z)) > 0.0
     assert_same_solution(theta, ref)
 
@@ -143,9 +143,9 @@ def test_ridge_zero_singular_slice_index(drift_ensemble, flat, expected):
     basis = BasisSpec(degree=1, include_r=False, ridge=0.0)
     f = state_dependent_forcings(ens)
     with pytest.raises(SingularSliceError) as ref_err:
-        solve_linear(f, 1.0, SliceBySlicePlan(ens, basis))
+        solve_linear(f.rows, 1.0, SliceBySlicePlan(ens, basis))
     with pytest.raises(SingularSliceError) as err:
-        solve_linear(f, 1.0, RegressionPlan(ens, basis))
+        solve_linear(f.rows, 1.0, RegressionPlan(ens, basis))
     assert err.value.slice_index == ref_err.value.slice_index == expected
 
 
@@ -196,11 +196,11 @@ def test_frozen_slice_gives_zero_z(drift_ensemble):
     basis = BasisSpec(degree=2, include_r=False, ridge=0.0)
     f = state_dependent_forcings(ens)
     plan = RegressionPlan(ens, basis)
-    theta = solve_linear(f, 1.0, plan)
+    theta = solve_linear(f.rows, 1.0, plan)
     ztilde = whole_array_solve_linear(f, 1.0, plan)[4]
     assert np.all(ztilde[:, k] == 0.0)
     assert np.all(theta.z[:, k] == 0.5 * f.sigma0[:, k])
-    ref = solve_linear(f, 1.0, SliceBySlicePlan(ens, basis))
+    ref = solve_linear(f.rows, 1.0, SliceBySlicePlan(ens, basis))
     assert_same_solution(theta, ref)
 
 
@@ -243,7 +243,7 @@ def test_ensemble_is_a_frozen_snapshot(jump_ensemble, jump_plan):
     ens = jump_ensemble
     with pytest.raises(dataclasses.FrozenInstanceError):
         ens.L = 0.5 * ens.L
-    solve_linear(state_dependent_forcings(ens), 1.0, jump_plan)
+    solve_linear(state_dependent_forcings(ens).rows, 1.0, jump_plan)
     # a solve caches nothing on the ensemble
     assert set(vars(ens)) == {field.name for field in dataclasses.fields(PathEnsemble)}
 

@@ -2,6 +2,8 @@
 whole-array formulas, at ensemble sizes below one row block and at a ragged
 odd size whose cross-fit halves differ."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from subfbsde import (
     picard_forcings,
     solve_linear,
 )
+from subfbsde.regression import _row_slices
 from oracles import whole_array_solve_linear
 
 SIZES = [400, 1537]  # below one block of 512 rows; three blocks and a 1-row tail
@@ -62,11 +65,19 @@ def test_blocked_solve_matches_whole_array_reference(ensembles, m):
     ens = ensembles[m]
     plan = RegressionPlan(ens, BasisSpec())
     f = path_dependent_forcings(ens)
-    theta = solve_linear(f, 0.7, plan)
+    theta = solve_linear(f.rows, 0.7, plan)
     x, y, z, _, _ = whole_array_solve_linear(f, 0.7, plan)
     assert np.max(np.abs(z)) > 0.0
     for value, ref in ((theta.x, x), (theta.y, y), (theta.z, z)):
         assert rel_err(value, ref) <= 1e-12
+
+
+def stacked(forcings, m):
+    """The row-block forcing function evaluated on the row blocks of a solve
+    of m paths, stacked into one whole-array ForcingSet."""
+    blocks = [forcings(rows) for rows in _row_slices(0, m)]
+    names = [f.name for f in fields(ForcingSet)]
+    return ForcingSet(*(np.concatenate([getattr(b, name) for b in blocks]) for name in names))
 
 
 def _whole_array_picard_forcings(bundle, theta, eta, base, ens):
@@ -74,8 +85,10 @@ def _whole_array_picard_forcings(bundle, theta, eta, base, ens):
     t = ens.grid.times()
     st = MarkovState(x=ens.X, r=ens.R)
     x, y, z = theta.x, theta.y, theta.z
+    st_T, x_T = MarkovState(x=ens.X[:, -1], r=ens.R[:, -1]), x[:, -1]
     bb = lambda v: np.broadcast_to(v, x.shape)
     return {
+        "phi0": base.phi0 + eta * (np.broadcast_to(bundle.phi(st_T, x_T), x_T.shape) - x_T),
         "b0": base.b0 + eta * (y + bb(bundle.b(t, st, x, y))),
         "delta0": base.delta0 + eta * (y + bb(bundle.delta(t, st, x, y, z))),
         "sigma0": base.sigma0 + eta * (z + bb(bundle.sigma(t, st, x, y, z))),
@@ -110,7 +123,7 @@ def test_picard_forcings_bit_identical_to_whole_array(ensembles, m, bundle):
     ens = ensembles[m]
     theta = random_triple(ens, seed=m)
     base = path_dependent_forcings(ens)
-    out = picard_forcings(bundle, theta, 0.7, base, ens)
+    out = stacked(picard_forcings(bundle, theta, 0.7, base.rows, ens), m)
     ref = _whole_array_picard_forcings(bundle, theta, 0.7, base, ens)
     for name, arr in ref.items():
         assert np.array_equal(getattr(out, name), arr), name
@@ -121,8 +134,9 @@ def test_picard_forcings_none_base_is_zero_base(ensembles, eta):
     ens = ensembles[SIZES[-1]]
     theta = random_triple(ens, seed=5)
     bundle = _state_and_scalar_bundle()
-    out = picard_forcings(bundle, theta, eta, None, ens)
-    ref = picard_forcings(bundle, theta, eta, ForcingSet.zeros(ens.n_paths, ens.n_steps), ens)
+    zeros = ForcingSet.zeros(ens.n_paths, ens.n_steps)
+    out = stacked(picard_forcings(bundle, theta, eta, None, ens), ens.n_paths)
+    ref = stacked(picard_forcings(bundle, theta, eta, zeros.rows, ens), ens.n_paths)
     for name in ("b0", "g0", "delta0", "h0", "sigma0", "phi0"):
         assert np.array_equal(getattr(out, name), getattr(ref, name)), name
 
@@ -164,4 +178,4 @@ def test_non_finite_solution_raises(jump_ensemble, jump_plan):
     f = ForcingSet.constant(m, n, sigma0=1e308)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match="non-finite"):
-            solve_linear(f, 0.0, jump_plan)
+            solve_linear(f.rows, 0.0, jump_plan)
