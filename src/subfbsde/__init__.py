@@ -18,8 +18,6 @@ from .coefficients import (
     CoefficientBundle,
     HypothesisReport,
     check_hypothesis,
-    default_c1,
-    eta0,
     get_bundle,
     mirror_bundle,
     register_bundle,

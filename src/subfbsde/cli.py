@@ -8,7 +8,7 @@ with an identical config are byte identical.
 Exit codes: 0 success, 2 config validation error, 3 solver divergence,
 4 hypothesis-check failure in strict mode, 5 numerical failure (non-finite
 coefficients, forcings or solutions, or a singular regression design), 6 a
-Picard loop of the top ladder level that stopped at max_picard without
+Picard loop of any ladder level that stopped at max_picard without
 converging (its artifacts are still written).
 """
 
@@ -115,8 +115,8 @@ def _check_keys(obj: dict, keys: dict, prefix: str = "") -> None:
 
 @contextlib.contextmanager
 def _solver_config_errors():
-    """A solver ValueError is a config error (too few paths for the basis, a
-    ladder deeper than nested_max_depth) unless it is a numerical failure."""
+    """A solver ValueError (too few paths for the basis) is a config error
+    unless it is a numerical failure."""
     try:
         yield
     except FloatingPointError:
@@ -143,19 +143,17 @@ class ScenarioConfig:
         self.strict = raw.get("strict", False)
         self.output_dir = Path(raw.get("output_dir", "."))
         self.forcing_values = raw.get("forcings", {})
-        # "flatten" is the one-level ladder; "nested" steps by the eta key,
-        # or by the derived bound (from C1) when it is absent
-        nested = raw.get("strategy", "flatten") == "nested"
-        for key in ("eta", "C1"):
-            if key in raw and not nested:
-                raise ConfigError(f'config key {key}: only read with "strategy": "nested"')
+        # "flatten" is the one-level ladder eta = 1; "nested" steps by the eta key
+        if ("eta" in raw) != (raw.get("strategy", "flatten") == "nested"):
+            need = "required" if "eta" not in raw else "only read"
+            raise ConfigError(f'config key eta: {need} with "strategy": "nested"')
         jumps = {k: tuple(v) if type(v) is list else v for k, v in raw.get("jumps", {}).items()}
-        solver = {k: raw[k] for k in _fields(ContinuationConfig) if k in raw and k != "eta"}
+        solver = {k: raw[k] for k in _fields(ContinuationConfig) if k in raw}
         try:
             self.subordinator = SubordinatorSpec(kappa=raw["kappa"], **jumps)
             self.grid = TimeGrid(a=raw.get("a", 0.0), T=raw["T"], n_steps=raw["n_steps"])
             self.basis = BasisSpec(**raw.get("basis", {}))
-            self.solver = ContinuationConfig(eta=raw.get("eta") if nested else 1.0, **solver)
+            self.solver = ContinuationConfig(**solver)
         except ValueError as err:
             # a settings object's message starts with the field it refuses
             key = str(err).split()[0]
@@ -321,11 +319,12 @@ def _run_solve(config: ScenarioConfig, subcommand: str) -> int:
     if subcommand == "solve":
         _solution_csv(config, subcommand, ens, theta)
     _write_json(config.artifact_path(subcommand, "json"), config, diag.to_json_dict())
-    top = diag.levels[-1]
-    if not top.converged:
+    top, inner = diag.levels[-1], diag.inner_unconverged
+    if not top.converged or inner:
+        state = "converged" if top.converged else f"last residual {top.residuals[-1]:g}"
         print(
             f"Picard iteration did not converge within max_picard={config.solver.max_picard} "
-            f"iterates; last residual {top.residuals[-1]:g}",
+            f"iterates: top level {state}; inner_unconverged {inner}",
             file=sys.stderr,
         )
         return EXIT_NOT_CONVERGED

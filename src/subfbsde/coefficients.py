@@ -1,5 +1,4 @@
-"""Coefficient bundles, monotonicity checking, the continuation step bound,
-and the built-in catalog.
+"""Coefficient bundles, monotonicity checking and the built-in catalog.
 
 A bundle carries vectorized evaluators
     b(t, state, x, y), g(t, state, x, y),
@@ -29,8 +28,6 @@ __all__ = [
     "HypothesisReport",
     "check_hypothesis",
     "mirror_bundle",
-    "eta0",
-    "default_c1",
     "get_bundle",
     "register_bundle",
 ]
@@ -208,21 +205,6 @@ def mirror_bundle(bundle: CoefficientBundle) -> CoefficientBundle:
         orientation="decreasing",
         name=f"{bundle.name}#mirrored" if bundle.name else "mirrored",
     )
-
-
-def default_c1(lipschitz: float) -> float:
-    """Fallback for the cross-term constant in the step-size bound; the bound
-    only fixes its dependence on (L, c), not its value."""
-    return 4.0 * (1.0 + lipschitz) ** 2
-
-
-def eta0(L: float, c: float, kappa: float, T: float, C1: float) -> float:
-    """Continuation step bound: min of a horizon term and a contraction term."""
-    if min(L, c, kappa, T, C1) <= 0.0:
-        raise ValueError("all step-bound inputs must be positive")
-    time_term = 1.0 / (3.0 * (1.0 + L) * ((1.0 + 1.0 / kappa) * T + 1.0))
-    contraction_term = min(c, 1.0) / (1.0 + 4.0 * C1)
-    return min(time_term, contraction_term)
 
 
 # ---------------------------------------------------------------------------

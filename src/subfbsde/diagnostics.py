@@ -132,9 +132,11 @@ def apriori_ratio(theta: SolutionTriple, data, x0: float) -> AprioriReport:
     tol = 1e-12
     if rhs <= tol:
         return AprioriReport(lhs=lhs, rhs=rhs, ratio=0.0, ratio_se=0.0, degenerate=True)
-    m = lhs_paths.size
+    # one resample at a time: the same stream as one (resamples, m) draw
     rng = np.random.default_rng(0)
-    idx = rng.integers(0, m, size=(BOOTSTRAP_RESAMPLES, m))
-    boots = np.mean(lhs_paths[idx], axis=1) / np.mean(rhs_paths[idx], axis=1)
+    boots = np.empty(BOOTSTRAP_RESAMPLES)
+    for i in range(BOOTSTRAP_RESAMPLES):
+        idx = rng.integers(0, m, size=m)
+        boots[i] = np.mean(lhs_paths[idx]) / np.mean(rhs_paths[idx])
     se = float(np.std(boots, ddof=1))
     return AprioriReport(lhs=lhs, rhs=rhs, ratio=lhs / rhs, ratio_se=se, degenerate=False)

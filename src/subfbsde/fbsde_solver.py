@@ -5,9 +5,10 @@ and solves the explicitly tractable base system with updated forcings.  The
 continuation ladder has ceil(1/eta) levels with steps at most eta; each
 level's Picard loop solves the anchor system by calling the level below it,
 down to the linear base solver.  The cost is exponential in the ladder
-depth, so the depth is bounded.  eta = 1 is a single Picard loop anchored on
-the linear base solver with the whole coupling gap taken in one step:
-heuristic beyond the provable step bound, with divergence detection.
+depth, so a ladder deeper than MAX_LADDER_DEPTH levels is refused.  The
+paper's provable step depends on (L, c, kappa, T) and needs dozens of
+levels, so every step that runs is heuristic, with divergence detection;
+eta = 1 is a single Picard loop anchored on the linear base solver.
 
 Sign-flipped (increasing-orientation) bundles are solved by the same
 machinery through the (y, z) -> (-y, -z) mirror.
@@ -21,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .coefficients import CoefficientBundle, default_c1, eta0, mirror_bundle
+from .coefficients import CoefficientBundle, mirror_bundle
 from .diagnostics import AprioriReport, MNormValue, apriori_ratio, contraction_fit, m_norm
 from .linear_solver import ForcingSet, SolutionTriple, solve_linear
 from .regression import BasisSpec, RegressionPlan
@@ -36,31 +37,28 @@ __all__ = [
 ]
 
 
+# the deepest continuation ladder a solve runs: its cost is exponential in the depth
+MAX_LADDER_DEPTH = 3
+
+
 @dataclass
 class ContinuationConfig:
-    eta: float | None = 1.0  # None: use the derived step bound
+    eta: float = 1.0  # continuation step: a ladder of ceil(1/eta) levels
     picard_tol: float = 1e-3  # relative to the first iterate's norm
     max_picard: int = 25
-    nested_max_depth: int = 3
-    C1: float | None = None
 
     def __post_init__(self):
-        if self.eta is not None and not (0.0 < self.eta <= 1.0):
+        if not (0.0 < self.eta <= 1.0):
             raise ValueError("eta must lie in (0, 1]")
+        depth = math.ceil(1.0 / self.eta)
+        if depth > MAX_LADDER_DEPTH:
+            raise ValueError(
+                f"eta {self.eta:g} needs {depth} ladder levels, more than {MAX_LADDER_DEPTH}"
+            )
         if not (0.0 < self.picard_tol < math.inf):
             raise ValueError("picard_tol must be finite and positive")
         if self.max_picard < 1:
             raise ValueError("max_picard must be at least 1")
-        if self.nested_max_depth < 1:
-            raise ValueError("nested_max_depth must be at least 1")
-        if self.C1 is not None and not (0.0 < self.C1 < math.inf):
-            raise ValueError("C1 must be finite and positive")
-
-    def resolved_eta(self, bundle: CoefficientBundle, kappa: float, T: float) -> float:
-        if self.eta is not None:
-            return self.eta
-        c1 = self.C1 if self.C1 is not None else default_c1(bundle.lipschitz)
-        return eta0(bundle.lipschitz, bundle.monotonicity, kappa, T, c1)
 
 
 @dataclass
@@ -88,6 +86,7 @@ class SolveDiagnostics:
     apriori: AprioriReport | None = None
     diverged: bool = False
     total_linear_solves: int = 0
+    inner_unconverged: int = 0  # inner ladder loops that stopped at max_picard
 
     def to_json_dict(self) -> dict:
         """The solve/diagnose JSON payload; the contraction entry describes
@@ -106,6 +105,7 @@ class SolveDiagnostics:
             "diverged": self.diverged,
             "levels": [lv.to_json_dict() for lv in self.levels],
             "total_linear_solves": self.total_linear_solves,
+            "inner_unconverged": self.inner_unconverged,
         }
 
 
@@ -191,9 +191,8 @@ def solve_fbsde(
     """End-to-end solve of the fully coupled FBSDE on the ensemble.
 
     Returns (solution, diagnostics).  theta0 overrides the zero Picard seed
-    of the top ladder level (uniqueness probes).  Raises ValueError if the
-    ladder needs more than config.nested_max_depth levels, and DivergedError
-    (with the partial diagnostics attached) if a Picard loop blows up.
+    of the top ladder level (uniqueness probes).  Raises DivergedError (with
+    the partial diagnostics attached) if a Picard loop blows up.
     """
     config = config or ContinuationConfig()
     basis = basis or BasisSpec()
@@ -202,15 +201,8 @@ def solve_fbsde(
     if flipped and theta0 is not None:
         theta0 = _mirrored(theta0)
 
-    eta = config.resolved_eta(work, ensemble.kappa, ensemble.grid.T)
-    n_levels = math.ceil(1.0 / eta)
-    if n_levels > config.nested_max_depth:
-        raise ValueError(
-            f"continuation ladder needs {n_levels} levels (eta={eta:g}) but "
-            f"nested_max_depth={config.nested_max_depth}; enlarge eta or the depth "
-            "bound"
-        )
-    alphas = [min(i * eta, 1.0) for i in range(n_levels + 1)]
+    n_levels = math.ceil(1.0 / config.eta)
+    alphas = [min(i * config.eta, 1.0) for i in range(n_levels + 1)]
 
     diag = SolveDiagnostics()
     plan = RegressionPlan(ensemble, basis)  # shared by every linear solve below
@@ -249,6 +241,8 @@ def solve_fbsde(
         warm[k] = theta
         if k == n_levels:
             _record_level(diag, alpha, step, residuals, converged)
+        elif not converged:
+            diag.inner_unconverged += 1
         return theta
 
     try:

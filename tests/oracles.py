@@ -10,7 +10,13 @@
 * The linear base solve written on whole arrays, one full-array pass per
   term: the reference for the row-blocked solver.
 * The pathwise solution of `canonical_monotone(c)` on any clock.
-* The continuation family between the linear base system and a bundle."""
+* The renewal solution of the linear base system with `g0 = 1` under an
+  exponential-jump clock, on clock-running paths.
+* The continuation family between the linear base system and a bundle, and
+  the paper's provable continuation step `eta0`.
+
+`perfbench/workloads.py` imports `canonical_coupled_oracle` from here, so
+this module stays importable on its own."""
 
 from dataclasses import replace
 
@@ -178,3 +184,52 @@ def continuation_transform(bundle, alpha):
         lipschitz=max(1.0, a * bundle.lipschitz + (1.0 - a)),
         name=f"{bundle.name}@alpha={alpha:g}" if bundle.name else f"alpha={alpha:g}",
     )
+
+
+def eta0(L, c, kappa, T, C1):
+    """The paper's continuation step bound delta0: min of a horizon term and a
+    contraction term, with C1 the cross-term constant."""
+    if min(L, c, kappa, T, C1) <= 0.0:
+        raise ValueError("all step-bound inputs must be positive")
+    time_term = 1.0 / (3.0 * (1.0 + L) * ((1.0 + 1.0 / kappa) * T + 1.0))
+    contraction_term = min(c, 1.0) / (1.0 + 4.0 * C1)
+    return min(time_term, contraction_term)
+
+
+def renewal_ybar(t, rate, mean, T=1.0, nodes=500):
+    """`ybar = y - x` of the linear base system with g0 = 1, every other
+    forcing 0 and kappa = 1, on paths whose clock runs at t (R_t = 0), under
+    jumps at rate `rate` with Exp(mean `mean`) sizes: G(t, 0) = V(T - t).
+
+    With h the time left, V is the value on a running clock and W the value
+    at the start of a frozen period; weights decay at rate 2 while the clock
+    runs and at rate 1 while it is frozen:
+        V(h) = e^{-rate h} (1 - e^{-2h}) / 2
+               + int_0^h rate e^{-rate u} [(1 - e^{-2u}) / 2 + e^{-2u} W(h - u)] du
+        W(h) = e^{-h/mean} (1 - e^{-h})
+               + int_0^h e^{-j/mean} / mean [1 - e^{-j} + e^{-j} V(h - j)] dj
+    Both Volterra equations are solved together by the trapezoid rule on
+    `nodes` steps of h; the u = 0 and j = 0 ends couple V(h) and W(h) in a
+    2 x 2 solve per node."""
+    h = np.linspace(0.0, T, nodes + 1)
+    dh = h[1]
+    e1, e2 = np.exp(-h), np.exp(-2.0 * h)
+    run = rate * np.exp(-rate * h)  # density of the time to the next jump
+    freeze = np.exp(-h / mean) / mean  # density of the frozen period
+    V, W = np.zeros(nodes + 1), np.zeros(nodes + 1)
+    for i in range(1, nodes + 1):
+        q = np.full(i + 1, dh)
+        q[0] = q[-1] = 0.5 * dh
+        # V[i] and W[i] are still 0 in the sums: their u = 0 and j = 0 terms
+        # are the a * W(h) and b * V(h) of the 2 x 2 solve
+        k = slice(0, i + 1)
+        v = np.exp(-rate * h[i]) * (1.0 - e2[i]) / 2.0 + q @ (
+            run[k] * ((1.0 - e2[k]) / 2.0 + e2[k] * W[i::-1])
+        )
+        w = np.exp(-h[i] / mean) * (1.0 - e1[i]) + q @ (
+            freeze[k] * (1.0 - e1[k] + e1[k] * V[i::-1])
+        )
+        a, b = q[0] * run[0], q[0] * freeze[0]
+        V[i] = (v + a * w) / (1.0 - a * b)
+        W[i] = w + b * V[i]
+    return np.interp(T - np.asarray(t, dtype=float), h, V)

@@ -22,7 +22,6 @@ from subfbsde import (
     build_ensemble,
     check_hypothesis,
     contraction_fit,
-    eta0,
     get_bundle,
     m_norm,
     mirror_bundle,
@@ -30,7 +29,7 @@ from subfbsde import (
     solve_linear,
 )
 from subfbsde.cli import EXIT_OK, run
-from oracles import canonical_coupled_oracle, continuation_transform, linear_forced_oracle
+from oracles import canonical_coupled_oracle, continuation_transform, eta0, linear_forced_oracle
 
 JUMP_SPEC = SubordinatorSpec(kappa=1.0, jump_kind="exponential", rate=1.0, jump_param=1.0)
 DRIFT_SPEC = SubordinatorSpec(kappa=1.0)
@@ -159,9 +158,9 @@ def test_criterion_06_contraction():
     start = time.time()
     c = 0.5
     bundle = get_bundle("canonical_monotone", c=c)
-    step = eta0(bundle.lipschitz, c, 1.0, 1.0, 1.0)  # C1 = 1 config input
+    step = eta0(bundle.lipschitz, c, 1.0, 1.0, 1.0)  # C1 = 1
     target = continuation_transform(bundle, step)
-    config = ContinuationConfig(picard_tol=1e-13, max_picard=8, C1=1.0)
+    config = ContinuationConfig(picard_tol=1e-13, max_picard=8)
 
     # Monte Carlo configuration: jump clock with slice regressions
     grid = TimeGrid(a=0.0, T=1.0, n_steps=50)

@@ -192,7 +192,7 @@ _PARETO = {"jump_kind": "pareto", "rate": 1.0, "jump_param": [0.3, 1.5]}
         ("jumps/jump_param", {"jumps": {**_EXP, "jump_param": float("inf")}}),
         ("jumps/jump_param", {"jumps": {**_PARETO, "jump_param": [0.3, float("nan")]}}),
         ("jumps/rate", {"jumps": {**_EXP, "rate": float("inf")}}),
-        ("C1", {"strategy": "nested", "C1": float("nan")}),
+        ("a", {"a": float("nan")}),
         ("eta", {"strategy": "nested", "eta": float("nan")}),
         ("picard_tol", {"picard_tol": float("inf")}),
         ("forcings/b0", {"forcings": {"b0": float("nan")}}),
@@ -247,6 +247,7 @@ _REFUSED = [
     ("eta", {"strategy": "nested", "eta": "0.5"}),
     ("picard_tol", {"picard_tol": None}),
     ("max_picard", {"max_picard": 2.5}),
+    # keys of the removed derived step: unknown keys, whatever their value
     ("nested_max_depth", {"nested_max_depth": "3"}),
     ("C1", {"strategy": "nested", "C1": "2"}),
     ("basis", {"basis": 2}),
@@ -266,7 +267,7 @@ _REFUSED = [
     # the scenario name stays a file name inside output_dir
     ("scenario", {"scenario": "../x"}),
     ("scenario", {"scenario": ""}),
-    # ranges ScenarioConfig and ContinuationConfig own
+    # ranges ScenarioConfig owns, then three more unknown keys of the removed step
     ("seed", {"seed": -1}),
     ("n_paths", {"n_paths": 0}),
     ("nested_max_depth", {"nested_max_depth": 0}),
@@ -373,6 +374,7 @@ def test_diagnose_json_schema(tmp_path):
     assert set(doc["m_norm"]) == {"value", "parts"}
     assert set(doc["contraction"]) == {"ratios", "fit"}
     assert set(doc["apriori"]) == {"lhs", "rhs", "ratio", "se", "degenerate"}
+    assert doc["inner_unconverged"] == 0
 
 
 def test_main_entry(tmp_path):
@@ -394,7 +396,7 @@ def test_jump_param_list_round_trip(tmp_path):
     assert sc.subordinator.jump_param == (0.2, 1.5)
 
 
-@pytest.mark.parametrize("key, value", [("eta", 0.5), ("C1", 2.0)])
+@pytest.mark.parametrize("key, value", [("eta", 0.5)])
 @pytest.mark.parametrize("strategy", [None, "flatten"])
 def test_nested_only_keys_refused_under_flatten(tmp_path, capsys, key, value, strategy):
     over = {key: value, "output_dir": str(tmp_path / "out")}
@@ -409,6 +411,55 @@ def test_nested_only_keys_refused_under_flatten(tmp_path, capsys, key, value, st
     # the same key is read under "nested"
     ok = base_config(**{**over, "strategy": "nested", "eta": 1.0})
     assert run("solve", write_config(tmp_path, ok, "nested.json")) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "over, message",
+    [
+        ({"strategy": "nested", "eta": 0.3}, "eta 0.3 needs 4 ladder levels, more than 3"),
+        ({"strategy": "nested", "eta": 0.01}, "eta 0.01 needs 100 ladder levels, more than 3"),
+        ({"strategy": "nested"}, 'required with "strategy": "nested"'),
+    ],
+)
+def test_deep_or_missing_step_refused_before_compute(tmp_path, capsys, monkeypatch, over, message):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before the step was checked")
+
+    monkeypatch.setattr(cli, "check_hypothesis", no_compute)
+    monkeypatch.setattr(cli, "build_ensemble", no_compute)
+    err = _assert_config_error(tmp_path, capsys, "eta", **over)
+    assert message in err
+
+
+@pytest.mark.parametrize("key", ["C1", "nested_max_depth"])
+def test_removed_step_keys_are_unknown(tmp_path, capsys, key):
+    err = _assert_config_error(tmp_path, capsys, key, strategy="nested", eta=0.5, **{key: 1})
+    assert err == f"config key {key}: unknown key\n"
+
+
+@pytest.mark.parametrize("subcommand", ["solve", "diagnose"])
+def test_inner_level_out_of_iterates_exit_code(tmp_path, capsys, subcommand):
+    # the top level converges in 5 iterates; one inner loop runs out of them
+    cfg = base_config(
+        seed=1,
+        n_paths=200,
+        jumps={"jump_kind": "exponential", "rate": 1.0, "jump_param": 1.0},
+        bundle_params={"c": 2.0},
+        strategy="nested",
+        eta=0.5,
+        max_picard=5,
+        output_dir=str(tmp_path),
+    )
+    assert run(subcommand, write_config(tmp_path, cfg)) == EXIT_NOT_CONVERGED
+    err = capsys.readouterr().err
+    assert err == (
+        "Picard iteration did not converge within max_picard=5 iterates: "
+        "top level converged; inner_unconverged 1\n"
+    )
+    doc = json.loads((tmp_path / f"t_{subcommand}_1.json").read_text())
+    assert doc["levels"][-1]["converged"] is True and len(doc["levels"][-1]["residuals"]) == 5
+    assert doc["inner_unconverged"] == 1 and doc["diverged"] is False
+    assert (tmp_path / "t_solve_1.csv").exists() == (subcommand == "solve")
 
 
 @pytest.mark.parametrize("subcommand", ["sample-clock", "sample-subdiffusion"])
@@ -598,8 +649,6 @@ def test_absent_keys_take_the_settings_defaults():
     assert sc.basis == BasisSpec()
     assert sc.solver == ContinuationConfig(eta=1.0)
     assert sc.subordinator == SubordinatorSpec(kappa=1.0)
-    # nested without eta steps by the bound derived from C1
-    assert ScenarioConfig(base_config(strategy="nested")).solver.eta is None
 
 
 def test_readme_matches_cli():

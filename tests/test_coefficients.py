@@ -5,12 +5,10 @@ from subfbsde import (
     CoefficientBundle,
     MarkovState,
     check_hypothesis,
-    default_c1,
-    eta0,
     get_bundle,
     mirror_bundle,
 )
-from oracles import continuation_transform
+from oracles import continuation_transform, eta0
 
 
 def _rng():
@@ -134,7 +132,3 @@ def test_eta0_reference_value_and_monotonicity():
     assert eta0(1.0, 0.25, 1.0, 1.0, 1.0) <= eta0(1.0, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         eta0(1.0, 0.0, 1.0, 1.0, 1.0)
-
-
-def test_default_c1():
-    assert default_c1(1.0) == 16.0

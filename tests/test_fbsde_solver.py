@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from subfbsde import (
     SubordinatorSpec,
     TimeGrid,
     build_ensemble,
-    eta0,
     get_bundle,
     m_norm,
     picard_forcings,
@@ -22,6 +23,7 @@ from oracles import (
     canonical_coupled_oracle,
     canonical_pathwise_oracle,
     continuation_transform,
+    eta0,
     riccati_coupled_oracle,
 )
 
@@ -40,24 +42,27 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "kwargs, field",
     [
-        ({"nested_max_depth": 0}, "nested_max_depth"),
-        ({"nested_max_depth": -2}, "nested_max_depth"),
-        ({"C1": 0.0}, "C1"),
-        ({"C1": -1.0}, "C1"),
-        ({"C1": float("nan")}, "C1"),
-        ({"C1": float("inf")}, "C1"),
+        ({"eta": 0.25}, "eta"),
+        ({"eta": 1e-3}, "eta"),
+        ({"eta": float("nan")}, "eta"),
         ({"picard_tol": float("inf")}, "picard_tol"),
     ],
 )
-def test_config_owns_depth_and_c1_ranges(kwargs, field):
+def test_config_owns_its_ranges(kwargs, field):
     # the error names the field first, which is how the CLI names the key
     with pytest.raises(ValueError, match=f"^{field} "):
         ContinuationConfig(**kwargs)
 
 
-def test_config_depth_and_c1_in_range():
-    assert ContinuationConfig(nested_max_depth=1, C1=1e-9).C1 == 1e-9
-    assert ContinuationConfig(C1=None).C1 is None
+def test_config_has_one_continuation_knob():
+    assert [f.name for f in dataclasses.fields(ContinuationConfig)] == [
+        "eta", "picard_tol", "max_picard"
+    ]
+    # the shallowest step of the deepest ladder that runs
+    assert ContinuationConfig(eta=1 / fbsde_solver.MAX_LADDER_DEPTH).eta == 1 / 3
+    for key in ("C1", "nested_max_depth"):
+        with pytest.raises(TypeError, match=key):
+            ContinuationConfig(**{key: 1})
 
 
 def test_picard_forcings_eta_zero_is_identity(jump_ensemble):
@@ -227,13 +232,27 @@ def test_nested_agrees_with_flatten(jump_ensemble):
     assert d_nested.total_linear_solves > 2
 
 
-def test_nested_depth_bound_enforced(jump_ensemble):
-    # the derived step bound forces far more levels than the depth cap
-    bundle = get_bundle("canonical_monotone")
-    config = ContinuationConfig(eta=None, nested_max_depth=3)
-    assert config.resolved_eta(bundle, 1.0, 1.0) == pytest.approx(eta0(1, 1, 1, 1, 16.0))
-    with pytest.raises(ValueError, match="nested_max_depth"):
-        solve_fbsde(bundle, 1.0, jump_ensemble, config)
+def test_nested_depth_bound_enforced():
+    # the paper's provable step needs far more levels than the depth cap, so
+    # the config refuses it before any solve
+    step = eta0(1.0, 1.0, 1.0, 1.0, 16.0)
+    assert step == pytest.approx(1 / 65)
+    with pytest.raises(ValueError, match="^eta .* needs 65 ladder levels, more than 3"):
+        ContinuationConfig(eta=step)
+
+
+def test_inner_level_out_of_iterates_is_counted():
+    # the top level converges in 5 iterates, one inner loop runs out of them
+    spec = SubordinatorSpec(kappa=1.0, jump_kind="exponential", rate=1.0, jump_param=1.0)
+    ens = build_ensemble(spec, TimeGrid(a=0.0, T=1.0, n_steps=20), n_paths=200, seed=1, x0=1.0)
+    config = ContinuationConfig(eta=0.5, max_picard=5)
+    _, diag = solve_fbsde(get_bundle("canonical_monotone", c=2.0), 1.0, ens, config)
+    assert diag.levels[-1].converged and len(diag.levels[-1].residuals) == 5
+    assert diag.inner_unconverged == 1
+    assert diag.to_json_dict()["inner_unconverged"] == 1
+    # with a larger budget every loop converges
+    _, diag = solve_fbsde(get_bundle("canonical_monotone", c=2.0), 1.0, ens, ContinuationConfig(eta=0.5))
+    assert diag.levels[-1].converged and diag.inner_unconverged == 0
 
 
 def test_small_step_contracts_fast(jump_ensemble):
