@@ -1,12 +1,16 @@
 """Scenario-driven command line entry point.
 
-One scenario JSON per invocation, validated before any compute: the key
-table checks each key's JSON type, the settings objects check the ranges.
-Every artifact (CSV or JSON) embeds the config hash and seed, and reruns
-with an identical config are byte identical.
+One command per job: `sample-subdiffusion` draws the clock `L`, its
+overshoot `R` and the sub-diffusion `X`; `check-hypothesis` tests the
+monotonicity hypothesis (fatal only under `--strict`); `solve-linear` solves
+the linear base system; `solve` solves the coupled system and reports its a
+priori estimates.  One scenario JSON per invocation, validated before any
+compute: the key table checks each key's JSON type, the settings objects
+check the ranges.  Every artifact (CSV or JSON) embeds the config hash and
+seed, and reruns with an identical config are byte identical.
 
 Exit codes: 0 success, 2 config validation error, 3 solver divergence,
-4 hypothesis-check failure in strict mode, 5 numerical failure (non-finite
+4 hypothesis-check failure under --strict, 5 numerical failure (non-finite
 coefficients, forcings or solutions, or a singular regression design), 6 a
 Picard loop of any ladder level that stopped at max_picard without
 converging (its artifacts are still written).
@@ -88,8 +92,7 @@ _SECTIONS = {
 _KEYS = {
     **_fields(TimeGrid), **_fields(ContinuationConfig), **dict.fromkeys(_SECTIONS, "object"),
     "scenario": "name", "seed": "seed", "n_paths": "count", "kappa": "float", "x0": "float",
-    "bundle": "str", "bundle_params": "params", "strategy": "strategy", "strict": "bool",
-    "output_dir": "str",
+    "bundle": "str", "bundle_params": "params", "strategy": "strategy", "output_dir": "str",
 }
 _REQUIRED = {"scenario", "seed", "kappa", "T", "n_steps", "n_paths", "jumps/jump_kind"}
 
@@ -140,7 +143,6 @@ class ScenarioConfig:
         self.x0 = raw.get("x0", 0.0)
         self.bundle_name = raw.get("bundle")
         self.bundle_params = raw.get("bundle_params", {})
-        self.strict = raw.get("strict", False)
         self.output_dir = Path(raw.get("output_dir", "."))
         self.forcing_values = raw.get("forcings", {})
         # "flatten" is the one-level ladder eta = 1; "nested" steps by the eta key
@@ -209,43 +211,30 @@ def _write_json(path: Path, config: ScenarioConfig, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_samples(
-    config: ScenarioConfig, subcommand: str, ensemble, columns: dict, payload: dict
-) -> int:
-    """The sample subcommands' artifacts: a long-format CSV with one row
-    (path_id, t, *columns) per path and grid node, and a JSON summary."""
-    m, nodes = ensemble.n_paths, ensemble.n_steps + 1
-    ids = np.repeat(np.arange(m), nodes)
-    t = np.tile(ensemble.grid.times(), m)
-    rows = np.column_stack([ids, t] + [arr.ravel() for arr in columns.values()])
-    _write_csv(config.artifact_path(subcommand, "csv"), config, ["path_id", "t", *columns], rows)
+def _sample_subdiffusion(config: ScenarioConfig, subcommand: str, strict: bool) -> int:
+    """A long-format CSV with one row (path_id, t, L, R, X) per path and grid
+    node, and a JSON summary."""
+    ens = config.ensemble()
+    m, nodes = ens.n_paths, ens.n_steps + 1
+    ids, t = np.repeat(np.arange(m), nodes), np.tile(ens.grid.times(), m)
+    rows = np.column_stack([ids, t, ens.L.ravel(), ens.R.ravel(), ens.X.ravel()])
+    header = ["path_id", "t", "L", "R", "X"]
+    _write_csv(config.artifact_path(subcommand, "csv"), config, header, rows)
     _write_json(
         config.artifact_path(subcommand, "json"),
         config,
         {
             "subordinator": config.subordinator.to_json_dict(),
-            "n_paths": ensemble.n_paths,
-            "mean_L_T": float(np.mean(ensemble.L[:, -1])),
-            **payload,
+            "n_paths": ens.n_paths,
+            "mean_L_T": float(np.mean(ens.L[:, -1])),
+            "x0": config.x0,
+            "var_X_T": float(np.var(ens.X[:, -1])),
         },
     )
     return EXIT_OK
 
 
-def _sample_clock(config: ScenarioConfig, subcommand: str) -> int:
-    ens = config.ensemble()
-    grid = {"a": config.grid.a, "T": config.grid.T, "n_steps": config.grid.n_steps}
-    return _write_samples(config, subcommand, ens, {"L": ens.L, "R": ens.R}, {"grid": grid})
-
-
-def _sample_subdiffusion(config: ScenarioConfig, subcommand: str) -> int:
-    ens = config.ensemble()
-    columns = {"L": ens.L, "R": ens.R, "X": ens.X}
-    payload = {"x0": config.x0, "var_X_T": float(np.var(ens.X[:, -1]))}
-    return _write_samples(config, subcommand, ens, columns, payload)
-
-
-def _check_hypothesis(config: ScenarioConfig, subcommand: str) -> int:
+def _check_hypothesis(config: ScenarioConfig, subcommand: str, strict: bool) -> int:
     bundle = config.bundle()
     report = check_hypothesis(bundle, np.random.default_rng(config.seed))
     _write_json(
@@ -253,7 +242,7 @@ def _check_hypothesis(config: ScenarioConfig, subcommand: str) -> int:
         config,
         {"bundle": bundle.name, "report": report.to_json_dict()},
     )
-    if not report.passed and config.strict:
+    if not report.passed and strict:
         print(f"hypothesis check failed for bundle {bundle.name}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     return EXIT_OK
@@ -273,7 +262,7 @@ def _solution_csv(config: ScenarioConfig, subcommand: str, ensemble, theta) -> N
     )
 
 
-def _solve_linear(config: ScenarioConfig, subcommand: str) -> int:
+def _solve_linear(config: ScenarioConfig, subcommand: str, strict: bool) -> int:
     ens = config.ensemble()
     forcings = config.forcings(ens.n_paths, ens.n_steps)
     with _solver_config_errors():
@@ -290,8 +279,7 @@ def _solve_linear(config: ScenarioConfig, subcommand: str) -> int:
     return EXIT_OK
 
 
-def _run_solve(config: ScenarioConfig, subcommand: str) -> int:
-    """`solve` and `diagnose`: the same solve; only `solve` writes the CSV."""
+def _run_solve(config: ScenarioConfig, subcommand: str, strict: bool) -> int:
     bundle = config.bundle()
     report = check_hypothesis(bundle, np.random.default_rng(config.seed))
     if not report.passed:
@@ -316,8 +304,7 @@ def _run_solve(config: ScenarioConfig, subcommand: str) -> int:
         )
         print(str(err), file=sys.stderr)
         return EXIT_DIVERGED
-    if subcommand == "solve":
-        _solution_csv(config, subcommand, ens, theta)
+    _solution_csv(config, subcommand, ens, theta)
     _write_json(config.artifact_path(subcommand, "json"), config, diag.to_json_dict())
     top, inner = diag.levels[-1], diag.inner_unconverged
     if not top.converged or inner:
@@ -331,18 +318,16 @@ def _run_solve(config: ScenarioConfig, subcommand: str) -> int:
     return EXIT_OK
 
 
-# subcommand -> handler(config, subcommand); argparse offers these keys
+# subcommand -> handler(config, subcommand, strict); the usage line lists these keys
 _HANDLERS = {
-    "sample-clock": _sample_clock,
     "sample-subdiffusion": _sample_subdiffusion,
     "check-hypothesis": _check_hypothesis,
     "solve-linear": _solve_linear,
     "solve": _run_solve,
-    "diagnose": _run_solve,
 }
 
 
-def run(subcommand: str, config_path, output_dir=None, strict=None) -> int:
+def run(subcommand: str, config_path, output_dir=None, strict=False) -> int:
     if subcommand not in _HANDLERS:
         print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
         return EXIT_CONFIG
@@ -358,9 +343,7 @@ def run(subcommand: str, config_path, output_dir=None, strict=None) -> int:
         config = ScenarioConfig(raw)
         if output_dir is not None:
             config.output_dir = Path(output_dir)
-        if strict is not None:
-            config.strict = strict
-        return _HANDLERS[subcommand](config, subcommand)
+        return _HANDLERS[subcommand](config, subcommand, strict)
     except ConfigError as err:
         print(str(err), file=sys.stderr)
         return EXIT_CONFIG
@@ -374,17 +357,13 @@ def main(argv=None) -> int:
         prog="subfbsde",
         description="Monte Carlo FBSDE solvers driven by sub-diffusions",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("config", help="scenario JSON path")
-        p.add_argument("--output-dir", default=None, help="override the output directory")
-        p.add_argument(
-            "--strict",
-            action="store_true",
-            default=None,
-            help="treat hypothesis-check failures as fatal (exit 4)",
-        )
+    # run() refuses an unknown subcommand with one stderr line, like a bad config
+    parser.add_argument("subcommand", metavar="{" + ",".join(_HANDLERS) + "}")
+    parser.add_argument("config", help="scenario JSON path")
+    parser.add_argument("--output-dir", default=None, help="override the output directory")
+    parser.add_argument(
+        "--strict", action="store_true", help="treat hypothesis-check failures as fatal (exit 4)"
+    )
     args = parser.parse_args(argv)
     return run(args.subcommand, args.config, args.output_dir, args.strict)
 

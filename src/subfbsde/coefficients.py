@@ -124,7 +124,8 @@ def check_hypothesis(bundle: CoefficientBundle, rng: np.random.Generator) -> Hyp
     ds = bundle.sigma(t, state, x1, y1, z1) - bundle.sigma(t, state, x2, y2, z2)
     dh = bundle.h(t, state, x1, y1, z1) - bundle.h(t, state, x2, y2, z2)
     dphi = bundle.phi(state, x1) - bundle.phi(state, x2)
-    for name, arr in (("b", db), ("g", dg), ("delta", dd), ("sigma", ds), ("h", dh)):
+    diffs = (("b", db), ("g", dg), ("delta", dd), ("sigma", ds), ("h", dh), ("phi", dphi))
+    for name, arr in diffs:
         if not np.all(np.isfinite(arr)):
             raise _NonFiniteError(f"coefficient {name} produced non-finite values")
 
@@ -241,12 +242,6 @@ def _canonical_flipped_hp2(c: float = 1.0) -> CoefficientBundle:
     )
 
 
-def _linear_test() -> CoefficientBundle:
-    bundle = _canonical_monotone(1.0)
-    bundle.name = "linear_test"
-    return bundle
-
-
 def _riccati_test(c: float = 1.0, eps: float = 0.2) -> CoefficientBundle:
     # mildly nonlinear monotone bundle; tanh keeps everything Lipschitz
     return CoefficientBundle(
@@ -291,8 +286,10 @@ def _flipped_b_demo(c: float = 1.0) -> CoefficientBundle:
 
 
 def _divergence_demo(gain: float = 4.0) -> CoefficientBundle:
-    # strongly coupled, non-monotone; Lipschitz alone is not enough and the
-    # collapsed-step Picard iteration blows up on it
+    # strongly coupled, non-monotone; Lipschitz alone is not enough.  Plain
+    # Picard converges on it after a transient (2000 x 50, exponential jumps:
+    # peak residual 90, below 1e-4 after 31 iterates), but solve_fbsde raises
+    # DivergedError at its 4 strictly rising residuals
     return CoefficientBundle(
         b=lambda t, st, x, y: gain * y,
         g=lambda t, st, x, y: -gain * x,
@@ -310,7 +307,6 @@ def _divergence_demo(gain: float = 4.0) -> CoefficientBundle:
 _REGISTRY: dict[str, Callable[..., CoefficientBundle]] = {
     "canonical_monotone": _canonical_monotone,
     "canonical_flipped_hp2": _canonical_flipped_hp2,
-    "linear_test": _linear_test,
     "riccati_test": _riccati_test,
     "cross_lipschitz": _cross_lipschitz,
     "flipped_b_demo": _flipped_b_demo,

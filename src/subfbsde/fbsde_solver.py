@@ -89,7 +89,7 @@ class SolveDiagnostics:
     inner_unconverged: int = 0  # inner ladder loops that stopped at max_picard
 
     def to_json_dict(self) -> dict:
-        """The solve/diagnose JSON payload; the contraction entry describes
+        """The solve JSON payload; the contraction entry describes
         the last recorded level."""
         level = self.levels[-1] if self.levels else None
         residuals = list(level.residuals) if level else []

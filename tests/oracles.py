@@ -11,7 +11,7 @@
   term: the reference for the row-blocked solver.
 * The pathwise solution of `canonical_monotone(c)` on any clock.
 * The renewal solution of the linear base system with `g0 = 1` under an
-  exponential-jump clock, on clock-running paths.
+  exponential-jump clock, on clock-running and on frozen paths.
 * The continuation family between the linear base system and a bundle, and
   the paper's provable continuation step `eta0`.
 
@@ -196,10 +196,15 @@ def eta0(L, c, kappa, T, C1):
     return min(time_term, contraction_term)
 
 
-def renewal_ybar(t, rate, mean, T=1.0, nodes=500):
+def renewal_ybar(t, rate, mean, r=0.0, T=1.0, nodes=500):
     """`ybar = y - x` of the linear base system with g0 = 1, every other
-    forcing 0 and kappa = 1, on paths whose clock runs at t (R_t = 0), under
-    jumps at rate `rate` with Exp(mean `mean`) sizes: G(t, 0) = V(T - t).
+    forcing 0 and kappa = 1, at time t on paths with overshoot R_t = r, under
+    jumps at rate `rate` with Exp(mean `mean`) sizes.  On a running clock
+    (r = 0) it is G(t, 0) = V(T - t).  A frozen clock resumes at t + r,
+    and the weights decay at rate 1 until then:
+        G(t, r) = 1 - e^{-r} + e^{-r} G(t + r, 0)   if t + r < T,
+        G(t, r) = 1 - e^{-(T - t)}                  otherwise,
+    which is the first line with r capped at T - t, since V(0) = 0.
 
     With h the time left, V is the value on a running clock and W the value
     at the start of a frozen period; weights decay at rate 2 while the clock
@@ -232,4 +237,6 @@ def renewal_ybar(t, rate, mean, T=1.0, nodes=500):
         a, b = q[0] * run[0], q[0] * freeze[0]
         V[i] = (v + a * w) / (1.0 - a * b)
         W[i] = w + b * V[i]
-    return np.interp(T - np.asarray(t, dtype=float), h, V)
+    t = np.asarray(t, dtype=float)
+    frozen = np.minimum(r, T - t)
+    return 1.0 - np.exp(-frozen) + np.exp(-frozen) * np.interp(T - t - frozen, h, V)

@@ -295,7 +295,7 @@ def test_criterion_11_reproducibility(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     pairs = []
-    for sub in ("sample-clock", "solve"):
+    for sub in ("sample-subdiffusion", "solve"):
         blobs = []
         for d in ("r1", "r2"):
             out = tmp_path / d / sub

@@ -49,7 +49,7 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 
 @pytest.mark.parametrize(
     "subcommand",
-    ["sample-clock", "sample-subdiffusion", "check-hypothesis", "solve-linear", "solve", "diagnose"],
+    ["sample-subdiffusion", "check-hypothesis", "solve-linear", "solve"],
 )
 def test_subcommands_succeed(tmp_path, subcommand):
     cfg = base_config(output_dir=str(tmp_path / "out"))
@@ -62,11 +62,11 @@ def test_subcommands_succeed(tmp_path, subcommand):
 def test_artifacts_embed_hash_and_seed(tmp_path):
     cfg = base_config(output_dir=str(tmp_path))
     path = write_config(tmp_path, cfg)
-    assert run("sample-clock", path) == EXIT_OK
+    assert run("sample-subdiffusion", path) == EXIT_OK
     sc = ScenarioConfig(cfg)
-    csv = (tmp_path / "t_sample-clock_9.csv").read_text().splitlines()
+    csv = (tmp_path / "t_sample-subdiffusion_9.csv").read_text().splitlines()
     assert csv[0] == f"# config_hash={sc.config_hash} seed=9"
-    doc = json.loads((tmp_path / "t_sample-clock_9.json").read_text())
+    doc = json.loads((tmp_path / "t_sample-subdiffusion_9.json").read_text())
     assert doc["config_hash"] == sc.config_hash
     assert doc["seed"] == 9
 
@@ -74,8 +74,8 @@ def test_artifacts_embed_hash_and_seed(tmp_path):
 def test_drift_only_clock_csv_L_equals_t(tmp_path):
     cfg = base_config(output_dir=str(tmp_path), n_paths=3)
     path = write_config(tmp_path, cfg)
-    assert run("sample-clock", path) == EXIT_OK
-    lines = (tmp_path / "t_sample-clock_9.csv").read_text().splitlines()
+    assert run("sample-subdiffusion", path) == EXIT_OK
+    lines = (tmp_path / "t_sample-subdiffusion_9.csv").read_text().splitlines()
     header = lines[1].split(",")
     it, iL = header.index("t"), header.index("L")
     for row in lines[2:]:
@@ -160,7 +160,7 @@ def _assert_config_error(tmp_path, capsys, key, subcommand="solve", **over):
     return err
 
 
-@pytest.mark.parametrize("subcommand", ["solve", "sample-clock"])
+@pytest.mark.parametrize("subcommand", ["solve", "sample-subdiffusion"])
 @pytest.mark.parametrize(
     "key, over",
     [
@@ -259,7 +259,7 @@ _REFUSED = [
     *[(f"forcings/{k}", {"forcings": {k: "1"}}) for k in ("b0", "g0", "delta0", "h0", "sigma0")],
     ("forcings/phi0", {"forcings": {"phi0": "1"}}),
     ("forcings/g0", {"forcings": {"g0": True}}),
-    ("strict", {"strict": "yes"}),
+    ("strict", {"strict": True}),  # the removed strict key: unknown, whatever its value
     ("output_dir", {"output_dir": 1}),
     # enums
     ("jumps/jump_kind", {"jumps": {"jump_kind": "gamma"}}),
@@ -295,6 +295,8 @@ _REFUSED = [
     ("jumps/cutoff", {"jumps": {**_EXP, "cutoff": 0.3}}),
     ("jumps/cutoff", {"jumps": {**_EXP, "jump_kind": "fixed", "cutoff": 0.3}}),
     ("jumps/cutoff", {"jumps": {**_PARETO, "cutoff": 0.3}}),
+    # the removed alias of canonical_monotone(c=1)
+    ("bundle", {"bundle": "linear_test"}),
 ]
 
 
@@ -314,7 +316,7 @@ def test_divergence_exit_code_and_artifact(tmp_path):
     assert "error" in doc
 
 
-@pytest.mark.parametrize("subcommand", ["solve", "diagnose"])
+@pytest.mark.parametrize("subcommand", ["solve"])
 def test_picard_budget_exhausted_exit_code_and_artifacts(tmp_path, capsys, subcommand):
     cfg = base_config(bundle="riccati_test", max_picard=1, output_dir=str(tmp_path))
     assert run(subcommand, write_config(tmp_path, cfg)) == EXIT_NOT_CONVERGED
@@ -324,7 +326,7 @@ def test_picard_budget_exhausted_exit_code_and_artifacts(tmp_path, capsys, subco
     assert doc["levels"][-1]["converged"] is False
     assert len(doc["levels"][-1]["residuals"]) == 1
     assert doc["diverged"] is False and doc["total_linear_solves"] == 1
-    assert (tmp_path / "t_solve_9.csv").exists() == (subcommand == "solve")
+    assert (tmp_path / "t_solve_9.csv").exists()
 
 
 def test_strict_hypothesis_failure(tmp_path):
@@ -332,12 +334,22 @@ def test_strict_hypothesis_failure(tmp_path):
     path = write_config(tmp_path, cfg)
     assert run("check-hypothesis", path) == EXIT_OK  # non-strict: report only
     assert run("check-hypothesis", path, strict=True) == EXIT_HYPOTHESIS
-    cfg["strict"] = True
-    path2 = write_config(tmp_path, cfg, "strict.json")
-    assert run("check-hypothesis", path2) == EXIT_HYPOTHESIS
+    assert main(["check-hypothesis", str(path), "--strict"]) == EXIT_HYPOTHESIS
     doc = json.loads((tmp_path / "t_check-hypothesis_9.json").read_text())
     assert doc["report"]["passed"] is False
     assert doc["report"]["violation"] is not None
+
+
+@pytest.mark.parametrize("subcommand", ["diagnose", "sample-clock"])
+def test_removed_subcommands_are_unknown(tmp_path, capsys, subcommand):
+    # `solve` writes what `diagnose` wrote, `sample-subdiffusion` what
+    # `sample-clock` wrote
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(output_dir=str(out)))
+    assert run(subcommand, path) == EXIT_CONFIG
+    assert main([subcommand, str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"unknown subcommand {subcommand!r}\n" * 2
+    assert not out.exists()
 
 
 def test_check_hypothesis_flipped_orientation_passes(tmp_path):
@@ -367,10 +379,11 @@ def test_solve_requires_bundle(tmp_path):
 
 
 def test_diagnose_json_schema(tmp_path):
+    # the diagnostics JSON that `solve` writes next to its CSV
     cfg = base_config(output_dir=str(tmp_path), jumps={"jump_kind": "fixed", "rate": 1.0, "jump_param": 1.0})
     path = write_config(tmp_path, cfg)
-    assert run("diagnose", path) == EXIT_OK
-    doc = json.loads((tmp_path / "t_diagnose_9.json").read_text())
+    assert run("solve", path) == EXIT_OK
+    doc = json.loads((tmp_path / "t_solve_9.json").read_text())
     assert set(doc["m_norm"]) == {"value", "parts"}
     assert set(doc["contraction"]) == {"ratios", "fit"}
     assert set(doc["apriori"]) == {"lhs", "rhs", "ratio", "se", "degenerate"}
@@ -380,7 +393,7 @@ def test_diagnose_json_schema(tmp_path):
 def test_main_entry(tmp_path):
     cfg = base_config(output_dir=str(tmp_path))
     path = write_config(tmp_path, cfg)
-    assert main(["sample-clock", str(path)]) == EXIT_OK
+    assert main(["sample-subdiffusion", str(path)]) == EXIT_OK
     with pytest.raises(SystemExit):
         main([])
 
@@ -391,7 +404,7 @@ def test_jump_param_list_round_trip(tmp_path):
         jumps={"jump_kind": "pareto", "rate": 0.5, "jump_param": [0.2, 1.5]},
     )
     path = write_config(tmp_path, cfg)
-    assert run("sample-clock", path) == EXIT_OK
+    assert run("sample-subdiffusion", path) == EXIT_OK
     sc = ScenarioConfig(cfg)
     assert sc.subordinator.jump_param == (0.2, 1.5)
 
@@ -437,7 +450,7 @@ def test_removed_step_keys_are_unknown(tmp_path, capsys, key):
     assert err == f"config key {key}: unknown key\n"
 
 
-@pytest.mark.parametrize("subcommand", ["solve", "diagnose"])
+@pytest.mark.parametrize("subcommand", ["solve"])
 def test_inner_level_out_of_iterates_exit_code(tmp_path, capsys, subcommand):
     # the top level converges in 5 iterates; one inner loop runs out of them
     cfg = base_config(
@@ -459,10 +472,10 @@ def test_inner_level_out_of_iterates_exit_code(tmp_path, capsys, subcommand):
     doc = json.loads((tmp_path / f"t_{subcommand}_1.json").read_text())
     assert doc["levels"][-1]["converged"] is True and len(doc["levels"][-1]["residuals"]) == 5
     assert doc["inner_unconverged"] == 1 and doc["diverged"] is False
-    assert (tmp_path / "t_solve_1.csv").exists() == (subcommand == "solve")
+    assert (tmp_path / "t_solve_1.csv").exists()
 
 
-@pytest.mark.parametrize("subcommand", ["sample-clock", "sample-subdiffusion"])
+@pytest.mark.parametrize("subcommand", ["sample-subdiffusion"])
 def test_jump_budget_is_a_config_error(tmp_path, capsys, monkeypatch, subcommand):
     jumps = {"jump_kind": "truncated_stable", "jump_param": 0.9, "cutoff": 1e-12}
     path = write_config(tmp_path, base_config(jumps=jumps, output_dir=str(tmp_path / "out")))
@@ -513,13 +526,19 @@ def _assert_numerical_failure(capsys, message):
 
 @pytest.mark.parametrize("subcommand", ["check-hypothesis", "solve"])
 def test_nan_in_hypothesis_cloud_is_numerical_failure(tmp_path, capsys, monkeypatch, subcommand):
-    nan_everywhere = _nan_bundle(lambda t, x: np.ones(np.shape(x), dtype=bool))
-    monkeypatch.setitem(coefficients._REGISTRY, "nan_cloud", nan_everywhere)
-    out = tmp_path / "out"
-    path = write_config(tmp_path, base_config(bundle="nan_cloud", output_dir=str(out)))
-    assert run(subcommand, path) == EXIT_NUMERICAL
-    _assert_numerical_failure(capsys, "coefficient b produced non-finite values")
-    assert not out.exists()
+    def nan_phi():
+        bundle = coefficients.get_bundle("canonical_monotone")
+        bundle.phi = lambda st, x: np.full(np.shape(x), np.nan)
+        return bundle
+
+    nan_b = _nan_bundle(lambda t, x: np.ones(np.shape(x), dtype=bool))
+    for name, factory in (("b", nan_b), ("phi", nan_phi)):
+        monkeypatch.setitem(coefficients._REGISTRY, "nan_cloud", factory)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(bundle="nan_cloud", output_dir=str(out)))
+        assert run(subcommand, path) == EXIT_NUMERICAL
+        _assert_numerical_failure(capsys, f"coefficient {name} produced non-finite values")
+        assert not out.exists()
 
 
 def test_nan_during_solve_is_numerical_failure(tmp_path, capsys, monkeypatch):
@@ -652,17 +671,10 @@ def test_absent_keys_take_the_settings_defaults():
 
 
 def test_readme_matches_cli():
+    # the README's scenarios validate; tests/test_surface.py checks its
+    # subcommand list
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"```(\w+)\n(.*?)```", readme, flags=re.S)
-    scenarios = [json.loads(body) for lang, body in blocks if lang == "json"]
+    scenarios = [json.loads(body) for body in re.findall(r"```json\n(.*?)```", readme, flags=re.S)]
     assert scenarios
     for raw in scenarios:
         ScenarioConfig(raw)
-    documented = {
-        line.split()[1]
-        for lang, body in blocks
-        if lang == "sh"
-        for line in body.splitlines()
-        if line.startswith("subfbsde ")
-    }
-    assert documented == set(cli._HANDLERS)

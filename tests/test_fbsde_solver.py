@@ -125,7 +125,7 @@ def test_picard_forcings_runs_once_per_picard_iterate(drift_ensemble, monkeypatc
 
 def test_linear_bundle_matches_linear_solver(jump_ensemble, jump_plan):
     m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
-    theta, diag = solve_fbsde(get_bundle("linear_test"), 1.0, jump_ensemble)
+    theta, diag = solve_fbsde(get_bundle("canonical_monotone"), 1.0, jump_ensemble)
     direct = solve_linear(ForcingSet.zeros(m, n).rows, 1.0, jump_plan)
     assert m_norm(theta, direct).value <= 1e-10
     assert diag.total_linear_solves == 2  # fixed point reached immediately

@@ -1,10 +1,12 @@
 """The package surface: every name a module exports, and every name the
 benchmark tracer (perfbench/spans.py) patches, must resolve; the CLI's
-imports stay light."""
+imports stay light; the README lists exactly the subcommands and bundles
+there are."""
 
 import importlib
 import os
 import pkgutil
+import re
 import runpy
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import subfbsde
+from subfbsde import cli, coefficients
 
 MODULES = ["subfbsde"] + [f"subfbsde.{m.name}" for m in pkgutil.iter_modules(subfbsde.__path__)]
 
@@ -46,3 +49,17 @@ def test_cli_import_loads_neither_jsonschema_nor_scipy():
     path, loaded = out.stdout.splitlines()
     assert Path(path).resolve().is_relative_to(src)
     assert loaded == "[]"
+
+
+def _readme_section(heading: str) -> str:
+    """The README text under a heading, up to the next heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(rf"^{re.escape(heading)}\n(.*?)(?=^#)", readme, flags=re.S | re.M).group(1)
+
+
+def test_readme_lists_the_subcommands_and_the_bundle_catalog():
+    block = re.search(r"```sh\n(.*?)```", _readme_section("## CLI"), flags=re.S).group(1)
+    commands = {line.split()[1] for line in block.splitlines() if line.startswith("subfbsde ")}
+    assert commands == set(cli._HANDLERS)
+    catalog = _readme_section("### Bundle catalog").strip().split("\n\n")[0]
+    assert set(re.findall(r"`(\w+)`", catalog)) == set(coefficients._REGISTRY)
