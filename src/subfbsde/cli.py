@@ -2,12 +2,17 @@
 
 One command per job: `sample-subdiffusion` draws the clock `L`, its
 overshoot `R` and the sub-diffusion `X`; `check-hypothesis` tests the
-monotonicity hypothesis (fatal only under `--strict`); `solve-linear` solves
-the linear base system; `solve` solves the coupled system and reports its a
-priori estimates.  One scenario JSON per invocation, validated before any
-compute: the key table checks each key's JSON type, the settings objects
-check the ranges.  Every artifact (CSV or JSON) embeds the config hash and
-seed, and reruns with an identical config are byte identical.
+monotonicity hypothesis; `solve-linear` solves the linear base system with
+the scenario's `forcings`, the one subcommand that reads them; `solve`
+solves the coupled system and reports its a priori estimates.  `--strict`,
+read by `check-hypothesis` and `solve` only, makes a failed hypothesis check
+fatal; `solve` then stops before the ensemble is built.  One scenario JSON
+per invocation, validated before any compute: the key table checks each
+key's JSON type, the settings objects check the ranges.  Each handler
+returns its exit code, its CSV table and its JSON payload (the library's
+result records as `dataclasses.asdict` gives them), and `run` alone writes
+them.  Every artifact embeds the config hash and seed, and reruns with an
+identical config are byte identical.
 
 Exit codes: 0 success, 2 config validation error, 3 solver divergence,
 4 hypothesis-check failure under --strict, 5 numerical failure (non-finite
@@ -15,7 +20,6 @@ coefficients, forcings or solutions, or a singular regression design), 6 a
 Picard loop of any ladder level that stopped at max_picard without
 converging (its artifacts are still written).
 """
-
 from __future__ import annotations
 
 import argparse
@@ -211,77 +215,66 @@ def _write_json(path: Path, config: ScenarioConfig, payload: dict) -> None:
         fh.write("\n")
 
 
-def _sample_subdiffusion(config: ScenarioConfig, subcommand: str, strict: bool) -> int:
+def _sample_subdiffusion(config: ScenarioConfig, strict: bool):
     """A long-format CSV with one row (path_id, t, L, R, X) per path and grid
     node, and a JSON summary."""
     ens = config.ensemble()
     m, nodes = ens.n_paths, ens.n_steps + 1
     ids, t = np.repeat(np.arange(m), nodes), np.tile(ens.grid.times(), m)
     rows = np.column_stack([ids, t, ens.L.ravel(), ens.R.ravel(), ens.X.ravel()])
-    header = ["path_id", "t", "L", "R", "X"]
-    _write_csv(config.artifact_path(subcommand, "csv"), config, header, rows)
-    _write_json(
-        config.artifact_path(subcommand, "json"),
-        config,
-        {
-            "subordinator": config.subordinator.to_json_dict(),
-            "n_paths": ens.n_paths,
-            "mean_L_T": float(np.mean(ens.L[:, -1])),
-            "x0": config.x0,
-            "var_X_T": float(np.var(ens.X[:, -1])),
-        },
-    )
-    return EXIT_OK
+    summary = {
+        "subordinator": dataclasses.asdict(config.subordinator),
+        "n_paths": ens.n_paths,
+        "mean_L_T": float(np.mean(ens.L[:, -1])),
+        "x0": config.x0,
+        "var_X_T": float(np.var(ens.X[:, -1])),
+    }
+    return EXIT_OK, (["path_id", "t", "L", "R", "X"], rows), summary
 
 
-def _check_hypothesis(config: ScenarioConfig, subcommand: str, strict: bool) -> int:
+def _checked_bundle(config: ScenarioConfig, strict: bool):
+    """The scenario's bundle, its hypothesis report, and the exit code of the
+    check: EXIT_HYPOTHESIS, with one stderr line, if it fails under strict."""
     bundle = config.bundle()
     report = check_hypothesis(bundle, np.random.default_rng(config.seed))
-    _write_json(
-        config.artifact_path(subcommand, "json"),
-        config,
-        {"bundle": bundle.name, "report": report.to_json_dict()},
-    )
-    if not report.passed and strict:
+    if strict and not report.passed:
         print(f"hypothesis check failed for bundle {bundle.name}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    return EXIT_OK
+        return bundle, report, EXIT_HYPOTHESIS
+    return bundle, report, EXIT_OK
 
 
-def _solution_csv(config: ScenarioConfig, subcommand: str, ensemble, theta) -> None:
+def _check_hypothesis(config: ScenarioConfig, strict: bool):
+    bundle, report, code = _checked_bundle(config, strict)
+    return code, None, {"bundle": bundle.name, "report": dataclasses.asdict(report)}
+
+
+def _solution_csv(ensemble, theta):
+    """The moments table (header, rows) of a solution, one row per grid node."""
     # one reduction per moment over node-major copies: each node's row is
     # contiguous, so it is summed in the order of np.mean(a[:, k]), which a
     # column-wise mean(axis=0) does not keep
     x, y, z = (np.ascontiguousarray(a.T) for a in (theta.x, theta.y, theta.z))
     columns = [x.mean(axis=1), y.mean(axis=1), z.mean(axis=1), x.std(axis=1), y.std(axis=1)]
-    _write_csv(
-        config.artifact_path(subcommand, "csv"),
-        config,
-        ["t", "mean_x", "mean_y", "mean_z", "sd_x", "sd_y"],
-        np.column_stack([ensemble.grid.times(), *columns]),
-    )
+    header = ["t", "mean_x", "mean_y", "mean_z", "sd_x", "sd_y"]
+    return header, np.column_stack([ensemble.grid.times(), *columns])
 
 
-def _solve_linear(config: ScenarioConfig, subcommand: str, strict: bool) -> int:
+def _solve_linear(config: ScenarioConfig, strict: bool):
     ens = config.ensemble()
     forcings = config.forcings(ens.n_paths, ens.n_steps)
     with _solver_config_errors():
         theta = solve_linear(forcings.rows, config.x0, RegressionPlan(ens, config.basis))
-    _solution_csv(config, subcommand, ens, theta)
-    _write_json(
-        config.artifact_path(subcommand, "json"),
-        config,
-        {
-            "m_norm": m_norm(theta).to_json_dict(),
-            "apriori": apriori_ratio(theta, forcings.rows, config.x0).to_json_dict(),
-        },
-    )
-    return EXIT_OK
+    payload = {
+        "m_norm": dataclasses.asdict(m_norm(theta)),
+        "apriori": dataclasses.asdict(apriori_ratio(theta, forcings.rows, config.x0)),
+    }
+    return EXIT_OK, _solution_csv(ens, theta), payload
 
 
-def _run_solve(config: ScenarioConfig, subcommand: str, strict: bool) -> int:
-    bundle = config.bundle()
-    report = check_hypothesis(bundle, np.random.default_rng(config.seed))
+def _run_solve(config: ScenarioConfig, strict: bool):
+    bundle, report, code = _checked_bundle(config, strict)
+    if code != EXIT_OK:
+        return code, None, None
     if not report.passed:
         print(
             f"warning: bundle {bundle.name} fails the hypothesis check; solving anyway",
@@ -292,21 +285,11 @@ def _run_solve(config: ScenarioConfig, subcommand: str, strict: bool) -> int:
         with _solver_config_errors():
             theta, diag = solve_fbsde(bundle, config.x0, ens, config.solver, config.basis)
     except DivergedError as err:
-        _write_json(
-            config.artifact_path(subcommand, "json"),
-            config,
-            {
-                **err.diagnostics.to_json_dict(),
-                "error": str(err),
-                "alpha": err.alpha,
-                "eta": err.eta,
-            },
-        )
         print(str(err), file=sys.stderr)
-        return EXIT_DIVERGED
-    _solution_csv(config, subcommand, ens, theta)
-    _write_json(config.artifact_path(subcommand, "json"), config, diag.to_json_dict())
+        diverged = {"error": str(err), "alpha": err.alpha, "eta": err.eta}
+        return EXIT_DIVERGED, None, {**dataclasses.asdict(err.diagnostics), **diverged}
     top, inner = diag.levels[-1], diag.inner_unconverged
+    code = EXIT_OK
     if not top.converged or inner:
         state = "converged" if top.converged else f"last residual {top.residuals[-1]:g}"
         print(
@@ -314,22 +297,30 @@ def _run_solve(config: ScenarioConfig, subcommand: str, strict: bool) -> int:
             f"iterates: top level {state}; inner_unconverged {inner}",
             file=sys.stderr,
         )
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+        code = EXIT_NOT_CONVERGED
+    return code, _solution_csv(ens, theta), dataclasses.asdict(diag)
 
 
-# subcommand -> handler(config, subcommand, strict); the usage line lists these keys
+# subcommand -> handler(config, strict) -> (exit code, CSV (header, rows) or None,
+# JSON payload or None); the usage line lists these keys
 _HANDLERS = {
     "sample-subdiffusion": _sample_subdiffusion,
     "check-hypothesis": _check_hypothesis,
     "solve-linear": _solve_linear,
     "solve": _run_solve,
 }
+# the subcommands that check a bundle, and so read --strict
+_STRICT = ("check-hypothesis", "solve")
 
 
 def run(subcommand: str, config_path, output_dir=None, strict=False) -> int:
+    """Run one subcommand on a scenario JSON and write its artifacts, the CSV
+    and then the JSON, whatever the exit code; return the exit code."""
     if subcommand not in _HANDLERS:
         print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
+        return EXIT_CONFIG
+    if strict and subcommand not in _STRICT:
+        print(f"--strict: read only by {' and '.join(_STRICT)}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         with open(config_path) as fh:
@@ -341,15 +332,22 @@ def run(subcommand: str, config_path, output_dir=None, strict=False) -> int:
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
         config = ScenarioConfig(raw)
+        if "forcings" in raw and subcommand != "solve-linear":
+            raise ConfigError("config key forcings: read only by solve-linear")
         if output_dir is not None:
             config.output_dir = Path(output_dir)
-        return _HANDLERS[subcommand](config, subcommand, strict)
+        code, table, payload = _HANDLERS[subcommand](config, strict)
     except ConfigError as err:
         print(str(err), file=sys.stderr)
         return EXIT_CONFIG
     except (FloatingPointError, SingularSliceError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    if table is not None:
+        _write_csv(config.artifact_path(subcommand, "csv"), config, *table)
+    if payload is not None:
+        _write_json(config.artifact_path(subcommand, "json"), config, payload)
+    return code
 
 
 def main(argv=None) -> int:
@@ -362,7 +360,9 @@ def main(argv=None) -> int:
     parser.add_argument("config", help="scenario JSON path")
     parser.add_argument("--output-dir", default=None, help="override the output directory")
     parser.add_argument(
-        "--strict", action="store_true", help="treat hypothesis-check failures as fatal (exit 4)"
+        "--strict",
+        action="store_true",
+        help="check-hypothesis and solve: a failed hypothesis check is fatal (exit 4)",
     )
     args = parser.parse_args(argv)
     return run(args.subcommand, args.config, args.output_dir, args.strict)

@@ -113,17 +113,6 @@ class SubordinatorSpec:
             return scale * u ** (-1.0 / shape)
         return np.zeros(n)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "jump_kind": self.jump_kind,
-            "rate": self.rate,
-            "jump_param": list(self.jump_param)
-            if isinstance(self.jump_param, (tuple, list))
-            else self.jump_param,
-            "cutoff": self.cutoff,
-        }
-
 
 @dataclass(frozen=True)
 class TimeGrid:

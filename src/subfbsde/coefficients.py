@@ -75,23 +75,8 @@ class HypothesisReport:
     phi_monotone: bool
     samples_used: int
     verdict: dict
+    passed: bool  # every verdict holds
     violation: dict | None = None
-
-    @property
-    def passed(self) -> bool:
-        return all(self.verdict.values())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lipschitz_estimate": self.lipschitz_estimate,
-            "m1_margin": self.m1_margin,
-            "m2_margin": self.m2_margin,
-            "phi_monotone": self.phi_monotone,
-            "samples_used": self.samples_used,
-            "verdict": dict(self.verdict),
-            "violation": self.violation,
-            "passed": self.passed,
-        }
 
 
 def _sample_cloud(rng: np.random.Generator):
@@ -185,6 +170,7 @@ def check_hypothesis(bundle: CoefficientBundle, rng: np.random.Generator) -> Hyp
         phi_monotone=phi_ok,
         samples_used=CLOUD_SAMPLES,
         verdict=verdict,
+        passed=all(verdict.values()),
         violation=violation,
     )
 

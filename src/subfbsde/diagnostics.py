@@ -30,15 +30,7 @@ BOOTSTRAP_RESAMPLES = 200
 @dataclass(frozen=True)
 class MNormValue:
     value: float
-    x0_part: float
-    dt_part: float
-    dL_part: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "parts": {"x0": self.x0_part, "dt": self.dt_part, "dL": self.dL_part},
-        }
+    parts: dict  # the squared norm's terms: "x0", "dt" and "dL"
 
 
 @dataclass
@@ -46,17 +38,8 @@ class AprioriReport:
     lhs: float
     rhs: float
     ratio: float
-    ratio_se: float
+    se: float  # bootstrap standard error of the ratio
     degenerate: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "se": self.ratio_se,
-            "degenerate": self.degenerate,
-        }
 
 
 def m_norm(theta: SolutionTriple, other: SolutionTriple | None = None) -> MNormValue:
@@ -87,13 +70,8 @@ def m_norm(theta: SolutionTriple, other: SolutionTriple | None = None) -> MNormV
         z = block("z", rows)
         z *= z
         dL_sum += float(z.ravel() @ theta.dL[rows].ravel())
-    x0_part, dt_part, dL_part = x0_sum / m, dt_sum / m * theta.dt, dL_sum / m
-    return MNormValue(
-        value=math.sqrt(x0_part + dt_part + dL_part),
-        x0_part=x0_part,
-        dt_part=dt_part,
-        dL_part=dL_part,
-    )
+    parts = {"x0": x0_sum / m, "dt": dt_sum / m * theta.dt, "dL": dL_sum / m}
+    return MNormValue(value=math.sqrt(parts["x0"] + parts["dt"] + parts["dL"]), parts=parts)
 
 
 def contraction_fit(residuals) -> float:
@@ -131,7 +109,7 @@ def apriori_ratio(theta: SolutionTriple, data, x0: float) -> AprioriReport:
     rhs = float(np.mean(rhs_paths))
     tol = 1e-12
     if rhs <= tol:
-        return AprioriReport(lhs=lhs, rhs=rhs, ratio=0.0, ratio_se=0.0, degenerate=True)
+        return AprioriReport(lhs=lhs, rhs=rhs, ratio=0.0, se=0.0, degenerate=True)
     # one resample at a time: the same stream as one (resamples, m) draw
     rng = np.random.default_rng(0)
     boots = np.empty(BOOTSTRAP_RESAMPLES)
@@ -139,4 +117,4 @@ def apriori_ratio(theta: SolutionTriple, data, x0: float) -> AprioriReport:
         idx = rng.integers(0, m, size=m)
         boots[i] = np.mean(lhs_paths[idx]) / np.mean(rhs_paths[idx])
     se = float(np.std(boots, ddof=1))
-    return AprioriReport(lhs=lhs, rhs=rhs, ratio=lhs / rhs, ratio_se=se, degenerate=False)
+    return AprioriReport(lhs=lhs, rhs=rhs, ratio=lhs / rhs, se=se, degenerate=False)

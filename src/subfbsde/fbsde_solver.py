@@ -67,16 +67,7 @@ class LevelRecord:
     eta: float
     residuals: list
     converged: bool
-    ratio: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "eta": self.eta,
-            "residuals": list(self.residuals),
-            "converged": self.converged,
-            "contraction_ratio": self.ratio,
-        }
+    contraction_ratio: float | None = None
 
 
 @dataclass
@@ -87,26 +78,7 @@ class SolveDiagnostics:
     diverged: bool = False
     total_linear_solves: int = 0
     inner_unconverged: int = 0  # inner ladder loops that stopped at max_picard
-
-    def to_json_dict(self) -> dict:
-        """The solve JSON payload; the contraction entry describes
-        the last recorded level."""
-        level = self.levels[-1] if self.levels else None
-        residuals = list(level.residuals) if level else []
-        ratios = [
-            residuals[i + 1] / residuals[i]
-            for i in range(len(residuals) - 1)
-            if residuals[i] > 0.0
-        ]
-        return {
-            "m_norm": self.m_norm.to_json_dict() if self.m_norm else None,
-            "contraction": {"ratios": ratios, "fit": level.ratio if level else None},
-            "apriori": self.apriori.to_json_dict() if self.apriori else None,
-            "diverged": self.diverged,
-            "levels": [lv.to_json_dict() for lv in self.levels],
-            "total_linear_solves": self.total_linear_solves,
-            "inner_unconverged": self.inner_unconverged,
-        }
+    contraction: dict | None = None  # the last recorded level's "ratios" and "fit"
 
 
 class DivergedError(RuntimeError):
@@ -166,12 +138,12 @@ def _forcings_on_rows(bundle, theta, eta, base_forcings, ensemble, rows: slice) 
 
 
 def _record_level(diag: SolveDiagnostics, alpha, eta, residuals, converged):
-    ratio = None
+    fit = None
     if len(residuals) >= 3 and all(r > 0.0 for r in residuals):
-        ratio = contraction_fit(residuals)
-    diag.levels.append(
-        LevelRecord(alpha=alpha, eta=eta, residuals=residuals, converged=converged, ratio=ratio)
-    )
+        fit = contraction_fit(residuals)
+    diag.levels.append(LevelRecord(alpha, eta, residuals, converged, contraction_ratio=fit))
+    ratios = [b / a for a, b in zip(residuals, residuals[1:]) if a > 0.0]
+    diag.contraction = {"ratios": ratios, "fit": fit}
 
 
 def _mirrored(theta: SolutionTriple) -> SolutionTriple:

@@ -340,6 +340,46 @@ def test_strict_hypothesis_failure(tmp_path):
     assert doc["report"]["violation"] is not None
 
 
+def test_strict_solve_stops_before_the_ensemble(tmp_path, capsys, monkeypatch):
+    # the check-hypothesis failure line and exit 4, no ensemble and no artifact
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("the ensemble was built")
+
+    out = tmp_path / "out"
+    cfg = base_config(bundle="flipped_b_demo", seed=1, n_paths=200, jumps=_EXP, output_dir=str(out))
+    path = write_config(tmp_path, cfg)
+    monkeypatch.setattr(cli, "build_ensemble", no_ensemble)
+    assert run("solve", path, strict=True) == EXIT_HYPOTHESIS
+    assert main(["solve", str(path), "--strict"]) == EXIT_HYPOTHESIS
+    line = "hypothesis check failed for bundle flipped_b_demo(c=1)\n"
+    assert capsys.readouterr().err == line * 2
+    assert not out.exists()
+    # the check-hypothesis line is the same one
+    assert run("check-hypothesis", path, strict=True) == EXIT_HYPOTHESIS
+    assert capsys.readouterr().err == line
+
+
+@pytest.mark.parametrize("subcommand", ["sample-subdiffusion", "solve-linear"])
+def test_strict_is_refused_without_a_bundle(tmp_path, capsys, subcommand):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(output_dir=str(out)))
+    assert run(subcommand, path, strict=True) == EXIT_CONFIG
+    assert main([subcommand, str(path), "--strict"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "--strict: read only by check-hypothesis and solve\n" * 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["sample-subdiffusion", "check-hypothesis", "solve"])
+def test_forcings_are_refused_outside_solve_linear(tmp_path, capsys, subcommand):
+    # only solve-linear reads forcings: a coupled solve's data are its bundle's
+    err = _assert_config_error(
+        tmp_path, capsys, "forcings", subcommand, n_paths=200, n_steps=10,
+        forcings={"g0": 5.0},
+    )
+    assert err == "config key forcings: read only by solve-linear\n"
+
+
 @pytest.mark.parametrize("subcommand", ["diagnose", "sample-clock"])
 def test_removed_subcommands_are_unknown(tmp_path, capsys, subcommand):
     # `solve` writes what `diagnose` wrote, `sample-subdiffusion` what
@@ -378,16 +418,67 @@ def test_solve_requires_bundle(tmp_path):
     assert run("solve", path) == EXIT_CONFIG
 
 
+def _key_tree(doc):
+    """The nested keys of a JSON document: an object maps its keys to their
+    values' trees, a list of objects lists theirs, and any other value is None."""
+    if isinstance(doc, dict):
+        return {k: _key_tree(v) for k, v in doc.items()}
+    if isinstance(doc, list) and doc and isinstance(doc[0], dict):
+        return [_key_tree(v) for v in doc]
+    return None
+
+
+_STAMP = dict.fromkeys(["config_hash", "seed"])
+_M_NORM = {"value": None, "parts": dict.fromkeys(["x0", "dt", "dL"])}
+_APRIORI = dict.fromkeys(["lhs", "rhs", "ratio", "se", "degenerate"])
+_REPORT = {
+    **dict.fromkeys(["lipschitz_estimate", "m1_margin", "m2_margin", "phi_monotone",
+                     "samples_used", "passed", "violation"]),
+    "verdict": dict.fromkeys(["m1", "m2", "phi_monotone"]),
+}
+_VIOLATION = dict.fromkeys(
+    ["condition", "t", "state_x", "state_r", "x1", "x2", "y1", "y2", "z1", "z2"]
+)
+_LEVEL = dict.fromkeys(["alpha", "eta", "residuals", "converged", "contraction_ratio"])
+_SOLVE = {
+    **_STAMP,
+    "m_norm": _M_NORM,
+    "apriori": _APRIORI,
+    "contraction": dict.fromkeys(["ratios", "fit"]),
+    "levels": [_LEVEL],
+    **dict.fromkeys(["diverged", "total_linear_solves", "inner_unconverged"]),
+}
+
+
 def test_diagnose_json_schema(tmp_path):
-    # the diagnostics JSON that `solve` writes next to its CSV
-    cfg = base_config(output_dir=str(tmp_path), jumps={"jump_kind": "fixed", "rate": 1.0, "jump_param": 1.0})
-    path = write_config(tmp_path, cfg)
-    assert run("solve", path) == EXIT_OK
-    doc = json.loads((tmp_path / "t_solve_9.json").read_text())
-    assert set(doc["m_norm"]) == {"value", "parts"}
-    assert set(doc["contraction"]) == {"ratios", "fit"}
-    assert set(doc["apriori"]) == {"lhs", "rhs", "ratio", "se", "degenerate"}
-    assert doc["inner_unconverged"] == 0
+    # the key tree of every JSON artifact, the diagnostics JSON that `solve`
+    # writes next to its CSV among them
+    fixed = {"jump_kind": "fixed", "rate": 1.0, "jump_param": 1.0}
+    cases = [
+        ("sample-subdiffusion", {"jumps": _PARETO}, EXIT_OK, {
+            **_STAMP,
+            "subordinator": dict.fromkeys(["kappa", "jump_kind", "rate", "jump_param", "cutoff"]),
+            **dict.fromkeys(["n_paths", "mean_L_T", "x0", "var_X_T"]),
+        }),
+        ("check-hypothesis", {}, EXIT_OK, {**_STAMP, "bundle": None, "report": _REPORT}),
+        ("check-hypothesis", {"bundle": "flipped_b_demo"}, EXIT_OK, {
+            **_STAMP, "bundle": None, "report": {**_REPORT, "violation": _VIOLATION},
+        }),
+        ("solve-linear", {"forcings": {"b0": 1.0}}, EXIT_OK,
+         {**_STAMP, "m_norm": _M_NORM, "apriori": _APRIORI}),
+        ("solve", {"jumps": fixed}, EXIT_OK, _SOLVE),
+        ("solve", {"bundle": "divergence_demo"}, EXIT_DIVERGED, {
+            **_SOLVE, "m_norm": None, "apriori": None, **dict.fromkeys(["error", "alpha", "eta"]),
+        }),
+    ]
+    for i, (subcommand, over, code, tree) in enumerate(cases):
+        out = tmp_path / str(i)
+        cfg = base_config(output_dir=str(out), **over)
+        assert run(subcommand, write_config(tmp_path, cfg)) == code
+        doc = json.loads((out / f"t_{subcommand}_9.json").read_text())
+        assert _key_tree(doc) == tree, (subcommand, over)
+        if subcommand == "solve" and code == EXIT_OK:
+            assert doc["inner_unconverged"] == 0
 
 
 def test_main_entry(tmp_path):
@@ -638,9 +729,10 @@ def test_too_few_paths_is_a_config_error(tmp_path, capsys):
         13: "need at least 2 * (basis dimension + 1) = 14 paths to cross-fit the integrand, got 13",
     }
     for n_paths, message in expected.items():
-        cfg = base_config(output_dir=str(tmp_path), n_paths=n_paths, forcings={"b0": 1.0})
-        for subcommand in ("solve-linear", "solve"):
-            assert run(subcommand, write_config(tmp_path, cfg)) == EXIT_CONFIG
+        cfg = base_config(output_dir=str(tmp_path), n_paths=n_paths)
+        legs = {"solve-linear": {**cfg, "forcings": {"b0": 1.0}}, "solve": cfg}
+        for subcommand, leg in legs.items():
+            assert run(subcommand, write_config(tmp_path, leg)) == EXIT_CONFIG
             err = capsys.readouterr().err
             assert message in err and "Traceback" not in err
 

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,10 +34,11 @@ def test_m_norm_deterministic_example(drift_ensemble):
     # x = 1 on [0,1], y = z = 0, x(0) = 1: norm^2 = 1 + 1
     val = m_norm(_triple(drift_ensemble, x=1.0))
     assert val.value == pytest.approx(np.sqrt(2.0), rel=1e-12)
-    assert val.x0_part == pytest.approx(1.0)
-    assert val.dt_part == pytest.approx(1.0)
-    assert val.dL_part == 0.0
-    assert val.value**2 == pytest.approx(val.x0_part + val.dt_part + val.dL_part)
+    parts = val.parts
+    assert parts["x0"] == pytest.approx(1.0)
+    assert parts["dt"] == pytest.approx(1.0)
+    assert parts["dL"] == 0.0
+    assert val.value**2 == pytest.approx(parts["x0"] + parts["dt"] + parts["dL"])
 
 
 def test_m_norm_homogeneous(jump_ensemble):
@@ -108,8 +111,8 @@ def test_apriori_finite_with_bootstrap(jump_ensemble):
     assert report == diag.apriori
     assert not report.degenerate
     assert report.ratio > 0.0 and np.isfinite(report.ratio)
-    assert report.ratio_se >= 0.0
-    doc = report.to_json_dict()
+    assert report.se >= 0.0
+    doc = asdict(report)
     assert set(doc) == {"lhs", "rhs", "ratio", "se", "degenerate"}
 
 

@@ -208,6 +208,23 @@ def test_divergence_demo_raises(jump_ensemble):
     assert len(e.residuals) >= 2
 
 
+def test_strongly_coupled_riccati_diverges():
+    # riccati_test at c = 4 really diverges under flatten: the 4-rising rule
+    # stops it at iterate 4, and without that rule the 1e6 x first guard does
+    # at iterate 33 (seeds 1 and 2), while divergence_demo converges there
+    spec = SubordinatorSpec(kappa=1.0, jump_kind="exponential", rate=1.0, jump_param=1.0)
+    ens = build_ensemble(spec, TimeGrid(a=0.0, T=1.0, n_steps=50), n_paths=2000, seed=1, x0=1.0)
+    config = ContinuationConfig(max_picard=60)
+    with pytest.raises(DivergedError) as err:
+        solve_fbsde(get_bundle("riccati_test", c=4.0), 1.0, ens, config)
+    e = err.value
+    assert e.alpha == 1.0 and e.eta == 1.0
+    assert e.diagnostics is not None and e.diagnostics.diverged
+    tail = e.residuals[-4:]
+    assert len(tail) == 4 and all(b > a for a, b in zip(tail, tail[1:])), e.residuals
+    assert e.residuals[-1] > 2.0 * e.residuals[0]
+
+
 def test_uniqueness_across_picard_seeds(drift_ensemble, jump_ensemble):
     bundle = get_bundle("canonical_monotone", c=0.5)
     config = ContinuationConfig(picard_tol=1e-5, max_picard=40)
@@ -249,7 +266,7 @@ def test_inner_level_out_of_iterates_is_counted():
     _, diag = solve_fbsde(get_bundle("canonical_monotone", c=2.0), 1.0, ens, config)
     assert diag.levels[-1].converged and len(diag.levels[-1].residuals) == 5
     assert diag.inner_unconverged == 1
-    assert diag.to_json_dict()["inner_unconverged"] == 1
+    assert dataclasses.asdict(diag)["inner_unconverged"] == 1
     # with a larger budget every loop converges
     _, diag = solve_fbsde(get_bundle("canonical_monotone", c=2.0), 1.0, ens, ContinuationConfig(eta=0.5))
     assert diag.levels[-1].converged and diag.inner_unconverged == 0
@@ -262,12 +279,12 @@ def test_small_step_contracts_fast(jump_ensemble):
     config = ContinuationConfig(picard_tol=1e-12, max_picard=10)
     theta, diag = solve_fbsde(target, 1.0, jump_ensemble, config)
     level = diag.levels[0]
-    assert level.ratio is not None and level.ratio <= 0.5
+    assert level.contraction_ratio is not None and level.contraction_ratio <= 0.5
 
 
 def test_diagnostics_serialization(drift_ensemble):
     _, diag = solve_fbsde(get_bundle("canonical_monotone", c=0.5), 1.0, drift_ensemble)
-    doc = diag.to_json_dict()
+    doc = dataclasses.asdict(diag)
     assert isinstance(doc["levels"], list) and doc["levels"]
     assert doc["apriori"] is not None
     assert doc["total_linear_solves"] == diag.total_linear_solves

@@ -152,9 +152,9 @@ def assert_m_norm_matches_explicit_formula(ens):
         dt_part = np.mean(np.sum(x[:, :n] ** 2 + y[:, :n] ** 2, axis=1)) * a.dt
         dL_part = np.mean(np.sum(z[:, :n] ** 2 * a.dL, axis=1))
         for got, want in (
-            (value.x0_part, x0_part),
-            (value.dt_part, dt_part),
-            (value.dL_part, dL_part),
+            (value.parts["x0"], x0_part),
+            (value.parts["dt"], dt_part),
+            (value.parts["dL"], dL_part),
             (value.value, np.sqrt(x0_part + dt_part + dL_part)),
         ):
             assert got == pytest.approx(want, rel=1e-13)
