@@ -14,11 +14,12 @@ result records as `dataclasses.asdict` gives them), and `run` alone writes
 them.  Every artifact embeds the config hash and seed, and reruns with an
 identical config are byte identical.
 
-Exit codes: 0 success, 2 config validation error, 3 solver divergence,
-4 hypothesis-check failure under --strict, 5 numerical failure (non-finite
-coefficients, forcings or solutions, or a singular regression design), 6 a
-Picard loop of any ladder level that stopped at max_picard without
-converging (its artifacts are still written).
+Exit codes: 0 success, 2 config validation error, 3 solver divergence (a
+Picard residual above 1e6 times its loop's first), 4 hypothesis-check
+failure under --strict, 5 numerical failure (non-finite coefficients,
+forcings or solutions, or a singular regression design), 6 a Picard loop of
+any ladder level that stopped at max_picard without converging (its
+artifacts are still written).
 """
 from __future__ import annotations
 
@@ -133,10 +134,12 @@ def _solver_config_errors():
 
 
 class ScenarioConfig:
-    """Validated scenario: subordinator spec, grid, ensemble size, bundle
-    selection, solver settings, and output directory.  A settings key the
-    scenario leaves out takes the default of the settings object it feeds
-    (`SubordinatorSpec`, `BasisSpec`, `ContinuationConfig`)."""
+    """Validated scenario: subordinator spec, grid, ensemble size, bundle,
+    solver settings, and output directory.  A settings key the scenario
+    leaves out takes the default of the settings object it feeds
+    (`SubordinatorSpec`, `BasisSpec`, `ContinuationConfig`).  The bundle is
+    built here, so every subcommand refuses an unknown bundle or bad
+    `bundle_params`; it is None when the scenario names none."""
 
     def __init__(self, raw: dict):
         _check_keys(raw, _KEYS)
@@ -145,8 +148,6 @@ class ScenarioConfig:
         self.seed = raw["seed"]
         self.n_paths = raw["n_paths"]
         self.x0 = raw.get("x0", 0.0)
-        self.bundle_name = raw.get("bundle")
-        self.bundle_params = raw.get("bundle_params", {})
         self.output_dir = Path(raw.get("output_dir", "."))
         self.forcing_values = raw.get("forcings", {})
         # "flatten" is the one-level ladder eta = 1; "nested" steps by the eta key
@@ -165,19 +166,21 @@ class ScenarioConfig:
             key = str(err).split()[0]
             key = next((f"{s}/{key}" for s, keys in _SECTIONS.items() if key in keys), key)
             raise ConfigError(f"config key {key}: {err}") from None
+        self.bundle = None
+        if "bundle" in raw:
+            try:
+                self.bundle = get_bundle(raw["bundle"], **raw.get("bundle_params", {}))
+            except (KeyError, TypeError, ValueError) as err:
+                # the message itself: str() of a KeyError is the repr of its message
+                message = err.args[0] if err.args else err
+                raise ConfigError(f"config key bundle: {message}") from None
+        elif "bundle_params" in raw:
+            raise ConfigError("config key bundle_params: only read with a bundle")
 
     @property
     def config_hash(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-    def bundle(self):
-        if self.bundle_name is None:
-            raise ConfigError("config key bundle: required for this subcommand")
-        try:
-            return get_bundle(self.bundle_name, **self.bundle_params)
-        except (KeyError, TypeError, ValueError) as err:
-            raise ConfigError(f"config key bundle: {err}") from None
 
     def ensemble(self):
         try:
@@ -235,7 +238,9 @@ def _sample_subdiffusion(config: ScenarioConfig, strict: bool):
 def _checked_bundle(config: ScenarioConfig, strict: bool):
     """The scenario's bundle, its hypothesis report, and the exit code of the
     check: EXIT_HYPOTHESIS, with one stderr line, if it fails under strict."""
-    bundle = config.bundle()
+    bundle = config.bundle
+    if bundle is None:
+        raise ConfigError("config key bundle: required for this subcommand")
     report = check_hypothesis(bundle, np.random.default_rng(config.seed))
     if strict and not report.passed:
         print(f"hypothesis check failed for bundle {bundle.name}", file=sys.stderr)
@@ -286,8 +291,7 @@ def _run_solve(config: ScenarioConfig, strict: bool):
             theta, diag = solve_fbsde(bundle, config.x0, ens, config.solver, config.basis)
     except DivergedError as err:
         print(str(err), file=sys.stderr)
-        diverged = {"error": str(err), "alpha": err.alpha, "eta": err.eta}
-        return EXIT_DIVERGED, None, {**dataclasses.asdict(err.diagnostics), **diverged}
+        return EXIT_DIVERGED, None, {**dataclasses.asdict(err.diagnostics), "error": str(err)}
     top, inner = diag.levels[-1], diag.inner_unconverged
     code = EXIT_OK
     if not top.converged or inner:

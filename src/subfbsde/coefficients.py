@@ -271,32 +271,12 @@ def _flipped_b_demo(c: float = 1.0) -> CoefficientBundle:
     return bundle
 
 
-def _divergence_demo(gain: float = 4.0) -> CoefficientBundle:
-    # strongly coupled, non-monotone; Lipschitz alone is not enough.  Plain
-    # Picard converges on it after a transient (2000 x 50, exponential jumps:
-    # peak residual 90, below 1e-4 after 31 iterates), but solve_fbsde raises
-    # DivergedError at its 4 strictly rising residuals
-    return CoefficientBundle(
-        b=lambda t, st, x, y: gain * y,
-        g=lambda t, st, x, y: -gain * x,
-        delta=lambda t, st, x, y, z: gain * y,
-        sigma=lambda t, st, x, y, z: 0.0 * z,
-        h=lambda t, st, x, y, z: -gain * x,
-        phi=lambda st, x: x,
-        lipschitz=max(1.0, gain),
-        monotonicity=1.0,
-        orientation="decreasing",
-        name=f"divergence_demo(gain={gain:g})",
-    )
-
-
 _REGISTRY: dict[str, Callable[..., CoefficientBundle]] = {
     "canonical_monotone": _canonical_monotone,
     "canonical_flipped_hp2": _canonical_flipped_hp2,
     "riccati_test": _riccati_test,
     "cross_lipschitz": _cross_lipschitz,
     "flipped_b_demo": _flipped_b_demo,
-    "divergence_demo": _divergence_demo,
 }
 
 

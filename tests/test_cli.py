@@ -308,7 +308,7 @@ def test_scenario_rules_refuse(tmp_path, capsys, key, over):
 
 
 def test_divergence_exit_code_and_artifact(tmp_path):
-    cfg = base_config(bundle="divergence_demo", output_dir=str(tmp_path))
+    cfg = base_config(bundle="riccati_test", bundle_params={"c": 8.0}, output_dir=str(tmp_path))
     path = write_config(tmp_path, cfg)
     assert run("solve", path) == EXIT_DIVERGED
     doc = json.loads((tmp_path / "t_solve_9.json").read_text())
@@ -380,6 +380,24 @@ def test_forcings_are_refused_outside_solve_linear(tmp_path, capsys, subcommand)
     assert err == "config key forcings: read only by solve-linear\n"
 
 
+@pytest.mark.parametrize("subcommand", list(cli._HANDLERS))
+@pytest.mark.parametrize(
+    "key, over",
+    [
+        ("bundle", {"bundle": "no_such_bundle"}),
+        ("bundle", {"bundle_params": {"zz": 1.0}}),
+        ("bundle", {"bundle": "cross_lipschitz", "bundle_params": {"cross": 0.6}}),
+        ("bundle_params", {"bundle": _DROP, "bundle_params": {"c": 2.0}}),
+    ],
+    ids=["unknown", "unknown_param", "bad_param", "params_without_bundle"],
+)
+def test_bundle_is_checked_by_every_subcommand(tmp_path, capsys, subcommand, key, over):
+    # the bundle is built when the scenario is loaded, whether or not the
+    # subcommand solves with it; the message is printed as it was raised
+    err = _assert_config_error(tmp_path, capsys, key, subcommand, **over)
+    assert '"' not in err, err
+
+
 @pytest.mark.parametrize("subcommand", ["diagnose", "sample-clock"])
 def test_removed_subcommands_are_unknown(tmp_path, capsys, subcommand):
     # `solve` writes what `diagnose` wrote, `sample-subdiffusion` what
@@ -444,7 +462,6 @@ _SOLVE = {
     **_STAMP,
     "m_norm": _M_NORM,
     "apriori": _APRIORI,
-    "contraction": dict.fromkeys(["ratios", "fit"]),
     "levels": [_LEVEL],
     **dict.fromkeys(["diverged", "total_linear_solves", "inner_unconverged"]),
 }
@@ -467,8 +484,8 @@ def test_diagnose_json_schema(tmp_path):
         ("solve-linear", {"forcings": {"b0": 1.0}}, EXIT_OK,
          {**_STAMP, "m_norm": _M_NORM, "apriori": _APRIORI}),
         ("solve", {"jumps": fixed}, EXIT_OK, _SOLVE),
-        ("solve", {"bundle": "divergence_demo"}, EXIT_DIVERGED, {
-            **_SOLVE, "m_norm": None, "apriori": None, **dict.fromkeys(["error", "alpha", "eta"]),
+        ("solve", {"bundle": "riccati_test", "bundle_params": {"c": 8.0}}, EXIT_DIVERGED, {
+            **_SOLVE, "m_norm": None, "apriori": None, "error": None,
         }),
     ]
     for i, (subcommand, over, code, tree) in enumerate(cases):
@@ -744,7 +761,7 @@ def test_solve_csv_moments_are_the_per_node_reductions(tmp_path):
     table = np.loadtxt(tmp_path / "t_solve_9.csv", delimiter=",", skiprows=2)
     sc = ScenarioConfig(cfg)
     ens = sc.ensemble()
-    theta, _ = solve_fbsde(sc.bundle(), sc.x0, ens, sc.solver, sc.basis)
+    theta, _ = solve_fbsde(sc.bundle, sc.x0, ens, sc.solver, sc.basis)
     expected = [
         [ens.grid.times()[k]]
         + [np.mean(a[:, k]) for a in (theta.x, theta.y, theta.z)]

@@ -17,7 +17,7 @@ def _rng():
 
 def test_catalog_and_lookup():
     for name in ("canonical_monotone", "canonical_flipped_hp2", "riccati_test",
-                 "cross_lipschitz", "flipped_b_demo", "divergence_demo"):
+                 "cross_lipschitz", "flipped_b_demo"):
         assert isinstance(get_bundle(name), CoefficientBundle)
     with pytest.raises(KeyError, match="canonical_monotone"):  # the message lists the catalog
         get_bundle("no_such_bundle")

@@ -1,9 +1,12 @@
 """The package surface: every name a module exports, and every name the
 benchmark tracer (perfbench/spans.py) patches, must resolve; the CLI's
 imports stay light; the README lists exactly the subcommands and bundles
-there are."""
+there are; the benchmark's workloads run on the package and pass its
+artifact checks."""
 
 import importlib
+import json
+import math
 import os
 import pkgutil
 import re
@@ -63,3 +66,30 @@ def test_readme_lists_the_subcommands_and_the_bundle_catalog():
     assert commands == set(cli._HANDLERS)
     catalog = _readme_section("### Bundle catalog").strip().split("\n\n")[0]
     assert set(re.findall(r"`(\w+)`", catalog)) == set(coefficients._REGISTRY)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+# any value passes: the benchmark checks the values at full size, this test
+# the keys, fields and shapes its checker reads
+_ANY = {"value": 0.0, "tol": math.inf}
+LOOSE_REFERENCE = {
+    "jump_solve": {"mean_y0": _ANY, "m_norm": _ANY},
+    "drift_ladder": {"oracle_rel_err_max": math.inf},
+}
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_benchmark_workloads_run_on_the_package(tmp_path, workload):
+    # each benchmark scenario at 200 x 10, through the benchmark's own artifact
+    # checker: a key it sets or a JSON field it reads that the package drops
+    # fails here
+    bench = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+    subcommand, raw = bench["scenario"](workload, 7, 200, 10)
+    path, out = tmp_path / "scenario.json", tmp_path / "out"
+    path.write_text(json.dumps(raw))
+    assert cli.run(subcommand, path, output_dir=out) == cli.EXIT_OK
+    doc = json.loads((out / f"{workload}_{subcommand}_7.json").read_text())
+    assert doc["levels"][-1]["converged"]
+    config_hash = cli.ScenarioConfig(raw).config_hash
+    bench["Checker"](workload, raw, LOOSE_REFERENCE, config_hash).check(cli.EXIT_OK, out)
