@@ -17,9 +17,9 @@ identical config are byte identical.
 Exit codes: 0 success, 2 config validation error, 3 solver divergence (a
 Picard residual above 1e6 times its loop's first), 4 hypothesis-check
 failure under --strict, 5 numerical failure (non-finite coefficients,
-forcings or solutions, or a singular regression design), 6 a Picard loop of
-any ladder level that stopped at max_picard without converging (its
-artifacts are still written).
+forcings, solutions, norms or JSON values, or a singular regression design;
+nothing is written), 6 a Picard loop of any ladder level that stopped at
+max_picard without converging (its artifacts are still written).
 """
 from __future__ import annotations
 
@@ -201,7 +201,6 @@ def _write_csv(path: Path, config: ScenarioConfig, header: list[str], rows) -> N
     `%` each."""
     table = np.asarray(rows, dtype=float)
     line = ",".join(["%.17g"] * len(header)) + "\n"
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# config_hash={config.config_hash} seed={config.seed}\n")
         fh.write(",".join(header) + "\n")
@@ -210,12 +209,13 @@ def _write_csv(path: Path, config: ScenarioConfig, header: list[str], rows) -> N
             fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _write_json(path: Path, config: ScenarioConfig, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _json_text(config: ScenarioConfig, payload: dict) -> str:
+    """The JSON artifact: RFC 8259 has no NaN or infinity, so one is a numerical failure."""
     doc = {"config_hash": config.config_hash, "seed": config.seed, **payload}
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise FloatingPointError("non-finite value in the JSON payload") from None
 
 
 def _sample_subdiffusion(config: ScenarioConfig, strict: bool):
@@ -225,13 +225,14 @@ def _sample_subdiffusion(config: ScenarioConfig, strict: bool):
     m, nodes = ens.n_paths, ens.n_steps + 1
     ids, t = np.repeat(np.arange(m), nodes), np.tile(ens.grid.times(), m)
     rows = np.column_stack([ids, t, ens.L.ravel(), ens.R.ravel(), ens.X.ravel()])
-    summary = {
-        "subordinator": dataclasses.asdict(config.subordinator),
-        "n_paths": ens.n_paths,
-        "mean_L_T": float(np.mean(ens.L[:, -1])),
-        "x0": config.x0,
-        "var_X_T": float(np.var(ens.X[:, -1])),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite summary is refused as JSON
+        summary = {
+            "subordinator": dataclasses.asdict(config.subordinator),
+            "n_paths": ens.n_paths,
+            "mean_L_T": float(np.mean(ens.L[:, -1])),
+            "x0": config.x0,
+            "var_X_T": float(np.var(ens.X[:, -1])),
+        }
     return EXIT_OK, (["path_id", "t", "L", "R", "X"], rows), summary
 
 
@@ -292,16 +293,15 @@ def _run_solve(config: ScenarioConfig, strict: bool):
     except DivergedError as err:
         print(str(err), file=sys.stderr)
         return EXIT_DIVERGED, None, {**dataclasses.asdict(err.diagnostics), "error": str(err)}
-    top, inner = diag.levels[-1], diag.inner_unconverged
-    code = EXIT_OK
-    if not top.converged or inner:
-        state = "converged" if top.converged else f"last residual {top.residuals[-1]:g}"
+    stuck = [level for level in diag.levels if not level.converged]
+    if stuck:
         print(
             f"Picard iteration did not converge within max_picard={config.solver.max_picard} "
-            f"iterates: top level {state}; inner_unconverged {inner}",
+            f"iterates: {len(stuck)} of {len(diag.levels)} loops, the first at "
+            f"alpha={stuck[0].alpha:g} with last residual {stuck[0].residuals[-1]:g}",
             file=sys.stderr,
         )
-        code = EXIT_NOT_CONVERGED
+    code = EXIT_NOT_CONVERGED if stuck else EXIT_OK
     return code, _solution_csv(ens, theta), dataclasses.asdict(diag)
 
 
@@ -341,16 +341,19 @@ def run(subcommand: str, config_path, output_dir=None, strict=False) -> int:
         if output_dir is not None:
             config.output_dir = Path(output_dir)
         code, table, payload = _HANDLERS[subcommand](config, strict)
+        text = None if payload is None else _json_text(config, payload)
     except ConfigError as err:
         print(str(err), file=sys.stderr)
         return EXIT_CONFIG
     except (FloatingPointError, SingularSliceError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    if table is not None or text is not None:
+        config.output_dir.mkdir(parents=True, exist_ok=True)
     if table is not None:
         _write_csv(config.artifact_path(subcommand, "csv"), config, *table)
-    if payload is not None:
-        _write_json(config.artifact_path(subcommand, "json"), config, payload)
+    if text is not None:
+        config.artifact_path(subcommand, "json").write_text(text, newline="\n")
     return code
 
 

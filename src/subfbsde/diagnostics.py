@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linear_solver import SolutionTriple
-from .regression import _BLOCK_ROWS, _row_slices
+from .regression import _BLOCK_ROWS, _NonFiniteError, _row_slices
 
 __all__ = [
     "MNormValue",
@@ -42,6 +42,7 @@ class AprioriReport:
     degenerate: bool
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result is refused instead
 def m_norm(theta: SolutionTriple, other: SolutionTriple | None = None) -> MNormValue:
     """M-norm of theta, or of theta - other.  The sums of squares run over
     row blocks of paths: each component's block (or the difference's) is
@@ -71,7 +72,10 @@ def m_norm(theta: SolutionTriple, other: SolutionTriple | None = None) -> MNormV
         z *= z
         dL_sum += float(z.ravel() @ theta.dL[rows].ravel())
     parts = {"x0": x0_sum / m, "dt": dt_sum / m * theta.dt, "dL": dL_sum / m}
-    return MNormValue(value=math.sqrt(parts["x0"] + parts["dt"] + parts["dL"]), parts=parts)
+    value = math.sqrt(parts["x0"] + parts["dt"] + parts["dL"])
+    if not math.isfinite(value):
+        raise _NonFiniteError(f"M-norm is {value}: the squares of the solution overflow")
+    return MNormValue(value=value, parts=parts)
 
 
 def contraction_fit(residuals) -> float:
@@ -85,6 +89,7 @@ def contraction_fit(residuals) -> float:
     return float(np.exp(np.mean(np.log(ratios))))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite energy is refused instead
 def apriori_ratio(theta: SolutionTriple, data, x0: float) -> AprioriReport:
     """Monte Carlo ratio for the a priori solution estimate: solution energy
     over data energy, per path, with a bootstrap standard error.  data(rows)
@@ -103,10 +108,12 @@ def apriori_ratio(theta: SolutionTriple, data, x0: float) -> AprioriReport:
         dL_energy = sum(
             np.einsum("ij,ij,ij->i", a[:, :n], a[:, :n], dL) for a in (d.delta0, d.h0, d.sigma0)
         )
-        rhs_paths[rows] = x0**2 + d.phi0**2 + dt_energy + dL_energy
+        rhs_paths[rows] = x0 * x0 + d.phi0**2 + dt_energy + dL_energy
 
     lhs = float(np.mean(lhs_paths))
     rhs = float(np.mean(rhs_paths))
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise _NonFiniteError(f"a priori energies overflow: lhs {lhs}, rhs {rhs}")
     tol = 1e-12
     if rhs <= tol:
         return AprioriReport(lhs=lhs, rhs=rhs, ratio=0.0, se=0.0, degenerate=True)

@@ -11,7 +11,8 @@ levels, so every step that runs is heuristic; eta = 1 is a single Picard
 loop anchored on the linear base solver.  A Picard loop may grow for a few
 iterates before it contracts, so the one divergence condition is a residual
 above 1e6 times the loop's first; a loop that neither converges nor grows
-that far stops at max_picard.
+that far stops at max_picard.  Every loop that stops, at every level, leaves
+one LevelRecord: the diagnostics list the whole tree of loops, top level last.
 
 Sign-flipped (increasing-orientation) bundles are solved by the same
 machinery through the (y, z) -> (-y, -z) mirror.
@@ -75,26 +76,26 @@ class LevelRecord:
 
 @dataclass
 class SolveDiagnostics:
+    """One `LevelRecord` per Picard loop of every ladder level, in the order
+    the loops stopped, so the top level's loop is last."""
     levels: list = field(default_factory=list)
     m_norm: MNormValue | None = None  # of the final solution; None if diverged
     apriori: AprioriReport | None = None
     diverged: bool = False
     total_linear_solves: int = 0
-    inner_unconverged: int = 0  # inner ladder loops that stopped at max_picard
 
 
 class DivergedError(RuntimeError):
     """A Picard residual grew above 1e6 times the loop's first: the step is
-    beyond the contraction regime, or the bundle violates the hypothesis."""
+    beyond the contraction regime, or the bundle violates the hypothesis.
+    Carries the solve's diagnostics, whose last record is the diverged loop."""
 
-    def __init__(self, alpha: float, eta: float, residuals, diagnostics=None):
-        self.alpha = alpha
-        self.eta = eta
-        self.residuals = list(residuals)
+    def __init__(self, diagnostics: SolveDiagnostics):
         self.diagnostics = diagnostics
+        last = diagnostics.levels[-1]
         super().__init__(
-            f"Picard iteration diverged at alpha={alpha:g}, eta={eta:g}; "
-            f"residuals={self.residuals}"
+            f"Picard iteration diverged at alpha={last.alpha:g}, eta={last.eta:g}; "
+            f"residuals={last.residuals}"
         )
 
 
@@ -137,13 +138,6 @@ def _forcings_on_rows(bundle, theta, eta, base_forcings, ensemble, rows: slice) 
         if base is not None:
             arr += getattr(base, f.name)
     return out
-
-
-def _record_level(diag: SolveDiagnostics, alpha, eta, residuals, converged):
-    fit = None
-    if len(residuals) >= 3 and all(r > 0.0 for r in residuals):
-        fit = contraction_fit(residuals)
-    diag.levels.append(LevelRecord(alpha, eta, residuals, converged, contraction_ratio=fit))
 
 
 def _mirrored(theta: SolutionTriple) -> SolutionTriple:
@@ -194,34 +188,29 @@ def solve_fbsde(
         alpha, step = alphas[k], alphas[k] - alphas[k - 1]
         theta = warm[k] if warm[k] is not None else SolutionTriple.zeros(ensemble)
         residuals: list[float] = []
-        threshold = None
         converged = False
         for _ in range(config.max_picard):
             theta_new = solve_at(k - 1, picard_forcings(work, theta, step, f, ensemble))
             res = m_norm(theta_new, theta).value
             residuals.append(res)
-            if threshold is None:
+            if len(residuals) == 1:
                 threshold = config.picard_tol * max(m_norm(theta_new).value, 1e-12)
             theta = theta_new
             if res <= threshold:
                 converged = True
                 break
             if res > 1e6 * max(residuals[0], 1e-300):
-                raise DivergedError(alpha, step, residuals)
+                diag.diverged = True
+                break
+        fit = contraction_fit(residuals) if len(residuals) >= 3 and min(residuals) > 0 else None
+        diag.levels.append(LevelRecord(alpha, step, residuals, converged, fit))
+        if diag.diverged:
+            raise DivergedError(diag)
         warm[k] = theta
-        if k == n_levels:
-            _record_level(diag, alpha, step, residuals, converged)
-        elif not converged:
-            diag.inner_unconverged += 1
         return theta
 
     try:
         theta = solve_at(n_levels, None)
-    except DivergedError as err:
-        diag.diverged = True
-        _record_level(diag, err.alpha, err.eta, err.residuals, False)
-        err.diagnostics = diag
-        raise
     finally:
         del solve_at  # it refers to itself: the cycle would hold the plan and the seeds
 

@@ -463,7 +463,7 @@ _SOLVE = {
     "m_norm": _M_NORM,
     "apriori": _APRIORI,
     "levels": [_LEVEL],
-    **dict.fromkeys(["diverged", "total_linear_solves", "inner_unconverged"]),
+    **dict.fromkeys(["diverged", "total_linear_solves"]),
 }
 
 
@@ -495,7 +495,7 @@ def test_diagnose_json_schema(tmp_path):
         doc = json.loads((out / f"t_{subcommand}_9.json").read_text())
         assert _key_tree(doc) == tree, (subcommand, over)
         if subcommand == "solve" and code == EXIT_OK:
-            assert doc["inner_unconverged"] == 0
+            assert all(level["converged"] for level in doc["levels"])
 
 
 def test_main_entry(tmp_path):
@@ -560,7 +560,8 @@ def test_removed_step_keys_are_unknown(tmp_path, capsys, key):
 
 @pytest.mark.parametrize("subcommand", ["solve"])
 def test_inner_level_out_of_iterates_exit_code(tmp_path, capsys, subcommand):
-    # the top level converges in 5 iterates; one inner loop runs out of them
+    # the top level converges in 5 iterates; the first of its 5 inner loops
+    # runs out of them
     cfg = base_config(
         seed=1,
         n_paths=200,
@@ -573,13 +574,16 @@ def test_inner_level_out_of_iterates_exit_code(tmp_path, capsys, subcommand):
     )
     assert run(subcommand, write_config(tmp_path, cfg)) == EXIT_NOT_CONVERGED
     err = capsys.readouterr().err
+    doc = json.loads((tmp_path / f"t_{subcommand}_1.json").read_text())
+    levels = doc["levels"]
     assert err == (
         "Picard iteration did not converge within max_picard=5 iterates: "
-        "top level converged; inner_unconverged 1\n"
+        f"1 of 6 loops, the first at alpha=0.5 with last residual {levels[0]['residuals'][-1]:g}\n"
     )
-    doc = json.loads((tmp_path / f"t_{subcommand}_1.json").read_text())
-    assert doc["levels"][-1]["converged"] is True and len(doc["levels"][-1]["residuals"]) == 5
-    assert doc["inner_unconverged"] == 1 and doc["diverged"] is False
+    assert levels[-1]["alpha"] == 1.0 and levels[-1]["converged"] is True
+    assert len(levels[-1]["residuals"]) == 5
+    assert [level["converged"] for level in levels] == [False] + [True] * 5
+    assert doc["diverged"] is False
     assert (tmp_path / "t_solve_1.csv").exists()
 
 
@@ -734,6 +738,45 @@ def test_overflowing_regression_design_is_numerical_failure(tmp_path, capfd, sub
     assert captured.out == ""
     assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
     assert "non-finite regression design" in captured.err
+    assert not out.exists()
+
+
+_EXP_200 = {"seed": 1, "n_paths": 200, "jumps": _EXP}
+
+
+@pytest.mark.parametrize(
+    "subcommand, over, message",
+    [
+        ("solve", {**_EXP_200, "basis": {"degree": 0}, "x0": 1e155}, "M-norm is inf"),
+        ("solve-linear", {**_EXP_200, "basis": {"degree": 0}, "x0": 1e155}, "M-norm is inf"),
+        ("solve-linear", {"forcings": {"g0": 1e200}}, "M-norm is inf"),
+        ("sample-subdiffusion", {**_EXP_200, "x0": 1e200}, "non-finite value in the JSON payload"),
+    ],
+    ids=["solve-x0", "solve-linear-x0", "solve-linear-g0", "sample-x0"],
+)
+def test_overflow_is_numerical_failure(tmp_path, capsys, subcommand, over, message):
+    # finite settings whose squares overflow: an infinite M-norm read as a
+    # converged residual (inf <= tol * inf), or NaN and Infinity written into
+    # the JSON, where RFC 8259 has neither
+    out = tmp_path / "out"
+    cfg = base_config(output_dir=str(out), **over)
+    assert run(subcommand, write_config(tmp_path, cfg)) == EXIT_NUMERICAL
+    _assert_numerical_failure(capsys, message)
+    assert not out.exists()
+
+
+def test_overflowing_coupling_is_numerical_failure(tmp_path, capsys):
+    # the second Picard iterate of canonical_monotone(c=1e200) overflows the
+    # M-norm: a numerical failure, no longer an infinite residual that the
+    # divergence guard turns into exit 3.  At this scale the hypothesis check
+    # fails by rounding, so its warning line comes first.
+    out = tmp_path / "out"
+    cfg = base_config(bundle_params={"c": 1e200}, output_dir=str(out))
+    assert run("solve", write_config(tmp_path, cfg)) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: bundle canonical_monotone(c=1e+200) fails the hypothesis check; solving anyway",
+        "numerical failure: M-norm is inf: the squares of the solution overflow",
+    ]
     assert not out.exists()
 
 

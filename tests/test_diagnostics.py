@@ -141,3 +141,18 @@ def test_apriori_scale_stability(drift_ensemble):
         data = _zero_point_data(bundle, drift_ensemble)
         ratios.append(apriori_ratio(theta, data, x0).ratio)
     assert max(ratios) / min(ratios) <= 1.25
+
+
+def test_overflowing_norms_are_refused(jump_ensemble):
+    # finite inputs whose squares overflow: a FloatingPointError, with no
+    # numpy warning (which the suite turns into an error) on the way
+    big = _triple(jump_ensemble, x=1e155)
+    with pytest.raises(FloatingPointError, match="^M-norm is inf"):
+        m_norm(big)
+    with pytest.raises(FloatingPointError, match="^M-norm is inf"):
+        m_norm(big, _triple(jump_ensemble, x=-1e155))
+    zeros = SolutionTriple.zeros(jump_ensemble)
+    data = _zero_point_data(get_bundle("canonical_monotone"), jump_ensemble)
+    for theta, x0 in ((big, 1.0), (zeros, 1e155)):
+        with pytest.raises(FloatingPointError, match="^a priori energies overflow"):
+            apriori_ratio(theta, data, x0)

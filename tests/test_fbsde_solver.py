@@ -205,10 +205,14 @@ def test_divergence_raises_with_diagnostics(jump_ensemble):
     # riccati_test at c = 8 grows past 1e6 times its first residual at iterate 13
     with pytest.raises(DivergedError) as err:
         solve_fbsde(get_bundle("riccati_test", c=8.0), 1.0, jump_ensemble)
-    e = err.value
-    assert e.alpha == 1.0 and e.eta == 1.0
-    assert e.diagnostics is not None and e.diagnostics.diverged
-    assert len(e.residuals) >= 2
+    diag = err.value.diagnostics
+    assert diag.diverged and len(diag.levels) == 1
+    last = diag.levels[-1]
+    assert last.alpha == 1.0 and last.eta == 1.0 and not last.converged
+    assert len(last.residuals) >= 2
+    assert str(err.value) == (
+        f"Picard iteration diverged at alpha=1, eta=1; residuals={last.residuals}"
+    )
 
 
 def test_transient_growth_is_not_divergence(jump_ensemble):
@@ -231,12 +235,13 @@ def test_strongly_coupled_riccati_diverges():
     config = ContinuationConfig(max_picard=60)
     with pytest.raises(DivergedError) as err:
         solve_fbsde(get_bundle("riccati_test", c=4.0), 1.0, ens, config)
-    e = err.value
-    assert e.alpha == 1.0 and e.eta == 1.0
-    assert e.diagnostics is not None and e.diagnostics.diverged
-    tail = e.residuals[-4:]
-    assert len(tail) == 4 and all(b > a for a, b in zip(tail, tail[1:])), e.residuals
-    assert e.residuals[-1] > 2.0 * e.residuals[0]
+    diag = err.value.diagnostics
+    assert diag.diverged
+    last = diag.levels[-1]
+    assert last.alpha == 1.0 and last.eta == 1.0 and not last.converged
+    tail = last.residuals[-4:]
+    assert len(tail) == 4 and all(b > a for a, b in zip(tail, tail[1:])), last.residuals
+    assert last.residuals[-1] > 2.0 * last.residuals[0]
 
 
 def test_uniqueness_across_picard_seeds(drift_ensemble, jump_ensemble):
@@ -273,17 +278,27 @@ def test_nested_depth_bound_enforced():
 
 
 def test_inner_level_out_of_iterates_is_counted():
-    # the top level converges in 5 iterates, one inner loop runs out of them
+    # the top level converges in 5 iterates; each of them runs one inner
+    # loop, and the first of those runs out of iterates.  Every loop leaves a
+    # record as it stops, so the top loop's is last.
     spec = SubordinatorSpec(kappa=1.0, jump_kind="exponential", rate=1.0, jump_param=1.0)
     ens = build_ensemble(spec, TimeGrid(a=0.0, T=1.0, n_steps=20), n_paths=200, seed=1, x0=1.0)
     config = ContinuationConfig(eta=0.5, max_picard=5)
     _, diag = solve_fbsde(get_bundle("canonical_monotone", c=2.0), 1.0, ens, config)
-    assert diag.levels[-1].converged and len(diag.levels[-1].residuals) == 5
-    assert diag.inner_unconverged == 1
-    assert dataclasses.asdict(diag)["inner_unconverged"] == 1
+    records = [(level.alpha, len(level.residuals), level.converged) for level in diag.levels]
+    assert records == [
+        (0.5, 5, False), (0.5, 5, True), (0.5, 4, True), (0.5, 3, True), (0.5, 2, True),
+        (1.0, 5, True),
+    ]
+    assert all(level.eta == 0.5 for level in diag.levels)
+    # every linear solve is one iterate of a lowest-level loop
+    inner = [len(level.residuals) for level in diag.levels if level.alpha == 0.5]
+    assert sum(inner) == diag.total_linear_solves == 19
+    doc = dataclasses.asdict(diag)
+    assert [level["converged"] for level in doc["levels"]] == [False] + [True] * 5
     # with a larger budget every loop converges
     _, diag = solve_fbsde(get_bundle("canonical_monotone", c=2.0), 1.0, ens, ContinuationConfig(eta=0.5))
-    assert diag.levels[-1].converged and diag.inner_unconverged == 0
+    assert len(diag.levels) == 6 and all(level.converged for level in diag.levels)
 
 
 def test_small_step_contracts_fast(jump_ensemble):

@@ -90,6 +90,12 @@ def test_benchmark_workloads_run_on_the_package(tmp_path, workload):
     path.write_text(json.dumps(raw))
     assert cli.run(subcommand, path, output_dir=out) == cli.EXIT_OK
     doc = json.loads((out / f"{workload}_{subcommand}_7.json").read_text())
-    assert doc["levels"][-1]["converged"]
+    # the record the benchmark reads is the top loop's: every Picard loop of
+    # every ladder level leaves one, and the top loop stops last
+    assert doc["levels"][-1]["converged"] and doc["levels"][-1]["alpha"] == 1.0
+    # each linear solve is one iterate of a lowest-level loop
+    lowest = min(level["alpha"] for level in doc["levels"])
+    iterates = [len(level["residuals"]) for level in doc["levels"] if level["alpha"] == lowest]
+    assert sum(iterates) == doc["total_linear_solves"]
     config_hash = cli.ScenarioConfig(raw).config_hash
     bench["Checker"](workload, raw, LOOSE_REFERENCE, config_hash).check(cli.EXIT_OK, out)
