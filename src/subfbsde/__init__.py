@@ -8,7 +8,6 @@ a Picard recursion of regression Monte Carlo linear solves at each step.
 
 from .clock import (
     MAX_EXPECTED_JUMPS,
-    ClockEnsemble,
     SubordinatorSpec,
     TimeGrid,
     sample_clock_ensemble,

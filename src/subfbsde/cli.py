@@ -209,13 +209,28 @@ def _write_csv(path: Path, config: ScenarioConfig, header: list[str], rows) -> N
             fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
+def _nonfinite_key(value, path: str = ""):
+    """The path (`apriori.lhs`, `levels[0].residuals[2]`) of the first
+    non-finite number in a JSON document, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    items = []
+    if isinstance(value, dict):
+        items = [(f"{path}.{k}" if path else k, v) for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    return next(filter(None, (_nonfinite_key(v, key) for key, v in items)), None)
+
+
 def _json_text(config: ScenarioConfig, payload: dict) -> str:
-    """The JSON artifact: RFC 8259 has no NaN or infinity, so one is a numerical failure."""
+    """The JSON artifact: RFC 8259 has no NaN or infinity, so one is a
+    numerical failure that names its key."""
     doc = {"config_hash": config.config_hash, "seed": config.seed, **payload}
     try:
         return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError:
-        raise FloatingPointError("non-finite value in the JSON payload") from None
+        key = _nonfinite_key(doc)
+        raise FloatingPointError(f"non-finite value in the JSON payload at key {key}") from None
 
 
 def _sample_subdiffusion(config: ScenarioConfig, strict: bool):

@@ -5,7 +5,9 @@ the inverse of a drift-positive subordinator.  This module samples the
 subordinator skeletons (drift kappa plus finitely many jumps on a finite
 intrinsic horizon) of a whole ensemble at once and inverts them *exactly* at
 the grid nodes, producing the delayed clock L_{(t-a)^+} together with the
-overshoot process R_t as (n_paths, n_steps+1) arrays.
+overshoot process R_t as (n_paths, n_steps+1) arrays, which
+`subdiffusion.PathEnsemble`, the one ensemble record, holds.  The benchmark's
+tracer (perfbench/spans.py) patches `sample_clock_ensemble` by that name.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 __all__ = [
     "SubordinatorSpec",
     "TimeGrid",
-    "ClockEnsemble",
     "MAX_EXPECTED_JUMPS",
     "sample_jumps",
     "sample_clock_ensemble",
@@ -138,20 +139,6 @@ class TimeGrid:
         return np.linspace(0.0, self.T, self.n_steps + 1)
 
 
-@dataclass
-class ClockEnsemble:
-    """Delayed inverse subordinator on a grid, one row per path.
-
-    L[i, k] = L_{(t_k - a)^+}, R[i, k] = overshoot at t_k (R[:, 0] = a),
-    dL[i, k] = L[i, k+1] - L[i, k] with 0 <= dL <= dt/kappa everywhere.
-    """
-
-    grid: TimeGrid
-    L: np.ndarray
-    R: np.ndarray
-    dL: np.ndarray
-
-
 def _check_jumps(path_id: np.ndarray, times: np.ndarray, sizes: np.ndarray) -> None:
     """Flat skeletons: positive times, strictly increasing within each path,
     and positive sizes."""
@@ -197,9 +184,9 @@ def sample_jumps(spec: SubordinatorSpec, horizon: float, n_paths: int, seed: int
     return np.bincount(path_id, minlength=n_paths), times, sizes
 
 
-def _invert(kappa, grid, counts, times, sizes) -> ClockEnsemble:
+def _invert(kappa, grid, counts, times, sizes):
     """Exact inversion of valid flat skeletons (see `sample_jumps`) at the
-    grid nodes.
+    grid nodes: the arrays (L, R, dL) of `sample_clock_ensemble`.
 
     Between jumps L grows linearly with slope 1/kappa; across a jump of S at
     intrinsic time r the clock is frozen at r for the whole jump interval.
@@ -241,13 +228,15 @@ def _invert(kappa, grid, counts, times, sizes) -> ClockEnsemble:
     L = np.zeros((m, n + 1))
     np.cumsum(dL, axis=1, out=L[:, 1:])
     R = np.maximum(grid.a + np.where(flat, at(s_plus), u) - t, 0.0)
-    return ClockEnsemble(grid=grid, L=L, R=R, dL=dL)
+    return L, R, dL
 
 
-def sample_clock_ensemble(
-    spec: SubordinatorSpec, grid: TimeGrid, n_paths: int, seed: int
-) -> ClockEnsemble:
-    """n_paths independent clock paths, inverted as one block."""
+def sample_clock_ensemble(spec: SubordinatorSpec, grid: TimeGrid, n_paths: int, seed: int):
+    """n_paths independent clock paths, inverted as one block: the delayed
+    inverse subordinator as arrays (L, R, dL), one row per path, with
+    L[i, k] = L_{(t_k - a)^+} and R[i, k] the overshoot at t_k (R[:, 0] = a)
+    of shape (n_paths, n_steps+1), and dL[i, k] = L[i, k+1] - L[i, k] of
+    shape (n_paths, n_steps), 0 <= dL <= dt/kappa everywhere."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     # S_r >= kappa r, so L_T <= T / kappa: this horizon covers every grid node

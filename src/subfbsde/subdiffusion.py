@@ -72,10 +72,10 @@ def build_ensemble(
     `sample_jumps`); the Gaussian block from a separate stream keyed by
     (seed, n_paths, 1).
     """
-    clock = sample_clock_ensemble(spec, grid, n_paths, seed)
+    L, R, dL = sample_clock_ensemble(spec, grid, n_paths, seed)
     Z = np.random.default_rng([seed, n_paths, 1]).standard_normal((n_paths, grid.n_steps))
-    dB = np.sqrt(clock.dL) * Z  # exactly zero on frozen steps
+    dB = np.sqrt(dL) * Z  # exactly zero on frozen steps
     X = np.zeros((n_paths, grid.n_steps + 1))
     np.cumsum(dB, axis=1, out=X[:, 1:])
     X += x0
-    return PathEnsemble(grid=grid, L=clock.L, R=clock.R, dL=clock.dL, X=X, dB=dB, kappa=spec.kappa)
+    return PathEnsemble(grid=grid, L=L, R=R, dL=dL, X=X, dB=dB, kappa=spec.kappa)

@@ -21,6 +21,7 @@ from subfbsde.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     ScenarioConfig,
+    _nonfinite_key,
     main,
     run,
 )
@@ -750,7 +751,11 @@ _EXP_200 = {"seed": 1, "n_paths": 200, "jumps": _EXP}
         ("solve", {**_EXP_200, "basis": {"degree": 0}, "x0": 1e155}, "M-norm is inf"),
         ("solve-linear", {**_EXP_200, "basis": {"degree": 0}, "x0": 1e155}, "M-norm is inf"),
         ("solve-linear", {"forcings": {"g0": 1e200}}, "M-norm is inf"),
-        ("sample-subdiffusion", {**_EXP_200, "x0": 1e200}, "non-finite value in the JSON payload"),
+        (
+            "sample-subdiffusion",
+            {**_EXP_200, "x0": 1e200},
+            "non-finite value in the JSON payload at key var_X_T",
+        ),
     ],
     ids=["solve-x0", "solve-linear-x0", "solve-linear-g0", "sample-x0"],
 )
@@ -765,19 +770,39 @@ def test_overflow_is_numerical_failure(tmp_path, capsys, subcommand, over, messa
     assert not out.exists()
 
 
+def test_nonfinite_json_key_is_named_by_its_path():
+    inf = float("inf")
+    assert _nonfinite_key({"seed": 1, "apriori": {"rhs": 1.0, "lhs": inf}}) == "apriori.lhs"
+    doc = {"levels": [{"residuals": [1.0, 0.5]}, {"residuals": [2.0, float("nan")]}]}
+    assert _nonfinite_key(doc) == "levels[1].residuals[1]"
+    assert _nonfinite_key({"n": 3, "name": "x", "ok": True, "v": [1e308]}) is None
+
+
 def test_overflowing_coupling_is_numerical_failure(tmp_path, capsys):
     # the second Picard iterate of canonical_monotone(c=1e200) overflows the
     # M-norm: a numerical failure, no longer an infinite residual that the
-    # divergence guard turns into exit 3.  At this scale the hypothesis check
-    # fails by rounding, so its warning line comes first.
+    # divergence guard turns into exit 3.  The hypothesis check passes at this
+    # scale, so the failure is the one stderr line.
     out = tmp_path / "out"
     cfg = base_config(bundle_params={"c": 1e200}, output_dir=str(out))
     assert run("solve", write_config(tmp_path, cfg)) == EXIT_NUMERICAL
     assert capsys.readouterr().err.splitlines() == [
-        "warning: bundle canonical_monotone(c=1e+200) fails the hypothesis check; solving anyway",
         "numerical failure: M-norm is inf: the squares of the solution overflow",
     ]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("c, seed", [(256, 5), (1000, 9)])
+def test_strict_check_passes_a_monotone_bundle_with_large_c(tmp_path, capsys, c, seed):
+    # rounding in c * squares is not a violation: both --strict commands get
+    # past the check (the flat ladder then diverges at this coupling)
+    cfg = base_config(bundle_params={"c": c}, seed=seed, output_dir=str(tmp_path))
+    path = write_config(tmp_path, cfg)
+    assert run("check-hypothesis", path, strict=True) == EXIT_OK
+    doc = json.loads((tmp_path / f"t_check-hypothesis_{seed}.json").read_text())
+    assert doc["report"]["passed"] is True and doc["report"]["violation"] is None
+    assert run("solve", path, strict=True) == EXIT_DIVERGED
+    assert capsys.readouterr().err.startswith("Picard iteration diverged")
 
 
 def test_too_few_paths_is_a_config_error(tmp_path, capsys):

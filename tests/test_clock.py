@@ -91,30 +91,30 @@ def test_truncated_stable_rate():
 def test_drift_only_clock_is_time_over_kappa():
     spec = SubordinatorSpec(kappa=2.0)
     grid = TimeGrid(a=0.0, T=1.0, n_steps=10)
-    clock = sample_clock_ensemble(spec, grid, 3, seed=0)
-    assert clock.L.shape == (3, 11)
-    assert np.allclose(clock.L, grid.times() / 2.0, atol=1e-15)
-    assert np.allclose(clock.R, 0.0, atol=1e-15)
+    L, R, _ = sample_clock_ensemble(spec, grid, 3, seed=0)
+    assert L.shape == (3, 11)
+    assert np.allclose(L, grid.times() / 2.0, atol=1e-15)
+    assert np.allclose(R, 0.0, atol=1e-15)
 
 
 def test_delayed_clock_waits_until_activation():
     spec = SubordinatorSpec(kappa=1.0)
     grid = TimeGrid(a=0.5, T=1.0, n_steps=10)
-    clock = sample_clock_ensemble(spec, grid, 3, seed=0)
+    L, R, _ = sample_clock_ensemble(spec, grid, 3, seed=0)
     t = grid.times()
     pre = t <= 0.5
-    assert np.all(clock.L[:, pre] == 0.0)
+    assert np.all(L[:, pre] == 0.0)
     # before activation the overshoot counts down the remaining delay
-    assert np.allclose(clock.R[:, pre], 0.5 - t[pre])
-    assert np.allclose(clock.L[:, ~pre], t[~pre] - 0.5)
+    assert np.allclose(R[:, pre], 0.5 - t[pre])
+    assert np.allclose(L[:, ~pre], t[~pre] - 0.5)
 
 
 def test_hand_built_skeleton_inversion():
     # one path, kappa = 1, two unit jumps at intrinsic times 1 and 2
     grid = TimeGrid(a=0.0, T=4.0, n_steps=8)
-    one = _invert(1.0, grid, np.array([2]), np.array([1.0, 2.0]), np.array([1.0, 1.0]))
-    assert one.L.shape == (1, 9) and one.dL.shape == (1, 8)
-    L, R = one.L[0], one.R[0]
+    L, R, dL = _invert(1.0, grid, np.array([2]), np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+    assert L.shape == (1, 9) and dL.shape == (1, 8)
+    L, R = L[0], R[0]
     # S jumps over (1,2) at r=1 and over (3,4) at r=2
     expected_L = np.array([0.0, 0.5, 1.0, 1.0, 1.0, 1.5, 2.0, 2.0, 2.0])
     assert np.allclose(L, expected_L)
@@ -140,10 +140,10 @@ def test_skeleton_validation():
 def test_ensemble_reproducible(jump_spec, grid):
     a = sample_clock_ensemble(jump_spec, grid, 5, seed=42)
     b = sample_clock_ensemble(jump_spec, grid, 5, seed=42)
-    for name in ("L", "R", "dL"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
+    for arr_a, arr_b in zip(a, b):  # L, R, dL
+        assert np.array_equal(arr_a, arr_b)
     c = sample_clock_ensemble(jump_spec, grid, 5, seed=43)
-    assert any(not np.array_equal(pa, pc) for pa, pc in zip(a.L, c.L))
+    assert any(not np.array_equal(pa, pc) for pa, pc in zip(a[0], c[0]))
 
 
 def test_sample_jumps_layout():
@@ -178,9 +178,9 @@ def test_block_inversion_matches_per_path_reference(kind, a):
     spec = _REFERENCE_SPECS[kind]
     grid = TimeGrid(a=a, T=1.0, n_steps=40)
     n_paths, horizon = 300, grid.T / spec.kappa
-    clock = sample_clock_ensemble(spec, grid, n_paths, seed=17)
+    L_all, R_all, dL_all = sample_clock_ensemble(spec, grid, n_paths, seed=17)
     counts, times, sizes = sample_jumps(spec, horizon, n_paths, seed=17)
-    assert clock.L.shape == clock.R.shape == (n_paths, 41) and clock.dL.shape == (n_paths, 40)
+    assert L_all.shape == R_all.shape == (n_paths, 41) and dL_all.shape == (n_paths, 40)
     assert counts.min() == 0  # a path with no jumps
     if kind != "none":
         assert counts.max() >= 4  # and one with several
@@ -189,9 +189,9 @@ def test_block_inversion_matches_per_path_reference(kind, a):
         own = slice(ends[i] - counts[i], ends[i])
         L, R, dL = invert_clock_reference(spec.kappa, times[own], sizes[own], grid)
         # exactly equal, not within a tolerance
-        assert np.array_equal(clock.L[i], L), f"L of path {i} ({counts[i]} jumps)"
-        assert np.array_equal(clock.R[i], R), f"R of path {i} ({counts[i]} jumps)"
-        assert np.array_equal(clock.dL[i], dL), f"dL of path {i} ({counts[i]} jumps)"
+        assert np.array_equal(L_all[i], L), f"L of path {i} ({counts[i]} jumps)"
+        assert np.array_equal(R_all[i], R), f"R of path {i} ({counts[i]} jumps)"
+        assert np.array_equal(dL_all[i], dL), f"dL of path {i} ({counts[i]} jumps)"
 
 
 def test_jump_budget_refused_before_any_draw(monkeypatch):
@@ -255,16 +255,16 @@ _spec_strategy = st.one_of(
 @given(spec=_spec_strategy, seed=st.integers(0, 2**31), a=st.floats(0.0, 0.5))
 def test_clock_invariants(spec, seed, a):
     grid = TimeGrid(a=a, T=1.0, n_steps=17)
-    clock = sample_clock_ensemble(spec, grid, 4, seed=seed)  # offsets of several paths
+    L_all, R, dL_all = sample_clock_ensemble(spec, grid, 4, seed=seed)  # offsets of several paths
     bound = grid.dt / spec.kappa
-    assert clock.L.shape == clock.R.shape == (4, 18) and clock.dL.shape == (4, 17)
-    assert np.all(clock.dL >= 0.0)
-    assert np.all(clock.dL <= bound)  # exact Lipschitz bound, not within float slack
-    assert np.all(np.diff(clock.L, axis=1) >= 0.0)
-    assert np.all(clock.R >= 0.0)
-    assert np.all(clock.L[:, 0] == 0.0)
-    for L, dL in zip(clock.L, clock.dL):
+    assert L_all.shape == R.shape == (4, 18) and dL_all.shape == (4, 17)
+    assert np.all(dL_all >= 0.0)
+    assert np.all(dL_all <= bound)  # exact Lipschitz bound, not within float slack
+    assert np.all(np.diff(L_all, axis=1) >= 0.0)
+    assert np.all(R >= 0.0)
+    assert np.all(L_all[:, 0] == 0.0)
+    for L, dL in zip(L_all, dL_all):
         assert np.array_equal(L, np.concatenate(([0.0], np.cumsum(dL))))
     # clock strictly slower than real time scaled by the drift
     t = grid.times()
-    assert np.all(clock.L <= np.maximum(t - a, 0.0) / spec.kappa + 1e-12)
+    assert np.all(L_all <= np.maximum(t - a, 0.0) / spec.kappa + 1e-12)

@@ -8,6 +8,7 @@ from subfbsde import (
     get_bundle,
     mirror_bundle,
 )
+from subfbsde.coefficients import _REGISTRY, _sample_cloud
 from oracles import continuation_transform, eta0
 
 
@@ -81,13 +82,57 @@ def test_mirror_equates_flipped_and_canonical():
         assert mirrored.h(t, st, x, y, z) == pytest.approx(base.h(t, st, x, y, z))
         assert mirrored.phi(st, x) == pytest.approx(base.phi(st, x))
     assert mirrored.orientation == "decreasing"
-    with pytest.raises(ValueError):
-        mirror_bundle(base)
 
 
 def test_mirrored_bundle_passes_decreasing_check():
     mirrored = mirror_bundle(get_bundle("canonical_flipped_hp2"))
     assert check_hypothesis(mirrored, _rng()).passed
+
+
+def _evaluations(bundle, t, state, x, y, z):
+    return [
+        bundle.b(t, state, x, y),
+        bundle.g(t, state, x, y),
+        bundle.delta(t, state, x, y, z),
+        bundle.sigma(t, state, x, y, z),
+        bundle.h(t, state, x, y, z),
+        bundle.phi(state, x),
+    ]
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 3.0, 1e6])
+def test_flipped_hp2_is_the_literal_sign_flipped_bundle(c):
+    # the derived bundle against the formulas written out, bit for bit
+    t, state, (x, _, y, _, z, _) = _sample_cloud(_rng())
+    bundle = get_bundle("canonical_flipped_hp2", c=c)
+    literal = [c * y, -c * x, c * y, c * z, -c * x, -x]
+    for got, want in zip(_evaluations(bundle, t, state, x, y, z), literal):
+        assert got.tobytes() == want.tobytes()
+    assert bundle.orientation == "increasing"
+    assert (bundle.lipschitz, bundle.monotonicity) == (max(1.0, c), c)
+    assert bundle.name == f"canonical_flipped_hp2(c={c:g})"
+
+
+@pytest.mark.parametrize("name", sorted(_REGISTRY))
+def test_mirror_is_an_involution(name):
+    bundle = get_bundle(name)
+    once = mirror_bundle(bundle)
+    twice = mirror_bundle(once)
+    assert once.orientation != bundle.orientation
+    assert (twice.orientation, twice.name) == (bundle.orientation, bundle.name)
+    t, state, (x, _, y, _, z, _) = _sample_cloud(_rng())
+    for got, want in zip(_evaluations(twice, t, state, x, y, z), _evaluations(bundle, t, state, x, y, z)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("c, seed", [(256.0, 5), (1e3, 9), (1e12, 0), (1e12, 3)])
+def test_monotone_bundle_passes_at_large_c(c, seed):
+    # equality cases round to a few ulps of c * squares: a relative slack,
+    # not an absolute one, tells them from a violation
+    for name in ("canonical_monotone", "canonical_flipped_hp2"):
+        report = check_hypothesis(get_bundle(name, c=c), np.random.default_rng(seed))
+        assert report.passed and report.violation is None
+    assert not check_hypothesis(get_bundle("flipped_b_demo", c=c), np.random.default_rng(seed)).passed
 
 
 def test_continuation_endpoints():

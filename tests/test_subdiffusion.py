@@ -48,11 +48,11 @@ def test_mismatched_grids_rejected(jump_spec):
     g1 = TimeGrid(0.0, 1.0, 10)
     g2 = TimeGrid(0.0, 1.0, 20)
     ens = build_ensemble(jump_spec, g1, 2, seed=1)
-    c2 = sample_clock_ensemble(jump_spec, g2, 2, seed=1)
+    L, R, dL = sample_clock_ensemble(jump_spec, g2, 2, seed=1)
     with pytest.raises(ValueError):
-        PathEnsemble(grid=g1, L=c2.L, R=c2.R, dL=c2.dL, X=ens.X, dB=ens.dB)
+        PathEnsemble(grid=g1, L=L, R=R, dL=dL, X=ens.X, dB=ens.dB)
     with pytest.raises(ValueError):
-        PathEnsemble(grid=g2, L=c2.L, R=c2.R, dL=c2.dL, X=ens.X, dB=ens.dB)
+        PathEnsemble(grid=g2, L=L, R=R, dL=dL, X=ens.X, dB=ens.dB)
 
 
 def test_gaussian_block_drawn_from_its_own_stream(jump_spec, grid):
@@ -61,8 +61,8 @@ def test_gaussian_block_drawn_from_its_own_stream(jump_spec, grid):
     Z = np.random.default_rng([8, 30, 1]).standard_normal((30, grid.n_steps))
     assert np.array_equal(ens.dB, np.sqrt(ens.dL) * Z)
     clock = sample_clock_ensemble(jump_spec, grid, 30, seed=8)
-    for name in ("L", "R", "dL"):
-        assert np.array_equal(getattr(ens, name), getattr(clock, name))
+    for name, arr in zip(("L", "R", "dL"), clock):
+        assert np.array_equal(getattr(ens, name), arr)
 
 
 def test_ensemble_shapes(jump_ensemble):
