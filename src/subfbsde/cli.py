@@ -3,16 +3,16 @@
 One command per job: `sample-subdiffusion` draws the clock `L`, its
 overshoot `R` and the sub-diffusion `X`; `check-hypothesis` tests the
 monotonicity hypothesis; `solve-linear` solves the linear base system with
-the scenario's `forcings`, the one subcommand that reads them; `solve`
-solves the coupled system and reports its a priori estimates.  `--strict`,
-read by `check-hypothesis` and `solve` only, makes a failed hypothesis check
-fatal; `solve` then stops before the ensemble is built.  One scenario JSON
-per invocation, validated before any compute: the key table checks each
-key's JSON type, the settings objects check the ranges.  Each handler
-returns its exit code, its CSV table and its JSON payload (the library's
-result records as `dataclasses.asdict` gives them), and `run` alone writes
-them.  Every artifact embeds the config hash and seed, and reruns with an
-identical config are byte identical.
+the scenario's `forcings`; `solve` solves the coupled system and reports
+its a priori estimates.  `--strict`, read by `check-hypothesis` and `solve`
+only, makes a failed hypothesis check fatal; `solve` then stops before the
+ensemble is built.  One scenario JSON per invocation, validated before any
+compute: the key table checks each key's JSON type, the settings objects
+the ranges, and `_READ_BY` refuses a key the subcommand does not read.
+Each handler returns its exit code, its CSV table and its JSON payload
+(the library's result records as `dataclasses.asdict` gives them), and
+`run` alone writes them.  Every artifact embeds the config hash and seed,
+and reruns with an identical config are byte identical.
 
 Exit codes: 0 success, 2 config validation error, 3 solver divergence (a
 Picard residual above 1e6 times its loop's first), 4 hypothesis-check
@@ -100,6 +100,9 @@ _KEYS = {
     "bundle": "str", "bundle_params": "params", "strategy": "strategy", "output_dir": "str",
 }
 _REQUIRED = {"scenario", "seed", "kappa", "T", "n_steps", "n_paths", "jumps/jump_kind"}
+# key -> the subcommands that read it, for the keys the other subcommands refuse
+_READ_BY = {"forcings": ("solve-linear",), "basis": ("solve-linear", "solve")}
+_READ_BY.update(dict.fromkeys([*_fields(ContinuationConfig), "strategy"], ("solve",)))
 
 
 class ConfigError(ValueError):
@@ -351,8 +354,9 @@ def run(subcommand: str, config_path, output_dir=None, strict=False) -> int:
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
         config = ScenarioConfig(raw)
-        if "forcings" in raw and subcommand != "solve-linear":
-            raise ConfigError("config key forcings: read only by solve-linear")
+        key = next((k for k in raw if subcommand not in _READ_BY.get(k, (subcommand,))), None)
+        if key is not None:
+            raise ConfigError(f"config key {key}: read only by {' and '.join(_READ_BY[key])}")
         if output_dir is not None:
             config.output_dir = Path(output_dir)
         code, table, payload = _HANDLERS[subcommand](config, strict)

@@ -236,9 +236,12 @@ def sample_clock_ensemble(spec: SubordinatorSpec, grid: TimeGrid, n_paths: int, 
     inverse subordinator as arrays (L, R, dL), one row per path, with
     L[i, k] = L_{(t_k - a)^+} and R[i, k] the overshoot at t_k (R[:, 0] = a)
     of shape (n_paths, n_steps+1), and dL[i, k] = L[i, k+1] - L[i, k] of
-    shape (n_paths, n_steps), 0 <= dL <= dt/kappa everywhere."""
+    shape (n_paths, n_steps), 0 <= dL <= dt/kappa everywhere.  Without any
+    jump all paths are one row, inverted once and broadcast read-only."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     # S_r >= kappa r, so L_T <= T / kappa: this horizon covers every grid node
     counts, times, sizes = sample_jumps(spec, grid.T / spec.kappa, n_paths, seed)
-    return _invert(spec.kappa, grid, counts, times, sizes)
+    shared = times.size == 0
+    arrays = _invert(spec.kappa, grid, counts[:1] if shared else counts, times, sizes)
+    return tuple(np.broadcast_to(a, (n_paths, a.shape[1])) for a in arrays) if shared else arrays

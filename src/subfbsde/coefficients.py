@@ -94,6 +94,7 @@ def _sample_cloud(rng: np.random.Generator):
     return t, state, pts
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite results are refused instead
 def check_hypothesis(bundle: CoefficientBundle, rng: np.random.Generator) -> HypothesisReport:
     """Sampling falsifier for the monotonicity hypothesis.
 

@@ -12,8 +12,8 @@ whose partial sums only touch already-revealed nodes and therefore stay
 adapted; the dB integral is left-point (Ito).  The conditional expectations
 of the backward pass are the slice regressions of a `RegressionPlan`, which
 depends only on the ensemble and the basis and is shared by every solve on
-that ensemble; the plan also holds the weights exp(-(t + L)).  The rest of
-a solve is per path and runs over row blocks of paths.
+that ensemble; the plan also holds the weights exp(-(t + L)).  A solve
+fits them once; the rest, their predictions included, runs per row block.
 """
 
 from __future__ import annotations
@@ -133,9 +133,9 @@ def solve_linear(forcings, x0: float, plan: RegressionPlan) -> SolutionTriple:
     Forward pass: closed-form weighted integrals.  plan fixes the ensemble and
     the basis; callers that solve repeatedly on one ensemble build it once.
 
-    Everything but the regressions is per path and runs in two sweeps over
-    row blocks of paths that stay in cache, around the one global step
-    `plan.regress(xi)`.  forcings(rows) gives the `ForcingSet` of a row block
+    Everything but the regression fits is per path and runs in two sweeps
+    over row blocks of paths that stay in cache, around the one global step
+    `plan.fit(xi)`.  forcings(rows) gives the `ForcingSet` of a row block
     (e.g. `ForcingSet.rows`), which the first sweep evaluates and checks once.
     """
     ensemble = plan.ensemble
@@ -168,25 +168,27 @@ def solve_linear(forcings, x0: float, plan: RegressionPlan) -> SolutionTriple:
     # conditional-expectation martingale M of xi along the grid, and its
     # integrand ztilde; the filtration is trivial at time 0, so plain means
     # there, and ztilde is zero at the terminal node
-    cond, ztilde = plan.regress(xi)
+    fits = plan.fit(xi)
     mean_dL = float(np.mean(dL[:, 0]))
     ztilde0 = np.mean(xi * dB[:, 0]) / mean_dL if mean_dL >= plan.floor else 0.0
     mean_xi = np.mean(xi)
 
-    # second sweep: ybar = (M - I) / w and zbar = ztilde / w, then the forward
-    # pass in closed form: its ybar (trapezoid) and Ito (left-point, sigma0
-    # read from z) increments are subtracted from x before one cumsum from x0
-    for rows in _row_slices(0, m):
+    # second sweep over the plan's row blocks, each predicting its M and
+    # ztilde: ybar = (M - I) / w and zbar = ztilde / w, then the forward pass
+    # in closed form: its ybar (trapezoid) and Ito (left-point, sigma0 read
+    # from z) increments are subtracted from x before one cumsum from x0
+    for rows, block in plan.row_blocks():
+        cond, ztilde = plan.predict(fits, rows, block)
         iw = 1.0 / w[rows]
         I = y[rows]
-        ybar = np.empty(I.shape)
+        ybar, zbar = np.empty(I.shape), np.empty(I.shape)
         np.subtract(mean_xi, I[:, 0], out=ybar[:, 0])
-        np.subtract(cond[rows], I[:, 1:n], out=ybar[:, 1:n])
+        np.subtract(cond, I[:, 1:n], out=ybar[:, 1:n])
         np.subtract(xi[rows], I[:, n], out=ybar[:, n])
         ybar *= iw
-        zbar = np.empty(I.shape)
         zbar[:, 0] = ztilde0
-        zbar[:, 1:n] = ztilde[rows]
+        zbar[:, 1:n] = ztilde
+        del cond, ztilde  # spent: not alive while the next block predicts
         zbar[:, n] = 0.0
         zbar *= iw
         zr = z[rows]

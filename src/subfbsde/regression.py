@@ -11,9 +11,9 @@ dL-almost everywhere.
 `fit_condexp` and `extract_z` regress one slice.  `RegressionPlan` does the
 same regressions for every slice of an ensemble at once: the designs are
 fixed by the ensemble, so their Gram matrices and the ratio estimator's
-denominator are set up once and each linear solve only reduces its target
-onto the monomials and expands the coefficients back.  The single-slice
-functions stay as the reference the plan is tested against.
+denominator are set up once; a linear solve reduces its target onto the
+monomials and expands the coefficients back one row block at a time.  The
+single-slice functions stay as the reference the plan is tested against.
 """
 
 from __future__ import annotations
@@ -193,6 +193,22 @@ def _row_slices(start: int, stop: int):
         yield slice(lo, min(lo + _BLOCK_ROWS, stop))
 
 
+def _predict(fits, block) -> list:
+    """Predict `RegressionPlan._fit`'s fits on a row block, one (rows,
+    n_steps - 1) array per job: a job fits in-sample (sample 0) or on both
+    halves, each predicting the other, so one fit predicts every row."""
+    half, monomials = block
+    coefs = [c for s, c in fits if s in (0, 3 - half)]  # one per job, in job order
+    shape = next(monomials).shape  # the intercept, written directly
+    outs = [np.full(shape, c[0]) for c in coefs]
+    prod = np.empty(shape)
+    for j, mono in enumerate(monomials, start=1):
+        for dest, c in zip(outs, coefs):
+            np.multiply(mono, c[j], out=prod)
+            dest += prod
+    return outs
+
+
 class RegressionPlan:
     """The slice regressions of a linear solve, set up once per ensemble and
     basis.
@@ -203,11 +219,11 @@ class RegressionPlan:
     cross-fit half, with the ridge `fit_condexp` uses at each sample size,
     the cross-fitted denominator E[dL_k | F] of the ratio estimator with the
     mask where z is set to zero, and the read-only weights w = exp(-(t + L))
-    of the linear solve.  `regress` then runs the regressions of one linear
-    solve on every slice at once, with the same checks as the single-slice
-    path.  The monomials are streamed from the ensemble's X and R over row
+    of the linear solve.  `fit` fits one linear solve's regressions on every
+    slice at once, with the single-slice path's checks; `predict` evaluates
+    them on a row block.  The monomials are streamed from X and R over row
     blocks of paths, never stored: the Grams, the target reductions and the
-    fitted values all come from that stream, so the plan holds p x p numbers
+    predictions all come from that stream, so the plan holds p x p numbers
     per slice, one (n_paths, n_steps - 1) denominator and one weight grid.
     """
 
@@ -247,7 +263,7 @@ class RegressionPlan:
         self._grams = np.zeros((3, n - 1, p, p))
         upper = np.triu_indices(p)
         with np.errstate(over="ignore", invalid="ignore"):
-            for _, h, monomials in self._row_blocks():
+            for _, (h, monomials) in self.row_blocks():
                 mono = list(monomials)
                 for i, j in zip(*upper):
                     self._grams[h, :, i, j] += np.einsum("ik,ik->k", mono[i], mono[j])
@@ -276,33 +292,32 @@ class RegressionPlan:
         # keeps their possibly singular half Grams out of the batched solve
         self._grams[1:, frozen] = np.eye(p)
 
-        (den,) = self._fit_predict((lambda rows: dL[rows], (1, 2)))
+        fits = self._fit((lambda rows: dL[rows], (1, 2)))
+        den = np.concatenate([_predict(fits, block)[0] for _, block in self.row_blocks()])
         self._zero = (den < self.floor) | frozen
         self._den = np.maximum(den, self.floor)
 
-    def _row_blocks(self):
+    def row_blocks(self):
         """Row blocks of the paths that never straddle the cross-fit split:
-        (rows, half, monomials of the block), half 1 for the first half of
+        (rows, (half, monomials of the block)), half 1 for the first half of
         the paths and 2 for the second."""
         m = self._columns[0].shape[0]
         for lo, hi, half in ((0, self._half, 1), (self._half, m, 2)):
             for rows in _row_slices(lo, hi):
-                cols = [c[rows] for c in self._columns]
-                yield rows, half, _monomials(cols, self.basis.degree, cols[0].shape)
+                # copy a stride-0 column (a jump-free R): einsum sums it in another order
+                cols = [c[rows] if c.strides[0] else c[rows].copy() for c in self._columns]
+                yield rows, (half, _monomials(cols, self.basis.degree, cols[0].shape))
 
-    def _fit_predict(self, *jobs) -> list:
+    def _fit(self, *jobs) -> list:
         """Batched slice regressions.  Each job is (target, samples):
         target(rows) gives the targets of a row block of paths, column k - 1
         for slice k, or a 1-d block shared by all slices; they are fitted on
         every slice at once for each sample in samples (0: all paths, 1 and
-        2: the two halves) and predicted in-sample for sample 0 and on the
-        other half for a half, into one (n_paths, n_steps - 1) output per
-        job.  A job fits either in-sample or on both halves, so every row of
-        an output is predicted by exactly one fit."""
+        2: the two halves).  Returns (sample, coefficients) per fit, by job."""
         n_slices, p = self._grams.shape[1:3]
         fits = [(job, s) for job, (_, samples) in enumerate(jobs) for s in samples]
         rhs = np.zeros((len(fits), n_slices, p))
-        for rows, half, monomials in self._row_blocks():
+        for rows, (half, monomials) in self.row_blocks():
             targets = [target(rows) for target, _ in jobs]
             reduce = [(i, targets[job]) for i, (job, s) in enumerate(fits) if s in (0, half)]
             for j, mono in enumerate(monomials):
@@ -326,33 +341,18 @@ class RegressionPlan:
             raise
         # (fits, p, slices): each monomial's coefficients are one contiguous row
         coef = np.ascontiguousarray(coef.transpose(0, 2, 1))
-        out = [np.empty(self._columns[0].shape) for _ in jobs]
-        term = np.empty((_BLOCK_ROWS, n_slices))
-        for rows, half, monomials in self._row_blocks():
-            expand = [
-                (out[job][rows], coef[i]) for i, (job, s) in enumerate(fits) if s in (0, 3 - half)
-            ]
-            prod = term[: rows.stop - rows.start]
-            next(monomials)  # the intercept, written directly
-            for dest, c in expand:
-                dest[...] = c[0]
-            for j, mono in enumerate(monomials, start=1):
-                for dest, c in expand:
-                    np.multiply(mono, c[j], out=prod)
-                    dest += prod
-        return out
+        return [(s, c) for (_, s), c in zip(fits, coef)]
 
-    def regress(self, xi: np.ndarray):
-        """The backward-pass regressions of one linear solve on every slice
-        1 <= k < n_steps, as two (n_paths, n_steps - 1) arrays: the in-sample
-        E[xi | F_k] (`fit_condexp` per slice) and the cross-fitted ratio
-        estimate E[xi dB_k | F] / E[dL_k | F] of the integrand (`extract_z`
-        per slice)."""
-        dB = self._dB
-        cond, z = self._fit_predict(
-            (lambda rows: xi[rows], (0,)),
-            (lambda rows: xi[rows, None] * dB[rows], (1, 2)),
-        )
-        z /= self._den
-        z[self._zero] = 0.0
+    def fit(self, xi: np.ndarray) -> list:
+        """A linear solve's regressions on every slice 1 <= k < n_steps, for
+        `predict`: xi in-sample and xi dB_k on each cross-fit half."""
+        return self._fit((lambda r: xi[r], (0,)), (lambda r: xi[r, None] * self._dB[r], (1, 2)))
+
+    def predict(self, fits, rows: slice, block):
+        """`fit` predicted on a block of `row_blocks`, as two (rows, n_steps -
+        1) arrays: the in-sample E[xi | F_k] and the cross-fitted ratio
+        E[xi dB_k | F] / E[dL_k | F] (`extract_z` per slice)."""
+        cond, z = _predict(fits, block)
+        z /= self._den[rows]
+        z[self._zero[rows]] = 0.0
         return cond, z

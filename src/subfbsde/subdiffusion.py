@@ -37,7 +37,7 @@ class PathEnsemble:
     be reassigned; `dataclasses.replace` builds a new ensemble.
 
     Arrays are (n_paths, n_steps+1) for node values and (n_paths, n_steps)
-    for increments.
+    for increments; a jump-free clock's L, R and dL are read-only shared rows.
     """
 
     grid: TimeGrid

@@ -121,9 +121,10 @@ def _whole_array_trapezoid(node_values, dt_weights):
 def whole_array_solve_linear(forcings, x0, plan):
     """The linear base solve with every step on whole (n_paths, n_steps+1)
     arrays: the formulas of the row-blocked `solve_linear`, one full-array
-    pass per term and one cumsum per integral.  Returns (x, y, z, xi,
-    ztilde): the solution, the terminal aggregate xi and the integrand ztilde
-    of its conditional-expectation martingale."""
+    pass per term and one cumsum per integral; the plan's regressions are
+    predicted into whole arrays.  Returns (x, y, z, xi, ztilde): the
+    solution, the terminal aggregate xi and the integrand ztilde of its
+    conditional-expectation martingale."""
     f, ensemble = forcings, plan.ensemble
     m, n = ensemble.n_paths, ensemble.n_steps
     dt, dL, dB = ensemble.grid.dt, ensemble.dL, ensemble.dB
@@ -136,7 +137,9 @@ def whole_array_solve_linear(forcings, x0, plan):
     M[:, 0] = np.mean(xi)
     M[:, n] = xi
     ztilde = np.zeros((m, n + 1))
-    M[:, 1:n], ztilde[:, 1:n] = plan.regress(xi)
+    fits = plan.fit(xi)
+    for rows, block in plan.row_blocks():
+        M[rows, 1:n], ztilde[rows, 1:n] = plan.predict(fits, rows, block)
     mean_dL = float(np.mean(dL[:, 0]))
     if mean_dL >= plan.floor:
         ztilde[:, 0] = np.mean(xi * dB[:, 0]) / mean_dL

@@ -381,6 +381,64 @@ def test_forcings_are_refused_outside_solve_linear(tmp_path, capsys, subcommand)
     assert err == "config key forcings: read only by solve-linear\n"
 
 
+_SOLVE_KEYS = [
+    ("max_picard", {"max_picard": 3}),
+    ("picard_tol", {"picard_tol": 0.5}),
+    ("strategy", {"strategy": "flatten"}),
+    ("eta", {"eta": 0.5, "strategy": "nested"}),
+]
+
+
+@pytest.mark.parametrize("subcommand", ["sample-subdiffusion", "check-hypothesis", "solve-linear"])
+@pytest.mark.parametrize("key, over", _SOLVE_KEYS, ids=[k for k, _ in _SOLVE_KEYS])
+def test_solver_keys_are_refused_outside_solve(tmp_path, capsys, subcommand, key, over):
+    # the Picard settings would change the config hash of artifacts they never shape
+    err = _assert_config_error(tmp_path, capsys, key, subcommand, n_paths=50, n_steps=10, **over)
+    assert err == f"config key {key}: read only by solve\n"
+
+
+@pytest.mark.parametrize("subcommand", ["sample-subdiffusion", "check-hypothesis"])
+def test_basis_is_refused_outside_the_solves(tmp_path, capsys, subcommand):
+    err = _assert_config_error(tmp_path, capsys, "basis", subcommand, basis={"degree": 5})
+    assert err == "config key basis: read only by solve-linear and solve\n"
+
+
+@pytest.mark.parametrize("subcommand", ["solve-linear", "solve"])
+def test_the_solves_read_their_keys(tmp_path, subcommand):
+    over = {"basis": {"degree": 1}, "n_paths": 200, "n_steps": 10}
+    if subcommand == "solve":
+        over.update(max_picard=30, picard_tol=1e-2, strategy="nested", eta=0.5)
+    path = write_config(tmp_path, base_config(output_dir=str(tmp_path / "out"), **over))
+    assert run(subcommand, path) == EXIT_OK
+
+
+_NON_FINITE_B = "numerical failure: coefficient b produced non-finite values"
+
+
+@pytest.mark.parametrize(
+    "subcommand, c, lines",
+    [
+        ("check-hypothesis", 1e307, ["numerical failure: non-finite value in the JSON payload "
+                                     "at key report.m1_margin"]),
+        ("solve", 1e307, ["warning: bundle canonical_monotone(c=1e+307) fails the hypothesis "
+                          "check; solving anyway",
+                          "numerical failure: M-norm is inf: the squares of the solution "
+                          "overflow"]),
+        ("check-hypothesis", 1e308, [_NON_FINITE_B]),
+        ("solve", 1e308, [_NON_FINITE_B]),
+    ],
+)
+def test_overflowing_hypothesis_check_prints_only_its_verdict(
+    tmp_path, capsys, subcommand, c, lines
+):
+    # the margins (c = 1e307) or the coefficient differences (c = 1e308)
+    # overflow: numpy prints no warning, and the non-finite values are refused
+    cfg = base_config(output_dir=str(tmp_path / "out"), bundle_params={"c": c})
+    assert run(subcommand, write_config(tmp_path, cfg)) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.splitlines() == lines
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("subcommand", list(cli._HANDLERS))
 @pytest.mark.parametrize(
     "key, over",

@@ -109,6 +109,31 @@ def test_delayed_clock_waits_until_activation():
     assert np.allclose(L[:, ~pre], t[~pre] - 0.5)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SubordinatorSpec(kappa=2.0),
+        # 5e-5 jumps expected over the 50 paths: the seed-3 draw has none
+        SubordinatorSpec(kappa=2.0, jump_kind="exponential", rate=1e-6, jump_param=1.0),
+    ],
+    ids=["none", "exponential_without_a_jump"],
+)
+def test_jump_free_clock_is_one_shared_row(spec):
+    grid = TimeGrid(a=0.3, T=1.0, n_steps=20)
+    counts, times, sizes = sample_jumps(spec, grid.T / spec.kappa, 50, seed=3)
+    assert times.size == 0
+    per_path = _invert(spec.kappa, grid, counts, times, sizes)
+    for shared, own in zip(sample_clock_ensemble(spec, grid, 50, seed=3), per_path):
+        assert shared.shape == own.shape and shared.strides[0] == 0
+        assert not shared.flags.writeable
+        assert np.ascontiguousarray(shared).tobytes() == own.tobytes()
+
+
+def test_clock_with_jumps_is_held_per_path(jump_spec, grid):
+    for a in sample_clock_ensemble(jump_spec, grid, 50, seed=3):
+        assert a.flags.writeable and a.strides[0] > 0
+
+
 def test_hand_built_skeleton_inversion():
     # one path, kappa = 1, two unit jumps at intrinsic times 1 and 2
     grid = TimeGrid(a=0.0, T=4.0, n_steps=8)

@@ -22,21 +22,28 @@ from subfbsde import (
 M, N = 3000, 50
 GRID_BYTES = M * (N + 1) * 8  # one (n_paths, n_steps + 1) float64 grid
 
-# peak of one solve in grids: the solution's three grids, the two
-# (n_paths, n_steps - 1) regression outputs and the row-block temporaries
-MAX_PEAK_GRIDS = 6.5
+# peak of one solve in grids: the solution's three grids and the row-block
+# temporaries; the regressions are predicted one row block at a time, so no
+# (n_paths, n_steps - 1) regression output exists (4.79 measured, where the
+# two whole-ensemble outputs read 6.22)
+MAX_PEAK_GRIDS = 5.2
 # held by the plan in grids: the weights, the (n_paths, n_steps - 1)
 # denominator and its zero mask; a solve leaves nothing behind but its result
 MAX_RETAINED_GRIDS = 2.5
 # peak of a Picard solve above what was live before it, in grids: the plan,
-# the previous and the new iterate, the regression outputs, the row-block
-# temporaries and the a priori bootstrap; nested adds the seed of the inner
-# level.  No forcing grid: 13.8 (flatten) and 15.3 (nested) measured, where
-# five forcing grids per ladder level read 16.4 and 24.4
-MAX_PICARD_PEAK_GRIDS = {1.0: 15.0, 0.5: 19.0}
+# the previous and the new iterate, the row-block temporaries and the a
+# priori bootstrap; nested adds the seed of the inner level.  No forcing grid
+# and no regression output grid: 10.64 (flatten) and 14.41 (nested)
+# measured, where the two regression outputs read 12.08 and 15.09
+MAX_PICARD_PEAK_GRIDS = {1.0: 11.2, 0.5: 19.0}
 # live after solve_fbsde returns and its results are dropped, with the
 # garbage collector off: nothing of the solve may stay behind
 MAX_LEFT_AFTER_SOLVE_GRIDS = 0.5
+# building a jump-free ensemble: the clock is one row shared by every path,
+# so only X and dB are grids (2.97 peak and 1.99 retained measured, where
+# per-path clock grids read 8.30 and 4.96)
+MAX_JUMP_FREE_BUILD_PEAK_GRIDS = 4.0
+MAX_JUMP_FREE_RETAINED_GRIDS = 3.0
 
 
 def _problem(jump_spec):
@@ -108,3 +115,16 @@ def test_solve_leaves_nothing_alive(jump_spec):
         gc.enable()
     grids = left / GRID_BYTES
     assert grids <= MAX_LEFT_AFTER_SOLVE_GRIDS, f"{grids:.2f} grids left"
+
+
+def test_jump_free_ensemble_memory(drift_spec):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ens = build_ensemble(drift_spec, TimeGrid(a=0.0, T=1.0, n_steps=N), n_paths=M, seed=5)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ens.L.shape == (M, N + 1)
+    assert peak / GRID_BYTES <= MAX_JUMP_FREE_BUILD_PEAK_GRIDS, f"peak {peak / GRID_BYTES:.2f}"
+    assert retained / GRID_BYTES <= MAX_JUMP_FREE_RETAINED_GRIDS, f"{retained / GRID_BYTES:.2f}"

@@ -27,7 +27,9 @@ from oracles import whole_array_solve_linear
 class SliceBySlicePlan:
     """The backward-pass regressions one slice at a time with `fit_condexp`
     and `extract_z`, in the order the linear solver ran them before the
-    plan existed: every in-sample fit, then every cross-fitted ratio."""
+    plan existed: every in-sample fit, then every cross-fitted ratio.  It
+    has the plan's interface: `fit` returns the whole (n_paths, n_steps - 1)
+    predictions, and `predict` returns its one row block, every path."""
 
     def __init__(self, ensemble, basis):
         self.ensemble = ensemble
@@ -40,7 +42,10 @@ class SliceBySlicePlan:
         cols = [ens.X[:, k], ens.R[:, k]] if self.basis.include_r else [ens.X[:, k]]
         return np.column_stack(cols)
 
-    def regress(self, xi):
+    def row_blocks(self):
+        yield slice(0, self.ensemble.n_paths), None
+
+    def fit(self, xi):
         ens, basis = self.ensemble, self.basis
         cond = np.empty((ens.n_paths, ens.n_steps - 1))
         z = np.empty_like(cond)
@@ -53,6 +58,9 @@ class SliceBySlicePlan:
                 xi, ens.dB[:, k], ens.dL[:, k], feats, basis, self.floor, k
             )
         return cond, z
+
+    def predict(self, fits, rows, block):
+        return fits[0][rows], fits[1][rows]
 
 
 def state_dependent_forcings(ens):
@@ -121,6 +129,22 @@ def test_plan_matches_single_slice_path_on_ragged_blocks(jump_spec, drift_spec, 
     assert_same_solution(theta, ref)
 
 
+def test_shared_clock_rows_solve_as_per_path_ones(drift_spec):
+    # a delayed jump-free clock: R = (a - t)^+ is one nonzero row that every
+    # path shares, a stride-0 feature; the solve must not depend on its layout
+    # (constant forcings, as the CLI's: einsum summed the stride-0 R against
+    # this xi in another order, and y moved in the last bits)
+    ens = build_ensemble(drift_spec, TimeGrid(a=0.3, T=1.0, n_steps=20), n_paths=1300, seed=5)
+    assert ens.R.strides[0] == 0 and ens.R.any()
+    per_path = dataclasses.replace(ens, L=ens.L.copy(), R=ens.R.copy(), dL=ens.dL.copy())
+    f = ForcingSet.constant(ens.n_paths, ens.n_steps, g0=1.0, sigma0=0.5, phi0=0.3)
+    shared, own = (
+        solve_linear(f.rows, 1.0, RegressionPlan(e, BasisSpec())) for e in (ens, per_path)
+    )
+    for name in ("x", "y", "z"):
+        assert np.array_equal(getattr(shared, name), getattr(own, name)), name
+
+
 def _constant_x(ens, k, rows):
     X = ens.X.copy()
     X[rows, k] = 0.0
@@ -182,7 +206,7 @@ def test_singular_half_gram_names_its_slice_and_ridge(jump_ensemble):
     plan._grams[2, k - 1] = np.ones(plan._grams.shape[-2:])
     with pytest.raises(SingularSliceError, match="at slice 5; it is singular despite the ridge "
                        "2e-08") as err:
-        plan.regress(jump_ensemble.X[:, -1])
+        plan.fit(jump_ensemble.X[:, -1])
     assert err.value.slice_index == k
 
 
