@@ -51,6 +51,9 @@ CLOUD_STATE_X_BOX = 2.0
 
 @dataclass
 class CoefficientBundle:
+    """The coefficient maps of a coupled system; a solve may call them from two
+    threads at once, so they must keep no state."""
+
     b: Callable
     g: Callable
     delta: Callable
@@ -103,7 +106,8 @@ def check_hypothesis(bundle: CoefficientBundle, rng: np.random.Generator) -> Hyp
         LHS + c*(|dx|^2 + |dy|^2 [+ |dz|^2])      (decreasing orientation)
         c*(...) - LHS                              (increasing orientation)
     and each sampled term passes up to MARGIN_SLACK * (1 + |LHS| + c*(...)),
-    phi's term sgn*(-dphi*dx) up to MARGIN_SLACK * (1 + |dphi*dx|).
+    phi's term sgn*(-dphi*dx) up to MARGIN_SLACK * (1 + |dphi*dx|).  Non-finite
+    margins or Lipschitz estimate are a numerical failure (FloatingPointError).
     """
     t, state, (x1, x2, y1, y2, z1, z2) = _sample_cloud(rng)
     c = bundle.monotonicity
@@ -143,6 +147,10 @@ def check_hypothesis(bundle: CoefficientBundle, rng: np.random.Generator) -> Hyp
     mask = np.abs(dx) > 0
     if np.any(mask):
         est = max(est, float(np.max(np.abs(dphi[mask]) / np.abs(dx[mask]))))
+    for name, value in (("m1_margin", m1_margin), ("m2_margin", m2_margin),
+                        ("lipschitz_estimate", est)):
+        if not np.isfinite(value):
+            raise _NonFiniteError(f"hypothesis check {name} is {value}: the sampled terms overflow")
 
     verdict = {
         "m1": bool(np.all(m1_vals <= MARGIN_SLACK * (1.0 + np.abs(m1_lhs) + c * sq2))),
@@ -266,6 +274,7 @@ _REGISTRY: dict[str, Callable[..., CoefficientBundle]] = {
 
 
 def register_bundle(name: str, factory: Callable[..., CoefficientBundle]) -> None:
+    """Add a catalog entry; its bundles' maps must keep no state (see CoefficientBundle)."""
     _REGISTRY[name] = factory
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linear_solver import SolutionTriple
-from .regression import _BLOCK_ROWS, _NonFiniteError, _row_slices
+from .regression import _NonFiniteError, _map_blocks, _row_slices
 
 __all__ = [
     "MNormValue",
@@ -46,31 +46,29 @@ class AprioriReport:
 def m_norm(theta: SolutionTriple, other: SolutionTriple | None = None) -> MNormValue:
     """M-norm of theta, or of theta - other.  The sums of squares run over
     row blocks of paths: each component's block (or the difference's) is
-    written into one reused buffer and reduced by BLAS dot products, so a
-    difference only ever exists one block at a time."""
+    written into one buffer per block and reduced by BLAS dot products, added
+    in block order, so a difference only exists one block at a time."""
     m, n = theta.x.shape[0], theta.dL.shape[1]
-    buf = np.empty((min(m, _BLOCK_ROWS), n))
 
-    def block(name: str, rows: slice) -> np.ndarray:
-        out = buf[: rows.stop - rows.start]
-        a = getattr(theta, name)[rows, :n]
-        if other is None:
-            np.copyto(out, a)
-        else:
-            np.subtract(a, getattr(other, name)[rows, :n], out=out)
+    def sums(rows: slice) -> list:
+        # the block's x(0), x and y sums of squares, then z's against dL
+        buf, out = np.empty((rows.stop - rows.start, n)), []
+        for name in ("x", "y", "z"):
+            a = getattr(theta, name)[rows, :n]  # minus 0.0 copies it bit for bit
+            v = np.subtract(a, 0.0 if other is None else getattr(other, name)[rows, :n], out=buf)
+            if name == "x":
+                out.append(float(v[:, 0] @ v[:, 0]))
+            if name == "z":
+                v *= v
+            out.append(float(v.ravel() @ (theta.dL[rows] if name == "z" else v).ravel()))
         return out
 
     x0_sum = dt_sum = dL_sum = 0.0
-    for rows in _row_slices(0, m):
-        x = block("x", rows)
-        x0_sum += float(x[:, 0] @ x[:, 0])
-        v = x.ravel()
-        dt_sum += float(v @ v)
-        v = block("y", rows).ravel()
-        dt_sum += float(v @ v)
-        z = block("z", rows)
-        z *= z
-        dL_sum += float(z.ravel() @ theta.dL[rows].ravel())
+    for x0, dt_x, dt_y, dL_z in _map_blocks(sums, _row_slices(0, m), n):
+        x0_sum += x0
+        dt_sum += dt_x
+        dt_sum += dt_y
+        dL_sum += dL_z
     parts = {"x0": x0_sum / m, "dt": dt_sum / m * theta.dt, "dL": dL_sum / m}
     value = math.sqrt(parts["x0"] + parts["dt"] + parts["dL"])
     if not math.isfinite(value):
@@ -98,7 +96,8 @@ def apriori_ratio(theta: SolutionTriple, data, x0: float) -> AprioriReport:
     the zero solution.  The energies are summed block by block."""
     m, n = theta.dL.shape
     lhs_paths, rhs_paths = np.empty(m), np.empty(m)
-    for rows in _row_slices(0, m):
+
+    def energies(rows: slice) -> None:
         x, y, dL = theta.x[rows], theta.y[rows], theta.dL[rows]
         lhs_paths[rows] = np.max(x**2 + y**2, axis=1) + np.sum(theta.z[rows, :n] ** 2 * dL, axis=1)
         d = data(rows)
@@ -110,6 +109,7 @@ def apriori_ratio(theta: SolutionTriple, data, x0: float) -> AprioriReport:
         )
         rhs_paths[rows] = x0 * x0 + d.phi0**2 + dt_energy + dL_energy
 
+    _map_blocks(energies, _row_slices(0, m), n)
     lhs = float(np.mean(lhs_paths))
     rhs = float(np.mean(rhs_paths))
     if not (math.isfinite(lhs) and math.isfinite(rhs)):

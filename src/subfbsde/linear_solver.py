@@ -12,8 +12,8 @@ whose partial sums only touch already-revealed nodes and therefore stay
 adapted; the dB integral is left-point (Ito).  The conditional expectations
 of the backward pass are the slice regressions of a `RegressionPlan`, which
 depends only on the ensemble and the basis and is shared by every solve on
-that ensemble; the plan also holds the weights exp(-(t + L)).  A solve
-fits them once; the rest, their predictions included, runs per row block.
+that ensemble.  A solve fits them once; the rest, their predictions and the
+weights exp(-(t + L)) included, runs per row block, two blocks at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .regression import RegressionPlan, _NonFiniteError, _row_slices
+from .regression import RegressionPlan, _BLOCK_ROWS, _NonFiniteError, _map_blocks, _row_slices
 
 # unused here: kept because the benchmark tracer (perfbench/spans.py) wraps these names
 from .regression import extract_z, fit_condexp  # noqa: F401
@@ -107,17 +107,25 @@ class SolutionTriple:
         )
 
 
+def _weights(ensemble: PathEnsemble, rows: slice) -> np.ndarray:
+    """exp(-(t + L)) on a row block, bit for bit (-t - L rounds to -(t + L));
+    one row, broadcast over the block, for a clock that every path shares."""
+    L = ensemble.L
+    return np.exp(np.subtract(-ensemble.grid.times(), L[rows] if L.strides[0] else L[:1]))
+
+
 def _increments(a, d, dt, dL, ito=None):
     """Increments of a running integral on one row block, (paths, n_steps):
     trapezoid of the node values a against dt plus d against dL, plus the
     left-point increments 2 * ito, all summed into one block before the one
-    cumsum.  The k-th partial sum only touches nodes <= k, so the running
-    integral stays adapted."""
-    inc = a[:, :-1] + a[:, 1:]
-    inc *= dt
-    tmp = d[:, :-1] + d[:, 1:]
-    tmp *= dL
-    inc += tmp
+    cumsum (once for d is a).  The k-th partial sum only touches nodes <= k,
+    so the running integral stays adapted."""
+    s = a[:, :-1] + a[:, 1:]
+    inc = s * dt
+    if d is not a:
+        np.add(d[:, :-1], d[:, 1:], out=s)
+    s *= dL
+    inc += s
     if ito is not None:
         inc += ito
     inc *= 0.5
@@ -135,36 +143,37 @@ def solve_linear(forcings, x0: float, plan: RegressionPlan) -> SolutionTriple:
 
     Everything but the regression fits is per path and runs in two sweeps
     over row blocks of paths that stay in cache, around the one global step
-    `plan.fit(xi)`.  forcings(rows) gives the `ForcingSet` of a row block
-    (e.g. `ForcingSet.rows`), which the first sweep evaluates and checks once.
+    `plan.fit(xi)`, two blocks at once (`_map_blocks`).  forcings(rows) gives
+    the `ForcingSet` of a row block (e.g. `ForcingSet.rows`), which the first
+    sweep evaluates and checks once, possibly from two threads at once.
     """
     ensemble = plan.ensemble
     m, n = ensemble.n_paths, ensemble.n_steps
     dt, dL, dB = ensemble.grid.dt, ensemble.dL, ensemble.dB
-    w = plan.w
     x, y, z = np.empty((m, n + 1)), np.empty((m, n + 1)), np.empty((m, n + 1))
     xi = np.empty(m)
 
     # first sweep: y holds the running integral I of the weighted forcings, x
     # the forcings' dt/dL forward increments and z sigma0; the last block is
     # open-ended, so forcings of too many paths are refused
-    for rows in _row_slices(0, m):
+    def first(rows):
         f = forcings(slice(rows.start, rows.stop if rows.stop < m else None))
         f.validate(y[rows].shape)
-        wr, dLr, yr = w[rows], dL[rows], y[rows]
+        wr, dLr, yr = _weights(ensemble, rows), dL[rows], y[rows]
         a = f.g0 + f.b0
         a *= wr
         d = f.h0 + f.delta0
         d *= wr
         yr[:, 0] = 0.0
         np.cumsum(_increments(a, d, dt, dLr), axis=1, out=yr[:, 1:])
-        iw = 1.0 / wr
+        xi[rows] = wr[:, -1] * f.phi0 + yr[:, -1]
+        iw = np.divide(1.0, wr, out=wr)
         np.multiply(f.b0, iw, out=a)
         np.multiply(f.delta0, iw, out=d)
         x[rows, 1:] = _increments(a, d, dt, dLr)
         z[rows] = f.sigma0
-        xi[rows] = wr[:, -1] * f.phi0 + yr[:, -1]
 
+    _map_blocks(first, _row_slices(0, m, _BLOCK_ROWS // 2), n)
     # conditional-expectation martingale M of xi along the grid, and its
     # integrand ztilde; the filtration is trivial at time 0, so plain means
     # there, and ztilde is zero at the terminal node
@@ -177,9 +186,11 @@ def solve_linear(forcings, x0: float, plan: RegressionPlan) -> SolutionTriple:
     # ztilde: ybar = (M - I) / w and zbar = ztilde / w, then the forward pass
     # in closed form: its ybar (trapezoid) and Ito (left-point, sigma0 read
     # from z) increments are subtracted from x before one cumsum from x0
-    for rows, block in plan.row_blocks():
+    def second(item):
+        rows, block = item
         cond, ztilde = plan.predict(fits, rows, block)
-        iw = 1.0 / w[rows]
+        wr = _weights(ensemble, rows)
+        iw = 1.0 / wr
         I = y[rows]
         ybar, zbar = np.empty(I.shape), np.empty(I.shape)
         np.subtract(mean_xi, I[:, 0], out=ybar[:, 0])
@@ -188,7 +199,7 @@ def solve_linear(forcings, x0: float, plan: RegressionPlan) -> SolutionTriple:
         ybar *= iw
         zbar[:, 0] = ztilde0
         zbar[:, 1:n] = ztilde
-        del cond, ztilde  # spent: not alive while the next block predicts
+        del cond, ztilde  # spent: not alive for the rest of the block
         zbar[:, n] = 0.0
         zbar *= iw
         zr = z[rows]
@@ -203,10 +214,11 @@ def solve_linear(forcings, x0: float, plan: RegressionPlan) -> SolutionTriple:
         np.subtract(xr[:, 1:], _increments(a, a, dt, dL[rows], ito), out=xr[:, 1:])
         xr[:, 0] = x0
         np.cumsum(xr, axis=1, out=xr)
-        xr *= w[rows]
+        xr *= wr
         np.add(xr, ybar, out=I)
         # x is finite wherever y = x + ybar is
         if not (np.isfinite(I).all() and np.isfinite(zr).all()):
             raise FloatingPointError("linear solve produced non-finite values")
 
+    _map_blocks(second, plan.row_blocks(_BLOCK_ROWS // 2), n)
     return SolutionTriple(x=x, y=y, z=z, dt=dt, dL=dL)

@@ -413,28 +413,35 @@ def test_the_solves_read_their_keys(tmp_path, subcommand):
 
 
 _NON_FINITE_B = "numerical failure: coefficient b produced non-finite values"
+_OVERFLOWED_M1 = "numerical failure: hypothesis check m1_margin is nan: the sampled terms overflow"
+_OVERFLOW_CASES = [
+    ("check-hypothesis", 1e307, [_OVERFLOWED_M1]),
+    ("solve", 1e307, [_OVERFLOWED_M1]),
+    ("check-hypothesis", 1e308, [_NON_FINITE_B]),
+    ("solve", 1e308, [_NON_FINITE_B]),
+]
 
 
-@pytest.mark.parametrize(
-    "subcommand, c, lines",
-    [
-        ("check-hypothesis", 1e307, ["numerical failure: non-finite value in the JSON payload "
-                                     "at key report.m1_margin"]),
-        ("solve", 1e307, ["warning: bundle canonical_monotone(c=1e+307) fails the hypothesis "
-                          "check; solving anyway",
-                          "numerical failure: M-norm is inf: the squares of the solution "
-                          "overflow"]),
-        ("check-hypothesis", 1e308, [_NON_FINITE_B]),
-        ("solve", 1e308, [_NON_FINITE_B]),
-    ],
-)
+@pytest.mark.parametrize("subcommand, c, lines", _OVERFLOW_CASES)
 def test_overflowing_hypothesis_check_prints_only_its_verdict(
     tmp_path, capsys, subcommand, c, lines
 ):
     # the margins (c = 1e307) or the coefficient differences (c = 1e308)
-    # overflow: numpy prints no warning, and the non-finite values are refused
+    # overflow: numpy prints no warning, and the check is a numerical
+    # failure, not a failed hypothesis
     cfg = base_config(output_dir=str(tmp_path / "out"), bundle_params={"c": c})
     assert run(subcommand, write_config(tmp_path, cfg)) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.splitlines() == lines
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("subcommand, c, lines", _OVERFLOW_CASES)
+def test_overflowing_hypothesis_check_is_a_numerical_failure_under_strict(
+    tmp_path, capsys, subcommand, c, lines
+):
+    # not exit 4 with "hypothesis check failed": the same one line as without --strict
+    cfg = base_config(output_dir=str(tmp_path / "out"), bundle_params={"c": c})
+    assert run(subcommand, write_config(tmp_path, cfg), strict=True) == EXIT_NUMERICAL
     assert capsys.readouterr().err.splitlines() == lines
     assert not (tmp_path / "out").exists()
 

@@ -21,6 +21,8 @@ from subfbsde import (
     solve_fbsde,
     solve_linear,
 )
+from subfbsde.linear_solver import _weights
+from subfbsde.regression import _row_slices
 from oracles import whole_array_solve_linear
 
 
@@ -35,14 +37,13 @@ class SliceBySlicePlan:
         self.ensemble = ensemble
         self.basis = basis
         self.floor = 1e-12 * ensemble.grid.dt / ensemble.kappa
-        self.w = np.exp(-(ensemble.grid.times()[None, :] + ensemble.L))
 
     def features_at(self, k):
         ens = self.ensemble
         cols = [ens.X[:, k], ens.R[:, k]] if self.basis.include_r else [ens.X[:, k]]
         return np.column_stack(cols)
 
-    def row_blocks(self):
+    def row_blocks(self, size=None):
         yield slice(0, self.ensemble.n_paths), None
 
     def fit(self, xi):
@@ -272,7 +273,12 @@ def test_ensemble_is_a_frozen_snapshot(jump_ensemble, jump_plan):
     assert set(vars(ens)) == {field.name for field in dataclasses.fields(PathEnsemble)}
 
 
-def test_plan_owns_the_solve_weights(jump_ensemble, jump_plan):
-    ens = jump_ensemble
-    assert np.array_equal(jump_plan.w, np.exp(-(ens.grid.times()[None, :] + ens.L)))
-    assert not jump_plan.w.flags.writeable
+def test_block_weights_are_the_grid_weights(jump_ensemble, drift_ensemble):
+    # each sweep block computes its own weights; a jump-free clock's L is
+    # one row shared by every path, and so are its weights
+    for ens in (jump_ensemble, drift_ensemble):
+        w = np.exp(-(ens.grid.times()[None, :] + ens.L))
+        for rows in _row_slices(0, ens.n_paths, 7):
+            block = _weights(ens, rows)
+            assert block.shape[0] == (1 if ens is drift_ensemble else rows.stop - rows.start)
+            assert np.array_equal(np.broadcast_to(block, w[rows].shape), w[rows])

@@ -2,7 +2,7 @@
 benchmark tracer (perfbench/spans.py) patches, must resolve; the CLI's
 imports stay light; the README lists exactly the subcommands and bundles
 there are; the benchmark's workloads run on the package and pass its
-artifact checks."""
+artifact checks, and a traced run gives well-formed spans."""
 
 import importlib
 import json
@@ -13,12 +13,13 @@ import re
 import runpy
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import subfbsde
-from subfbsde import cli, coefficients
+from subfbsde import cli, coefficients, regression
 
 MODULES = ["subfbsde"] + [f"subfbsde.{m.name}" for m in pkgutil.iter_modules(subfbsde.__path__)]
 
@@ -99,3 +100,39 @@ def test_benchmark_workloads_run_on_the_package(tmp_path, workload):
     assert sum(iterates) == doc["total_linear_solves"]
     config_hash = cli.ScenarioConfig(raw).config_hash
     bench["Checker"](workload, raw, LOOSE_REFERENCE, config_hash).check(cli.EXIT_OK, out)
+
+
+def test_traced_run_gives_well_formed_spans(tmp_path, monkeypatch):
+    # the tracer's span stack is not thread-safe: every traced name must be
+    # called on the calling thread, whatever the row-block helper thread runs
+    monkeypatch.setattr(regression, "_helper_pays", lambda n_steps: True)
+    spans = runpy.run_path(str(ROOT / "perfbench" / "spans.py"))
+    tracer, callers = spans["Tracer"](), set()
+
+    def on_thread(fn):
+        def call(*args, **kwargs):
+            callers.add(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        return call
+
+    for module_name, attr, name in spans["TRACED"]:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, tracer.wrap(name, on_thread(getattr(module, attr))))
+    bench = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+    subcommand, raw = bench["scenario"]("drift_ladder", 7, 1200, 10)
+    path, out = tmp_path / "scenario.json", tmp_path / "out"
+    path.write_text(json.dumps(raw))
+    run = tracer.wrap(spans["ROOT"], cli.run)
+    assert run(subcommand, path, output_dir=out) == cli.EXIT_OK
+
+    assert callers == {threading.main_thread().ident}
+    assert [name for name, _, _, parent in tracer.spans if parent < 0] == [spans["ROOT"]]
+    for name, start, end, parent in tracer.spans:
+        assert start <= end, name
+        if parent >= 0:
+            _, p_start, p_end, _ = tracer.spans[parent]
+            assert p_start <= start and end <= p_end, name
+    doc = json.loads((out / f"drift_ladder_{subcommand}_7.json").read_text())
+    solves = sum(1 for name, *_ in tracer.spans if name == "solve_linear")
+    assert solves == doc["total_linear_solves"] > 0
