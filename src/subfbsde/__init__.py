@@ -19,7 +19,6 @@ from .coefficients import (
     check_hypothesis,
     get_bundle,
     mirror_bundle,
-    register_bundle,
 )
 from .diagnostics import AprioriReport, MNormValue, apriori_ratio, contraction_fit, m_norm
 from .fbsde_solver import (

@@ -32,7 +32,6 @@ __all__ = [
     "check_hypothesis",
     "mirror_bundle",
     "get_bundle",
-    "register_bundle",
 ]
 
 # relative slack on each sampled monotonicity term (see check_hypothesis), so
@@ -271,11 +270,6 @@ _REGISTRY: dict[str, Callable[..., CoefficientBundle]] = {
     "cross_lipschitz": _cross_lipschitz,
     "flipped_b_demo": _flipped_b_demo,
 }
-
-
-def register_bundle(name: str, factory: Callable[..., CoefficientBundle]) -> None:
-    """Add a catalog entry; its bundles' maps must keep no state (see CoefficientBundle)."""
-    _REGISTRY[name] = factory
 
 
 def get_bundle(name: str, **params) -> CoefficientBundle:

@@ -24,8 +24,6 @@ __all__ = [
     "apriori_ratio",
 ]
 
-BOOTSTRAP_RESAMPLES = 200
-
 
 @dataclass(frozen=True)
 class MNormValue:
@@ -38,7 +36,6 @@ class AprioriReport:
     lhs: float
     rhs: float
     ratio: float
-    se: float  # bootstrap standard error of the ratio
     degenerate: bool
 
 
@@ -89,9 +86,9 @@ def contraction_fit(residuals) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite energy is refused instead
 def apriori_ratio(theta: SolutionTriple, data, x0: float) -> AprioriReport:
-    """Monte Carlo ratio for the a priori solution estimate: solution energy
-    over data energy, per path, with a bootstrap standard error.  data(rows)
-    gives the forcings of the system theta solves on a row block of paths:
+    """Monte Carlo ratio for the a priori solution estimate: the mean per-path
+    solution energy over the mean per-path data energy.  data(rows) gives the
+    forcings of the system theta solves on a row block of paths:
     `ForcingSet.rows` of its forcings, or a coupled bundle's coefficients at
     the zero solution.  The energies are summed block by block."""
     m, n = theta.dL.shape
@@ -116,12 +113,5 @@ def apriori_ratio(theta: SolutionTriple, data, x0: float) -> AprioriReport:
         raise _NonFiniteError(f"a priori energies overflow: lhs {lhs}, rhs {rhs}")
     tol = 1e-12
     if rhs <= tol:
-        return AprioriReport(lhs=lhs, rhs=rhs, ratio=0.0, se=0.0, degenerate=True)
-    # one resample at a time: the same stream as one (resamples, m) draw
-    rng = np.random.default_rng(0)
-    boots = np.empty(BOOTSTRAP_RESAMPLES)
-    for i in range(BOOTSTRAP_RESAMPLES):
-        idx = rng.integers(0, m, size=m)
-        boots[i] = np.mean(lhs_paths[idx]) / np.mean(rhs_paths[idx])
-    se = float(np.std(boots, ddof=1))
-    return AprioriReport(lhs=lhs, rhs=rhs, ratio=lhs / rhs, se=se, degenerate=False)
+        return AprioriReport(lhs=lhs, rhs=rhs, ratio=0.0, degenerate=True)
+    return AprioriReport(lhs=lhs, rhs=rhs, ratio=lhs / rhs, degenerate=False)

@@ -360,6 +360,21 @@ def test_strict_solve_stops_before_the_ensemble(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == line
 
 
+def test_solve_without_strict_warns_and_solves_anyway(tmp_path, capsys):
+    # flipped_b_demo fails the check; without --strict the solve runs on,
+    # here to max_picard, and writes both artifacts
+    cfg = base_config(bundle="flipped_b_demo", seed=1, n_paths=200, n_steps=10,
+                      output_dir=str(tmp_path))
+    assert run("solve", write_config(tmp_path, cfg)) == EXIT_NOT_CONVERGED
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == (
+        "warning: bundle flipped_b_demo(c=1) fails the hypothesis check; solving anyway"
+    )
+    assert len(err) == 2 and err[1].startswith("Picard iteration did not converge")
+    assert (tmp_path / "t_solve_1.csv").exists()
+    assert (tmp_path / "t_solve_1.json").exists()
+
+
 @pytest.mark.parametrize("subcommand", ["sample-subdiffusion", "solve-linear"])
 def test_strict_is_refused_without_a_bundle(tmp_path, capsys, subcommand):
     out = tmp_path / "out"
@@ -492,7 +507,7 @@ def test_solve_linear_artifacts(tmp_path):
     assert len(lines) == 2 + cfg["n_steps"] + 1
     doc = json.loads((tmp_path / "t_solve-linear_9.json").read_text())
     assert "m_norm" in doc
-    assert set(doc["apriori"]) == {"lhs", "rhs", "ratio", "se", "degenerate"}
+    assert set(doc["apriori"]) == {"lhs", "rhs", "ratio", "degenerate"}
 
 
 def test_solve_requires_bundle(tmp_path):
@@ -514,7 +529,7 @@ def _key_tree(doc):
 
 _STAMP = dict.fromkeys(["config_hash", "seed"])
 _M_NORM = {"value": None, "parts": dict.fromkeys(["x0", "dt", "dL"])}
-_APRIORI = dict.fromkeys(["lhs", "rhs", "ratio", "se", "degenerate"])
+_APRIORI = dict.fromkeys(["lhs", "rhs", "ratio", "degenerate"])
 _REPORT = {
     **dict.fromkeys(["lipschitz_estimate", "m1_margin", "m2_margin", "phi_monotone",
                      "samples_used", "passed", "violation"]),

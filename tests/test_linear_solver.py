@@ -13,6 +13,7 @@ from subfbsde import (
     m_norm,
     solve_linear,
 )
+from subfbsde import regression
 from oracles import linear_forced_oracle, renewal_ybar, whole_array_solve_linear
 
 FORCINGS = ("b0", "g0", "delta0", "h0", "sigma0", "phi0")
@@ -183,6 +184,37 @@ def test_each_forcing_block_is_evaluated_once(three_block_plan):
     ref = solve_linear(f.rows, 0.5, three_block_plan)
     for name in ("x", "y", "z"):
         assert np.array_equal(getattr(theta, name), getattr(ref, name))
+
+
+def test_apriori_matches_whole_array_energies(monkeypatch, three_block_plan):
+    # the block pass, with the helper thread on, against plain numpy on the
+    # whole arrays; the forcings vary with t and the state (X, R)
+    monkeypatch.setattr(regression, "_helper_pays", lambda n_steps: True)
+    ens = three_block_plan.ensemble
+    m, n, dt = ens.n_paths, ens.n_steps, ens.grid.dt
+    t = ens.grid.times()[None, :]
+    f = ForcingSet.constant(m, n, b0=0.4, sigma0=0.2)
+    f.b0 += np.cos(ens.X)
+    f.g0 += 0.3 * t - ens.R
+    f.delta0 += 0.5 * np.sin(3.0 * t) * ens.X
+    f.h0 += ens.R**2
+    f.sigma0 += 0.1 * ens.X
+    f.phi0 = np.sin(ens.X[:, -1]) + 0.25
+    x0 = 0.7
+    theta = solve_linear(f.rows, x0, three_block_plan)
+    report = apriori_ratio(theta, f.rows, x0)
+
+    b0, g0, delta0, h0, sigma0 = (getattr(f, k)[:, :n] for k in FORCINGS[:5])
+    dL = ens.dL
+    z_energy = np.sum(theta.z[:, :n] ** 2 * dL, axis=1)
+    lhs = np.mean(np.max(theta.x**2 + theta.y**2, axis=1) + z_energy)
+    dt_energy = dt * np.sum(b0**2 + g0**2, axis=1)
+    dL_energy = np.sum((delta0**2 + h0**2 + sigma0**2) * dL, axis=1)
+    rhs = x0**2 + np.mean(f.phi0**2 + dt_energy + dL_energy)
+    assert not report.degenerate
+    assert report.lhs == pytest.approx(lhs, rel=1e-12)
+    assert report.rhs == pytest.approx(rhs, rel=1e-12)
+    assert report.ratio == pytest.approx(lhs / rhs, rel=1e-12)
 
 
 def test_forcing_validation(jump_ensemble, jump_plan):

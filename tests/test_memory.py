@@ -35,8 +35,8 @@ MAX_PEAK_GRIDS = 5.2
 # leaves nothing behind but its result
 MAX_RETAINED_GRIDS = 2.5
 # peak of a Picard solve above what was live before it, in grids: the plan,
-# the previous and the new iterate, the row-block temporaries and the a
-# priori bootstrap; nested adds the seed of the inner level.  No forcing grid,
+# the previous and the new iterate and the row-block temporaries; nested
+# adds the seed of the inner level.  No forcing grid,
 # no regression output grid and no weight grid: 9.0-9.1 (flatten) and 12.1
 # (nested) measured, where the plan's weight grid read 10.64 and 14.41 and
 # the two regression outputs 12.08 and 15.09

@@ -1,9 +1,10 @@
 """The package surface: every name a module exports, and every name the
 benchmark tracer (perfbench/spans.py) patches, must resolve; the CLI's
-imports stay light; the README lists exactly the subcommands and bundles
-there are; the benchmark's workloads run on the package and pass its
-artifact checks, and a traced run gives well-formed spans."""
+imports stay light; the README lists exactly the subcommands, bundles and
+a priori keys there are; the benchmark's workloads run on the package and
+pass its artifact checks, and a traced run gives well-formed spans."""
 
+import dataclasses
 import importlib
 import json
 import math
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import subfbsde
-from subfbsde import cli, coefficients, regression
+from subfbsde import AprioriReport, cli, coefficients, regression
 
 MODULES = ["subfbsde"] + [f"subfbsde.{m.name}" for m in pkgutil.iter_modules(subfbsde.__path__)]
 
@@ -67,6 +68,12 @@ def test_readme_lists_the_subcommands_and_the_bundle_catalog():
     assert commands == set(cli._HANDLERS)
     catalog = _readme_section("### Bundle catalog").strip().split("\n\n")[0]
     assert set(re.findall(r"`(\w+)`", catalog)) == set(coefficients._REGISTRY)
+
+
+def test_readme_lists_the_apriori_keys():
+    # the solve and solve-linear JSONs' apriori object is asdict(AprioriReport)
+    keys = re.search(r"`apriori`\s+object, `([\w, ]+)`", _readme_section("## CLI")).group(1)
+    assert keys.split(", ") == [f.name for f in dataclasses.fields(AprioriReport)]
 
 
 ROOT = Path(__file__).resolve().parents[1]
