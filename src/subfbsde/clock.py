@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -136,7 +137,15 @@ class TimeGrid:
         return self.T / self.n_steps
 
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.n_steps + 1)
+        """The nodes linspace(0, T, n_steps + 1), one read-only array per grid:
+        every row block of every solve reads them."""
+        return self._times
+
+    @cached_property
+    def _times(self) -> np.ndarray:
+        t = np.linspace(0.0, self.T, self.n_steps + 1)
+        t.flags.writeable = False
+        return t
 
 
 def _check_jumps(path_id: np.ndarray, times: np.ndarray, sizes: np.ndarray) -> None:

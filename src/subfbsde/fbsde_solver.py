@@ -118,26 +118,33 @@ def picard_forcings(
 
 
 def _forcings_on_rows(bundle, theta, eta, base_forcings, ensemble, rows: slice) -> ForcingSet:
-    """`picard_forcings` on a row block; an eta of 1 and a zero base are not applied."""
+    """`picard_forcings` on a row block; an eta of 1 and a zero base are not
+    applied.  The base is evaluated first, then each field is built and its
+    base field added and dropped, so at most one forcing set is alive; the
+    base's arrays, possibly views of the caller's forcings, are never written."""
     t, st = ensemble.grid.times(), MarkovState(x=ensemble.X[rows], r=ensemble.R[rows])
     x, y, z = theta.x[rows], theta.y[rows], theta.z[rows]
     st_T, x_T = MarkovState(x=st.x[:, -1], r=st.r[:, -1]), x[:, -1]
-    out = ForcingSet(
-        b0=np.add(y, bundle.b(t, st, x, y)),
-        g0=np.subtract(bundle.g(t, st, x, y), x),
-        delta0=np.add(y, bundle.delta(t, st, x, y, z)),
-        h0=np.subtract(bundle.h(t, st, x, y, z), x),
-        sigma0=np.add(z, bundle.sigma(t, st, x, y, z)),
-        phi0=np.subtract(bundle.phi(st_T, x_T), x_T),
-    )
     base = base_forcings(rows) if base_forcings is not None else None
-    for f in fields(out):
-        arr = getattr(out, f.name)
+    base = [getattr(base, f.name) if base is not None else None for f in fields(ForcingSet)]
+
+    def terms():
+        yield np.add(y, bundle.b(t, st, x, y))
+        yield np.subtract(bundle.g(t, st, x, y), x)
+        yield np.add(y, bundle.delta(t, st, x, y, z))
+        yield np.subtract(bundle.h(t, st, x, y, z), x)
+        yield np.add(z, bundle.sigma(t, st, x, y, z))
+        yield np.subtract(bundle.phi(st_T, x_T), x_T)
+
+    out = []
+    for i, arr in enumerate(terms()):
         if eta != 1.0:
             arr *= eta
-        if base is not None:
-            arr += getattr(base, f.name)
-    return out
+        if base[i] is not None:
+            arr += base[i]
+            base[i] = None
+        out.append(arr)
+    return ForcingSet(*out)
 
 
 def _mirrored(theta: SolutionTriple) -> SolutionTriple:

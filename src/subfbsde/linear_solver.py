@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .regression import RegressionPlan, _BLOCK_ROWS, _NonFiniteError, _map_blocks, _row_slices
+from .regression import RegressionPlan, _NonFiniteError, _map_blocks, _row_slices
 
 # unused here: kept because the benchmark tracer (perfbench/spans.py) wraps these names
 from .regression import extract_z, fit_condexp  # noqa: F401
@@ -111,25 +111,27 @@ def _weights(ensemble: PathEnsemble, rows: slice) -> np.ndarray:
     """exp(-(t + L)) on a row block, bit for bit (-t - L rounds to -(t + L));
     one row, broadcast over the block, for a clock that every path shares."""
     L = ensemble.L
-    return np.exp(np.subtract(-ensemble.grid.times(), L[rows] if L.strides[0] else L[:1]))
+    w = np.subtract(-ensemble.grid.times(), L[rows] if L.strides[0] else L[:1])
+    return np.exp(w, out=w)
 
 
-def _increments(a, d, dt, dL, ito=None):
-    """Increments of a running integral on one row block, (paths, n_steps):
-    trapezoid of the node values a against dt plus d against dL, plus the
-    left-point increments 2 * ito, all summed into one block before the one
-    cumsum (once for d is a).  The k-th partial sum only touches nodes <= k,
-    so the running integral stays adapted."""
+def _increments(a, d, dt, dL, out, ito=None):
+    """Increments of a running integral on one row block, (paths, n_steps),
+    written into out: trapezoid of the node values a against dt plus d
+    against dL, plus the left-point increments 2 * ito, all summed into one
+    block before the one cumsum (once for d is a).  The k-th partial sum only
+    touches nodes <= k, so the running integral stays adapted.  For d is a,
+    out may overlap a, which is spent once its node sums are taken."""
     s = a[:, :-1] + a[:, 1:]
-    inc = s * dt
+    np.multiply(s, dt, out=out)
     if d is not a:
         np.add(d[:, :-1], d[:, 1:], out=s)
     s *= dL
-    inc += s
+    out += s
     if ito is not None:
-        inc += ito
-    inc *= 0.5
-    return inc
+        out += ito
+    out *= 0.5
+    return out
 
 
 def solve_linear(forcings, x0: float, plan: RegressionPlan) -> SolutionTriple:
@@ -142,10 +144,11 @@ def solve_linear(forcings, x0: float, plan: RegressionPlan) -> SolutionTriple:
     the basis; callers that solve repeatedly on one ensemble build it once.
 
     Everything but the regression fits is per path and runs in two sweeps
-    over row blocks of paths that stay in cache, around the one global step
-    `plan.fit(xi)`, two blocks at once (`_map_blocks`).  forcings(rows) gives
-    the `ForcingSet` of a row block (e.g. `ForcingSet.rows`), which the first
-    sweep evaluates and checks once, possibly from two threads at once.
+    over the 512-row blocks of every reduction (`regression._BLOCK_ROWS`),
+    around the one global step `plan.fit(xi)`, two blocks at once
+    (`_map_blocks`).  forcings(rows) gives the `ForcingSet` of a row block
+    (e.g. `ForcingSet.rows`), which the first sweep evaluates and checks
+    once, possibly from two threads at once, and never writes.
     """
     ensemble = plan.ensemble
     m, n = ensemble.n_paths, ensemble.n_steps
@@ -155,25 +158,33 @@ def solve_linear(forcings, x0: float, plan: RegressionPlan) -> SolutionTriple:
 
     # first sweep: y holds the running integral I of the weighted forcings, x
     # the forcings' dt/dL forward increments and z sigma0; the last block is
-    # open-ended, so forcings of too many paths are refused
+    # open-ended, so forcings of too many paths are refused.  Each forcing
+    # array is dropped once spent, so the block's temporaries stay few
     def first(rows):
         f = forcings(slice(rows.start, rows.stop if rows.stop < m else None))
         f.validate(y[rows].shape)
+        b0, g0, delta0, h0, sigma0, phi0 = f.b0, f.g0, f.delta0, f.h0, f.sigma0, f.phi0
+        del f
+        z[rows] = sigma0
+        del sigma0
+        a = g0 + b0
+        del g0
+        d = h0 + delta0
+        del h0
         wr, dLr, yr = _weights(ensemble, rows), dL[rows], y[rows]
-        a = f.g0 + f.b0
         a *= wr
-        d = f.h0 + f.delta0
         d *= wr
         yr[:, 0] = 0.0
-        np.cumsum(_increments(a, d, dt, dLr), axis=1, out=yr[:, 1:])
-        xi[rows] = wr[:, -1] * f.phi0 + yr[:, -1]
+        np.cumsum(_increments(a, d, dt, dLr, yr[:, 1:]), axis=1, out=yr[:, 1:])
+        xi[rows] = wr[:, -1] * phi0 + yr[:, -1]
         iw = np.divide(1.0, wr, out=wr)
-        np.multiply(f.b0, iw, out=a)
-        np.multiply(f.delta0, iw, out=d)
-        x[rows, 1:] = _increments(a, d, dt, dLr)
-        z[rows] = f.sigma0
+        np.multiply(b0, iw, out=a)
+        del b0
+        np.multiply(delta0, iw, out=d)
+        del delta0
+        _increments(a, d, dt, dLr, x[rows, 1:])
 
-    _map_blocks(first, _row_slices(0, m, _BLOCK_ROWS // 2), n)
+    _map_blocks(first, _row_slices(0, m), n)
     # conditional-expectation martingale M of xi along the grid, and its
     # integrand ztilde; the filtration is trivial at time 0, so plain means
     # there, and ztilde is zero at the terminal node
@@ -183,24 +194,27 @@ def solve_linear(forcings, x0: float, plan: RegressionPlan) -> SolutionTriple:
     mean_xi = np.mean(xi)
 
     # second sweep over the plan's row blocks, each predicting its M and
-    # ztilde: ybar = (M - I) / w and zbar = ztilde / w, then the forward pass
-    # in closed form: its ybar (trapezoid) and Ito (left-point, sigma0 read
-    # from z) increments are subtracted from x before one cumsum from x0
+    # ztilde: ybar = (M - I) / w, built in y's rows over I, and zbar =
+    # ztilde / w, then the forward pass in closed form: its ybar (trapezoid)
+    # and Ito (left-point, sigma0 read from z) increments are subtracted from
+    # x before one cumsum from x0.  Each spent array is dropped before the
+    # next one is allocated
     def second(item):
         rows, block = item
         cond, ztilde = plan.predict(fits, rows, block)
-        wr = _weights(ensemble, rows)
-        iw = 1.0 / wr
-        I = y[rows]
-        ybar, zbar = np.empty(I.shape), np.empty(I.shape)
-        np.subtract(mean_xi, I[:, 0], out=ybar[:, 0])
-        np.subtract(cond, I[:, 1:n], out=ybar[:, 1:n])
-        np.subtract(xi[rows], I[:, n], out=ybar[:, n])
-        ybar *= iw
+        ybar = y[rows]
+        np.subtract(mean_xi, ybar[:, 0], out=ybar[:, 0])
+        np.subtract(cond, ybar[:, 1:n], out=ybar[:, 1:n])
+        np.subtract(xi[rows], ybar[:, n], out=ybar[:, n])
+        del cond
+        zbar = np.empty(ybar.shape)
         zbar[:, 0] = ztilde0
         zbar[:, 1:n] = ztilde
-        del cond, ztilde  # spent: not alive for the rest of the block
+        del ztilde
         zbar[:, n] = 0.0
+        wr = _weights(ensemble, rows)
+        iw = 1.0 / wr
+        ybar *= iw
         zbar *= iw
         zr = z[rows]
         ito = zbar[:, :n] - zr[:, :n]
@@ -210,15 +224,16 @@ def solve_linear(forcings, x0: float, plan: RegressionPlan) -> SolutionTriple:
         zr *= 0.5
         zr[:, n] = 0.0
         a = np.multiply(ybar, iw, out=zbar)  # zbar is spent
+        del iw
         xr = x[rows]
-        np.subtract(xr[:, 1:], _increments(a, a, dt, dL[rows], ito), out=xr[:, 1:])
+        np.subtract(xr[:, 1:], _increments(a, a, dt, dL[rows], a[:, :n], ito), out=xr[:, 1:])
         xr[:, 0] = x0
         np.cumsum(xr, axis=1, out=xr)
         xr *= wr
-        np.add(xr, ybar, out=I)
+        np.add(xr, ybar, out=ybar)
         # x is finite wherever y = x + ybar is
-        if not (np.isfinite(I).all() and np.isfinite(zr).all()):
+        if not (np.isfinite(ybar).all() and np.isfinite(zr).all()):
             raise FloatingPointError("linear solve produced non-finite values")
 
-    _map_blocks(second, plan.row_blocks(_BLOCK_ROWS // 2), n)
+    _map_blocks(second, plan.row_blocks(), n)
     return SolutionTriple(x=x, y=y, z=z, dt=dt, dL=dL)

@@ -183,10 +183,12 @@ def extract_z(
     return z
 
 
-# paths per row block of the batched regressions and of every reduction: a
-# block's monomials and temporaries stay in cache from the moment they are
-# built to their last use.  The linear solve's sweeps run two blocks of half
-# this size at once, which hold what one block held.
+# paths per row block of every row-block loop (the linear solve's sweeps, the
+# batched regressions and every reduction): a block's monomials and
+# temporaries stay in cache from the moment they are built to their last use,
+# and each numpy call on a block is long next to the helper thread's GIL
+# hand-over.  Two blocks are in flight at once, so a sweep drops each
+# temporary as soon as it is spent.
 _BLOCK_ROWS = 512
 
 
@@ -197,8 +199,9 @@ def _row_slices(start: int, stop: int, size: int = _BLOCK_ROWS):
 
 
 # a helper thread pays where each numpy call on a block outlasts the GIL's hand-over
-# (2 vCPUs, 10k paths: 64 steps ran 6-15% slower with it, 70 steps 13-22% faster)
-_HELPER_MIN_STEPS = 70
+# (2 vCPUs, 10k paths, helper on/off time of a jump_solve solve in paired runs:
+# 0.99-1.13 at 20 steps, 0.85-1.12 at 30, 0.57-0.87 at 40, 0.59-0.70 at 64)
+_HELPER_MIN_STEPS = 40
 
 
 def _helper_pays(n_steps: int) -> bool:
@@ -352,13 +355,13 @@ class RegressionPlan:
         self._zero = (den < self.floor) | frozen
         self._den = np.maximum(den, self.floor, out=den)
 
-    def row_blocks(self, size: int = _BLOCK_ROWS):
-        """Row blocks of at most size paths that never straddle the cross-fit
+    def row_blocks(self):
+        """Row blocks of at most `_BLOCK_ROWS` paths that never straddle the cross-fit
         split: (rows, (half, monomials of the block)), half 1 for the first
         half of the paths and 2 for the second."""
         m = self._columns[0].shape[0]
         for lo, hi, half in ((0, self._half, 1), (self._half, m, 2)):
-            for rows in _row_slices(lo, hi, size):
+            for rows in _row_slices(lo, hi):
                 # copy a stride-0 column (a jump-free R): einsum sums it in another order
                 cols = [c[rows] if c.strides[0] else c[rows].copy() for c in self._columns]
                 yield rows, (half, _monomials(cols, self.basis.degree, cols[0].shape))

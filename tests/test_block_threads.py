@@ -26,7 +26,7 @@ from subfbsde import (
 from subfbsde import regression
 from subfbsde.regression import _map_blocks
 
-M = 1537  # 256-row sweep blocks and 512-row reduction blocks, both with a ragged tail
+M = 1537  # 512-row blocks with a ragged tail, and plan blocks ragged at the cross-fit split
 
 
 @pytest.fixture(scope="module", params=["drift", "jump"])
@@ -119,14 +119,14 @@ def test_first_failure_in_block_order_is_raised(monkeypatch, ensemble):
         if rows.start == 0:
             assert block_2_failed.wait(timeout=30)
             raise ValueError("block 0")
-        if rows.start == 512:
+        if rows.start == 1024:
             block_2_failed.set()
             raise ValueError("block 2")
         return f.rows(rows)
 
     with pytest.raises(ValueError, match="^block 0$"):
         solve_linear(forcings, 0.7, plan)
-    assert sorted(calls) == [0, 256, 512]
+    assert sorted(calls) == [0, 512, 1024]
 
 
 def test_helper_runs_under_the_callers_error_state(monkeypatch):

@@ -77,6 +77,22 @@ def test_grid_validation():
     assert np.array_equal(g.times(), [0.0, 0.5, 1.0, 1.5, 2.0])
 
 
+@pytest.mark.parametrize("T, n_steps", [(1.0, 100), (0.7, 33), (3.0, 1)])
+def test_grid_times_are_one_read_only_linspace(T, n_steps):
+    # every row block of every solve reads the nodes: one array per grid,
+    # which no caller may write
+    g = TimeGrid(a=0.0, T=T, n_steps=n_steps)
+    t = g.times()
+    ref = np.linspace(0.0, T, n_steps + 1)
+    assert t.dtype == ref.dtype and t.tobytes() == ref.tobytes()
+    assert g.times() is t
+    with pytest.raises(ValueError, match="read-only"):
+        t[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        t *= 2.0
+    assert TimeGrid(a=0.0, T=T, n_steps=n_steps) == g
+
+
 def test_truncated_stable_rate():
     beta, eps = 0.5, 0.1
     spec = SubordinatorSpec(kappa=1.0, jump_kind="truncated_stable", jump_param=beta, cutoff=eps)

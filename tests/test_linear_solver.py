@@ -169,7 +169,7 @@ def test_mis_shaped_forcings_are_refused(jump_plan, three_block_plan, size, case
 
 
 def test_each_forcing_block_is_evaluated_once(three_block_plan):
-    # the 256-row blocks of the first sweep, the last one open-ended; no
+    # the 512-row blocks of the first sweep, the last one open-ended; no
     # other call.  Two threads may take the blocks, so in either order.
     ens = three_block_plan.ensemble
     f = ForcingSet.constant(ens.n_paths, ens.n_steps, b0=1.0, sigma0=0.5)
@@ -180,7 +180,7 @@ def test_each_forcing_block_is_evaluated_once(three_block_plan):
         return f.rows(rows)
 
     theta = solve_linear(forcings, 0.5, three_block_plan)
-    assert sorted(calls) == [(0, 256), (256, 512), (512, 768), (768, 1024), (1024, None)]
+    assert sorted(calls) == [(0, 512), (512, 1024), (1024, None)]
     ref = solve_linear(f.rows, 0.5, three_block_plan)
     for name in ("x", "y", "z"):
         assert np.array_equal(getattr(theta, name), getattr(ref, name))

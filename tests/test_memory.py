@@ -12,9 +12,11 @@ from subfbsde import (
     ContinuationConfig,
     ForcingSet,
     RegressionPlan,
+    SolutionTriple,
     TimeGrid,
     build_ensemble,
     get_bundle,
+    picard_forcings,
     solve_fbsde,
     solve_linear,
 )
@@ -26,9 +28,10 @@ GRID_BYTES = M * (N + 1) * 8  # one (n_paths, n_steps + 1) float64 grid
 # peak of one solve in grids: the solution's three grids and the row-block
 # temporaries of two blocks in flight; the regressions are predicted one row
 # block at a time, so no (n_paths, n_steps - 1) regression output exists
-# (4.08-4.27 measured with two 256-row blocks in flight, 4.79 with one
-# 512-row block and the plan's weight grid, 6.22 with the two
-# whole-ensemble outputs)
+# (4.73-4.89 measured with two 512-row blocks in flight, each sweep dropping
+# its temporaries once spent; 4.08-4.27 with two 256-row blocks that kept
+# them, 4.79 with one 512-row block and the plan's weight grid, 6.22 with
+# the two whole-ensemble outputs)
 MAX_PEAK_GRIDS = 5.2
 # held by the plan in grids: the (n_paths, n_steps - 1) denominator and its
 # zero mask (1.12 measured; the weights are computed per row block); a solve
@@ -37,13 +40,20 @@ MAX_RETAINED_GRIDS = 2.5
 # peak of a Picard solve above what was live before it, in grids: the plan,
 # the previous and the new iterate and the row-block temporaries; nested
 # adds the seed of the inner level.  No forcing grid,
-# no regression output grid and no weight grid: 9.0-9.1 (flatten) and 12.1
-# (nested) measured, where the plan's weight grid read 10.64 and 14.41 and
-# the two regression outputs 12.08 and 15.09
+# no regression output grid and no weight grid: 9.3-9.4 (flatten) and 12.6
+# (nested) measured with 512-row sweep blocks (9.0-9.1 and 12.1 with 256-row
+# ones), where the plan's weight grid read 10.64 and 14.41 and the two
+# regression outputs 12.08 and 15.09
 MAX_PICARD_PEAK_GRIDS = {1.0: 11.2, 0.5: 19.0}
 # live after solve_fbsde returns and its results are dropped, with the
 # garbage collector off: nothing of the solve may stay behind
 MAX_LEFT_AFTER_SOLVE_GRIDS = 0.5
+# one nested Picard forcing block above what was live before it, in forcing
+# sets of the block (five node arrays and phi0): the base set, evaluated
+# first, plus each field built as its base field is dropped and the bundle's
+# temporaries (1.40 measured, where the inner set and the base set alive
+# together read 2.20)
+MAX_NESTED_FORCING_PEAK_SETS = 1.5
 # building a jump-free ensemble: the clock is one row shared by every path,
 # so only X and dB are grids (2.97 peak and 1.99 retained measured, where
 # per-path clock grids read 8.30 and 4.96)
@@ -109,6 +119,26 @@ def test_picard_solve_peak_memory(jump_spec, eta):
         tracemalloc.stop()
     grids = (peak - before) / GRID_BYTES
     assert grids <= MAX_PICARD_PEAK_GRIDS[eta], f"peak {grids:.2f} grids"
+
+
+def test_nested_forcing_block_peak_memory(jump_spec):
+    bundle, ens = _coupled_problem(jump_spec)
+    rng = np.random.default_rng(2)
+    top, theta = (
+        SolutionTriple(*rng.standard_normal((3, M, N + 1)), ens.grid.dt, ens.dL) for _ in range(2)
+    )
+    nested = picard_forcings(bundle, theta, 0.5, picard_forcings(bundle, top, 0.5, None, ens), ens)
+    rows = slice(512, 1024)
+    set_bytes = (5 * (N + 1) + 1) * 512 * 8
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        nested(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sets = (peak - before) / set_bytes
+    assert sets <= MAX_NESTED_FORCING_PEAK_SETS, f"peak {sets:.2f} forcing sets"
 
 
 def test_solve_leaves_nothing_alive(jump_spec):

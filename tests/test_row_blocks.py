@@ -129,6 +129,35 @@ def test_picard_forcings_bit_identical_to_whole_array(ensembles, m, bundle):
         assert np.array_equal(getattr(out, name), arr), name
 
 
+@pytest.mark.parametrize("eta", [0.5, 1.0 / 3.0], ids=["half", "third"])
+@pytest.mark.parametrize("base_kind", ["picard", "rows"])
+def test_nested_picard_forcings_add_the_base_bit_for_bit(ensembles, base_kind, eta):
+    # an inner ladder level's forcings on ragged row blocks are eta * (v +
+    # coefficient) + base, whether the base is the level above's block
+    # function or views of the caller's forcings, which stay unchanged
+    ens = ensembles[SIZES[-1]]
+    m = ens.n_paths
+    bundle = get_bundle("canonical_monotone", c=0.5)
+    top = path_dependent_forcings(ens)
+    kept = {f.name: getattr(top, f.name).copy() for f in fields(ForcingSet)}
+    if base_kind == "picard":
+        base_rows = picard_forcings(bundle, random_triple(ens, seed=8), 0.5, top.rows, ens)
+    else:
+        base_rows = top.rows
+    theta = random_triple(ens, seed=9)
+    nested = picard_forcings(bundle, theta, eta, base_rows, ens)
+    ragged = [slice(0, 1), slice(1, 300), slice(300, 811), slice(811, m)]
+    names = [f.name for f in fields(ForcingSet)]
+    out = [nested(rows) for rows in ragged]
+    base = ForcingSet(
+        *(np.concatenate([getattr(base_rows(rows), name) for rows in ragged]) for name in names)
+    )
+    ref = _whole_array_picard_forcings(bundle, theta, eta, base, ens)
+    for name in names:
+        assert np.array_equal(np.concatenate([getattr(b, name) for b in out]), ref[name]), name
+        assert np.array_equal(getattr(top, name), kept[name]), name
+
+
 @pytest.mark.parametrize("eta", [1.0, 0.7])
 def test_picard_forcings_none_base_is_zero_base(ensembles, eta):
     ens = ensembles[SIZES[-1]]

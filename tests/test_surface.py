@@ -1,8 +1,9 @@
 """The package surface: every name a module exports, and every name the
 benchmark tracer (perfbench/spans.py) patches, must resolve; the CLI's
 imports stay light; the README lists exactly the subcommands, bundles and
-a priori keys there are; the benchmark's workloads run on the package and
-pass its artifact checks, and a traced run gives well-formed spans."""
+a priori keys there are, and states the row-block size there is; the
+benchmark's workloads run on the package and pass its artifact checks, and
+a traced run gives well-formed spans."""
 
 import dataclasses
 import importlib
@@ -74,6 +75,12 @@ def test_readme_lists_the_apriori_keys():
     # the solve and solve-linear JSONs' apriori object is asdict(AprioriReport)
     keys = re.search(r"`apriori`\s+object, `([\w, ]+)`", _readme_section("## CLI")).group(1)
     assert keys.split(", ") == [f.name for f in dataclasses.fields(AprioriReport)]
+
+
+def test_readme_states_the_row_block_size():
+    # every row-block loop runs over blocks of regression._BLOCK_ROWS paths
+    sizes = re.findall(r"blocks of (\d+) paths", _readme_section("## Layout"))
+    assert sizes and set(sizes) == {str(regression._BLOCK_ROWS)}
 
 
 ROOT = Path(__file__).resolve().parents[1]
