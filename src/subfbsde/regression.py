@@ -192,16 +192,15 @@ def extract_z(
 _BLOCK_ROWS = 512
 
 
-def _row_slices(start: int, stop: int, size: int = _BLOCK_ROWS):
-    """Row slices of at most size rows covering rows start:stop."""
-    for lo in range(start, stop, size):
-        yield slice(lo, min(lo + size, stop))
+def _row_slices(start: int, stop: int):
+    """Row slices of at most `_BLOCK_ROWS` rows covering rows start:stop."""
+    for lo in range(start, stop, _BLOCK_ROWS):
+        yield slice(lo, min(lo + _BLOCK_ROWS, stop))
 
 
 # a helper thread pays where each numpy call on a block outlasts the GIL's hand-over
-# (2 vCPUs, 10k paths, helper on/off time of a jump_solve solve in paired runs:
-# 0.99-1.13 at 20 steps, 0.85-1.12 at 30, 0.57-0.87 at 40, 0.59-0.70 at 64)
-_HELPER_MIN_STEPS = 40
+# (2 vCPUs, 10k paths: 64 steps ran 6-15% slower with it, 70 steps 13-22% faster)
+_HELPER_MIN_STEPS = 70
 
 
 def _helper_pays(n_steps: int) -> bool:
@@ -356,9 +355,9 @@ class RegressionPlan:
         self._den = np.maximum(den, self.floor, out=den)
 
     def row_blocks(self):
-        """Row blocks of at most `_BLOCK_ROWS` paths that never straddle the cross-fit
-        split: (rows, (half, monomials of the block)), half 1 for the first
-        half of the paths and 2 for the second."""
+        """Row blocks of at most `_BLOCK_ROWS` paths that never straddle the
+        cross-fit split: (rows, (half, monomials of the block)), half 1 for
+        the first half of the paths and 2 for the second."""
         m = self._columns[0].shape[0]
         for lo, hi, half in ((0, self._half, 1), (self._half, m, 2)):
             for rows in _row_slices(lo, hi):

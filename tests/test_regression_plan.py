@@ -22,7 +22,6 @@ from subfbsde import (
     solve_linear,
 )
 from subfbsde.linear_solver import _weights
-from subfbsde.regression import _row_slices
 from oracles import whole_array_solve_linear
 
 
@@ -43,7 +42,7 @@ class SliceBySlicePlan:
         cols = [ens.X[:, k], ens.R[:, k]] if self.basis.include_r else [ens.X[:, k]]
         return np.column_stack(cols)
 
-    def row_blocks(self, size=None):
+    def row_blocks(self):
         yield slice(0, self.ensemble.n_paths), None
 
     def fit(self, xi):
@@ -278,7 +277,7 @@ def test_block_weights_are_the_grid_weights(jump_ensemble, drift_ensemble):
     # one row shared by every path, and so are its weights
     for ens in (jump_ensemble, drift_ensemble):
         w = np.exp(-(ens.grid.times()[None, :] + ens.L))
-        for rows in _row_slices(0, ens.n_paths, 7):
+        for rows in (slice(lo, min(lo + 7, ens.n_paths)) for lo in range(0, ens.n_paths, 7)):
             block = _weights(ens, rows)
             assert block.shape[0] == (1 if ens is drift_ensemble else rows.stop - rows.start)
             assert np.array_equal(np.broadcast_to(block, w[rows].shape), w[rows])
