@@ -29,15 +29,7 @@ from .fbsde_solver import (
     solve_fbsde,
 )
 from .linear_solver import ForcingSet, SolutionTriple, solve_linear
-from .regression import (
-    BasisSpec,
-    CondExpEstimator,
-    RegressionPlan,
-    SingularSliceError,
-    extract_z,
-    fit_condexp,
-    polynomial_features,
-)
+from .regression import BasisSpec, RegressionPlan, SingularSliceError
 from .subdiffusion import MarkovState, PathEnsemble, build_ensemble
 
 __version__ = "0.2.0"

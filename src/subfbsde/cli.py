@@ -191,8 +191,10 @@ class ScenarioConfig:
         except ValueError as err:
             raise ConfigError(f"config key jumps: {err}") from None
 
-    def forcings(self, n_paths: int, n_steps: int) -> ForcingSet:
-        return ForcingSet.constant(n_paths, n_steps, **self.forcing_values)
+    def forcings(self, rows: slice) -> ForcingSet:
+        """The scenario's constant forcings on a row block, as `solve_linear` takes them."""
+        n_rows = len(range(self.n_paths)[rows])
+        return ForcingSet.constant(n_rows, self.grid.n_steps, **self.forcing_values)
 
     def artifact_path(self, subcommand: str, ext: str) -> Path:
         return self.output_dir / f"{self.scenario}_{subcommand}_{self.seed}.{ext}"
@@ -285,12 +287,11 @@ def _solution_csv(ensemble, theta):
 
 def _solve_linear(config: ScenarioConfig, strict: bool):
     ens = config.ensemble()
-    forcings = config.forcings(ens.n_paths, ens.n_steps)
     with _solver_config_errors():
-        theta = solve_linear(forcings.rows, config.x0, RegressionPlan(ens, config.basis))
+        theta = solve_linear(config.forcings, config.x0, RegressionPlan(ens, config.basis))
     payload = {
         "m_norm": dataclasses.asdict(m_norm(theta)),
-        "apriori": dataclasses.asdict(apriori_ratio(theta, forcings.rows, config.x0)),
+        "apriori": dataclasses.asdict(apriori_ratio(theta, config.forcings, config.x0)),
     }
     return EXIT_OK, _solution_csv(ens, theta), payload
 

@@ -180,9 +180,11 @@ def solve_fbsde(
 
     diag = SolveDiagnostics()
     plan = RegressionPlan(ensemble, basis)  # shared by every linear solve below
-    # last solution of each level, the seed of its next Picard loop; the top
-    # level is seeded by theta0, every level without a seed by zero
-    warm: list = [None] * n_levels + [theta0]
+    # the read-only zero solution: the seed of a level without one, and the a priori data's point
+    zero = np.broadcast_to(0.0, ensemble.X.shape)
+    zero = SolutionTriple(zero, zero, zero, ensemble.grid.dt, ensemble.dL)
+    # last solution of each level, the seed of its next Picard loop; theta0 seeds the top level
+    warm: list = [zero] * n_levels + [zero if theta0 is None else theta0]
 
     def solve_at(k: int, f) -> SolutionTriple:
         """Solve the level-alphas[k] system with row-block forcings f (None:
@@ -193,7 +195,7 @@ def solve_fbsde(
             diag.total_linear_solves += 1
             return solve_linear(f, x0, plan)
         alpha, step = alphas[k], alphas[k] - alphas[k - 1]
-        theta = warm[k] if warm[k] is not None else SolutionTriple.zeros(ensemble)
+        theta = warm[k]
         residuals: list[float] = []
         converged = False
         for _ in range(config.max_picard):
@@ -225,7 +227,6 @@ def solve_fbsde(
         theta = _mirrored(theta)
     diag.m_norm = m_norm(theta)
     # a priori data: the coefficients at the zero solution, a full Picard step from it
-    zero = SolutionTriple(*[np.broadcast_to(0.0, theta.x.shape)] * 3, theta.dt, theta.dL)
     data = partial(_forcings_on_rows, bundle, zero, 1.0, None, ensemble)
     diag.apriori = apriori_ratio(theta, data, x0)
     return theta, diag

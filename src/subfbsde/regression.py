@@ -8,12 +8,13 @@ is recovered by the ratio estimator
 set to zero wherever the clock is predicted frozen: z is only defined
 dL-almost everywhere.
 
-`fit_condexp` and `extract_z` regress one slice.  `RegressionPlan` does the
-same regressions for every slice of an ensemble at once: the designs are
-fixed by the ensemble, so their Gram matrices and the ratio estimator's
-denominator are set up once; a linear solve reduces its target onto the
-monomials and expands the coefficients back one row block at a time.  The
-single-slice functions stay as the reference the plan is tested against.
+`RegressionPlan` runs them on every slice of an ensemble at once: the
+designs are fixed by the ensemble, so their Grams and the ratio estimator's
+denominator are set up once; a solve reduces its target onto the monomials
+and expands the coefficients back one row block at a time.  The single-slice
+`fit_condexp`, `extract_z`, `polynomial_features` and `CondExpEstimator` run
+in no solve and are not exported: they stay as the reference the plan is
+tested against and because the benchmark tracer (perfbench/spans.py) patches them.
 """
 
 from __future__ import annotations
@@ -28,12 +29,8 @@ import numpy as np
 
 __all__ = [
     "BasisSpec",
-    "CondExpEstimator",
     "RegressionPlan",
     "SingularSliceError",
-    "polynomial_features",
-    "fit_condexp",
-    "extract_z",
 ]
 
 
@@ -256,10 +253,13 @@ def _predict(fits, block) -> list:
     shape = next(monomials).shape  # the intercept, written directly
     outs = [np.full(shape, c[0]) for c in coefs]
     prod = np.empty(shape)
-    for j, mono in enumerate(monomials, start=1):
+    j = 0
+    for mono in monomials:  # no enumerate: its result tuple would hold the spent monomial
+        j += 1
         for dest, c in zip(outs, coefs):
             np.multiply(mono, c[j], out=prod)
             dest += prod
+        del mono  # before the stream builds the next one
     return outs
 
 
@@ -381,10 +381,13 @@ class RegressionPlan:
             targets = [target(rows) for target, _ in jobs]
             sums = [(i, targets[job]) for i, (job, s) in enumerate(fits) if s in (0, half)]
             out = np.zeros_like(rhs)
-            for j, mono in enumerate(monomials):
+            j = 0
+            for mono in monomials:  # as in `_predict`, each spent monomial is dropped
                 for i, target in sums:
                     spec = "i,ik->k" if target.ndim == 1 else "ik,ik->k"
                     out[i, :, j] = np.einsum(spec, target, mono)
+                j += 1
+                del mono
             return out
 
         for out in _map_blocks(reduce, self.row_blocks(), self.ensemble.n_steps):

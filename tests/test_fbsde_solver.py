@@ -123,6 +123,32 @@ def test_picard_forcings_runs_once_per_picard_iterate(drift_ensemble, monkeypatc
         assert len(calls) == top_iterates + solves
 
 
+@pytest.mark.parametrize("eta", [1.0, 0.5], ids=["flatten", "nested"])
+def test_zero_seeded_loops_start_from_a_read_only_zero(drift_ensemble, monkeypatch, eta):
+    # the first loop of every ladder level has no warm start: its first
+    # iterate gets the solve's one read-only zero triple, not zero grids
+    seeds = []
+
+    def recorded(bundle, theta_prev, step, base, ensemble):
+        seeds.append((base is None, theta_prev))  # the top level has no base
+        return picard_forcings(bundle, theta_prev, step, base, ensemble)
+
+    monkeypatch.setattr(fbsde_solver, "picard_forcings", recorded)
+    bundle = get_bundle("canonical_monotone", c=0.5)
+    solve_fbsde(bundle, 1.0, drift_ensemble, ContinuationConfig(eta=eta))
+    first = {}
+    for i, (level, _) in enumerate(seeds):
+        first.setdefault(level, i)
+    assert len(first) == round(1.0 / eta)
+    for i, (level, theta) in enumerate(seeds):
+        arrays = (theta.x, theta.y, theta.z)
+        if i == first[level]:
+            assert not any(a.flags.writeable for a in arrays), f"call {i}"
+            assert all(a.shape == drift_ensemble.X.shape and not a.any() for a in arrays)
+        else:
+            assert all(a.flags.writeable for a in arrays), f"call {i}"
+
+
 def test_linear_bundle_matches_linear_solver(jump_ensemble, jump_plan):
     m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
     theta, diag = solve_fbsde(get_bundle("canonical_monotone"), 1.0, jump_ensemble)

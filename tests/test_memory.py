@@ -1,7 +1,8 @@
-"""Memory budget of a regression plan, its linear solves and a Picard
-solve, traced with tracemalloc."""
+"""Memory budget of a regression plan, its linear solves, a Picard solve
+and a `solve-linear` run, traced with tracemalloc."""
 
 import gc
+import json
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from subfbsde import (
     solve_fbsde,
     solve_linear,
 )
-from subfbsde import regression
+from subfbsde import cli, regression
 
 M, N = 3000, 50
 GRID_BYTES = M * (N + 1) * 8  # one (n_paths, n_steps + 1) float64 grid
@@ -28,10 +29,11 @@ GRID_BYTES = M * (N + 1) * 8  # one (n_paths, n_steps + 1) float64 grid
 # peak of one solve in grids: the solution's three grids and the row-block
 # temporaries of two blocks in flight; the regressions are predicted one row
 # block at a time, so no (n_paths, n_steps - 1) regression output exists
-# (4.73-4.89 measured with two 512-row blocks in flight, each sweep dropping
-# its temporaries once spent; 4.08-4.27 with two 256-row blocks that kept
-# them, 4.79 with one 512-row block and the plan's weight grid, 6.22 with
-# the two whole-ensemble outputs)
+# (4.50-4.61 measured with two 512-row blocks in flight, each sweep dropping
+# its temporaries and each prediction its monomials once spent; 4.50-4.89
+# while a prediction held its spent monomial, 4.08-4.27 with two 256-row
+# blocks that kept them, 4.79 with one 512-row block and the plan's weight
+# grid, 6.22 with the two whole-ensemble outputs)
 MAX_PEAK_GRIDS = 5.2
 # held by the plan in grids: the (n_paths, n_steps - 1) denominator and its
 # zero mask (1.12 measured; the weights are computed per row block); a solve
@@ -39,11 +41,13 @@ MAX_PEAK_GRIDS = 5.2
 MAX_RETAINED_GRIDS = 2.5
 # peak of a Picard solve above what was live before it, in grids: the plan,
 # the previous and the new iterate and the row-block temporaries; nested
-# adds the seed of the inner level.  No forcing grid,
-# no regression output grid and no weight grid: 9.3-9.4 (flatten) and 12.6
-# (nested) measured with 512-row sweep blocks (9.0-9.1 and 12.1 with 256-row
-# ones), where the plan's weight grid read 10.64 and 14.41 and the two
-# regression outputs 12.08 and 15.09
+# adds the seed of the inner level.  No forcing grid, no zero seed grid (the
+# zero seed is a read-only broadcast), no regression output grid and no
+# weight grid: 9.41-9.42 (flatten) and 12.56-12.57 (nested) measured with
+# 512-row sweep blocks, the same with zero seed grids, which are dropped
+# before the peak (9.0-9.1 and 12.1 with 256-row blocks), where the plan's
+# weight grid read 10.64 and 14.41 and the two regression outputs 12.08 and
+# 15.09
 MAX_PICARD_PEAK_GRIDS = {1.0: 11.2, 0.5: 19.0}
 # live after solve_fbsde returns and its results are dropped, with the
 # garbage collector off: nothing of the solve may stay behind
@@ -54,6 +58,16 @@ MAX_LEFT_AFTER_SOLVE_GRIDS = 0.5
 # temporaries (1.40 measured, where the inner set and the base set alive
 # together read 2.20)
 MAX_NESTED_FORCING_PEAK_SETS = 1.5
+# one plan prediction on a 512-row block above what was live before it, in
+# (rows, n_steps - 1) block arrays: the two outputs, one product buffer and
+# one monomial, each spent monomial dropped before the stream builds the next
+# (4.66 measured; 5.66 while the loop's enumerate tuple held the spent one)
+MAX_PREDICT_PEAK_BLOCKS = 5.2
+# a `solve-linear` run, from the scenario to its written artifacts, in grids:
+# the ensemble, the plan, the solution and the CSV's node-major copies.  The
+# scenario's constant forcings are built per row block (12.01 measured; 17.03
+# with the five forcing grids built up front)
+MAX_SOLVE_LINEAR_RUN_PEAK_GRIDS = 14.0
 # building a jump-free ensemble: the clock is one row shared by every path,
 # so only X and dB are grids (2.97 peak and 1.99 retained measured, where
 # per-path clock grids read 8.30 and 4.96)
@@ -100,6 +114,42 @@ def test_plan_and_first_solve_retained_memory(jump_spec):
         tracemalloc.stop()
     grids = retained / GRID_BYTES
     assert grids <= MAX_RETAINED_GRIDS, f"retained {grids:.2f} grids"
+
+
+def test_plan_predict_peak_memory(jump_spec):
+    ens, _ = _problem(jump_spec)
+    plan = RegressionPlan(ens, BasisSpec())
+    fits = plan.fit(np.sin(ens.X[:, -1]) + ens.R[:, -1])
+    rows, block = next(plan.row_blocks())
+    assert rows == slice(0, 512)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        plan.predict(fits, rows, block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    blocks = (peak - before) / (512 * (N - 1) * 8)
+    assert blocks <= MAX_PREDICT_PEAK_BLOCKS, f"peak {blocks:.2f} block arrays"
+
+
+def test_solve_linear_run_peak_memory(tmp_path):
+    raw = {
+        "scenario": "memory", "seed": 5, "n_paths": M, "n_steps": N, "kappa": 1.0, "T": 1.0,
+        "jumps": {"jump_kind": "exponential", "rate": 1.0, "jump_param": 1.0},
+        "forcings": {"b0": 0.3, "g0": -0.2, "sigma0": 0.5},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        assert cli.run("solve-linear", path, output_dir=tmp_path / "out") == cli.EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grids = (peak - before) / GRID_BYTES
+    assert grids <= MAX_SOLVE_LINEAR_RUN_PEAK_GRIDS, f"peak {grids:.2f} grids"
 
 
 def _coupled_problem(jump_spec):

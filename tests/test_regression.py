@@ -3,13 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subfbsde import (
-    BasisSpec,
-    SingularSliceError,
-    extract_z,
-    fit_condexp,
-    polynomial_features,
-)
+from subfbsde import BasisSpec, SingularSliceError
+from subfbsde.regression import extract_z, fit_condexp, polynomial_features
 
 
 def test_polynomial_feature_layout():

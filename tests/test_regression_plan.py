@@ -14,14 +14,12 @@ from subfbsde import (
     SingularSliceError,
     TimeGrid,
     build_ensemble,
-    extract_z,
-    fit_condexp,
     get_bundle,
-    polynomial_features,
     solve_fbsde,
     solve_linear,
 )
 from subfbsde.linear_solver import _weights
+from subfbsde.regression import extract_z, fit_condexp, polynomial_features
 from oracles import whole_array_solve_linear
 
 

@@ -1,5 +1,6 @@
 """The package surface: every name a module exports, and every name the
-benchmark tracer (perfbench/spans.py) patches, must resolve; the CLI's
+benchmark tracer (perfbench/spans.py) patches, must resolve; the package
+re-exports exactly the modules' exports but the CLI's; the CLI's
 imports stay light; the README lists exactly the subcommands, bundles and
 a priori keys there are, and states the row-block size there is; the
 benchmark's workloads run on the package and pass its artifact checks, and
@@ -16,6 +17,7 @@ import runpy
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,31 @@ MODULES = ["subfbsde"] + [f"subfbsde.{m.name}" for m in pkgutil.iter_modules(sub
 def test_star_import_resolves_every_exported_name(module):
     # a stale __all__ entry makes the star import raise AttributeError
     exec(f"from {module} import *", {})
+
+
+def test_package_exports_exactly_the_modules_exports():
+    # both ways: each public name of the package is some module's export, and
+    # each module's export but the CLI's is a name of the package
+    public = {
+        name
+        for name in dir(subfbsde)
+        if not name.startswith("_") and not isinstance(getattr(subfbsde, name), types.ModuleType)
+    }
+    exports = {m: set(importlib.import_module(m).__all__) for m in MODULES[1:]}
+    assert public <= set().union(*exports.values())
+    for module, names in exports.items():
+        if module != "subfbsde.cli":
+            assert names <= public, f"{module}: {sorted(names - public)}"
+
+
+@pytest.mark.parametrize(
+    "name", ["CondExpEstimator", "extract_z", "fit_condexp", "polynomial_features"]
+)
+def test_single_slice_estimator_is_not_exported(name):
+    # it runs in no solve: only the plan's tests and the tracer use it
+    assert not hasattr(subfbsde, name)
+    assert name not in regression.__all__
+    assert callable(getattr(regression, name))
 
 
 def test_traced_names_resolve_to_callables():
