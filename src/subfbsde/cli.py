@@ -40,7 +40,7 @@ from .coefficients import check_hypothesis, get_bundle
 from .diagnostics import apriori_ratio, m_norm
 from .fbsde_solver import ContinuationConfig, DivergedError, solve_fbsde
 from .linear_solver import ForcingSet, solve_linear
-from .regression import BasisSpec, RegressionPlan, SingularSliceError
+from .regression import BasisSpec, RegressionPlan
 from .subdiffusion import build_ensemble
 
 __all__ = ["ScenarioConfig", "run", "main"]
@@ -276,13 +276,19 @@ def _check_hypothesis(config: ScenarioConfig, strict: bool):
 
 def _solution_csv(ensemble, theta):
     """The moments table (header, rows) of a solution, one row per grid node."""
-    # one reduction per moment over node-major copies: each node's row is
+    # one reduction per moment over a node-major copy: each node's row is
     # contiguous, so it is summed in the order of np.mean(a[:, k]), which a
-    # column-wise mean(axis=0) does not keep
-    x, y, z = (np.ascontiguousarray(a.T) for a in (theta.x, theta.y, theta.z))
-    columns = [x.mean(axis=1), y.mean(axis=1), z.mean(axis=1), x.std(axis=1), y.std(axis=1)]
+    # column-wise mean(axis=0) does not keep; one copy is alive at a time
     header = ["t", "mean_x", "mean_y", "mean_z", "sd_x", "sd_y"]
-    return header, np.column_stack([ensemble.grid.times(), *columns])
+    table = np.empty((ensemble.n_steps + 1, len(header)))
+    table[:, 0] = ensemble.grid.times()
+    for j, a in enumerate((theta.x, theta.y, theta.z)):
+        a = np.ascontiguousarray(a.T)
+        table[:, 1 + j] = a.mean(axis=1)
+        if j < 2:  # the sd of x and of y
+            table[:, 4 + j] = a.std(axis=1)
+        del a  # before the next copy is made
+    return header, table
 
 
 def _solve_linear(config: ScenarioConfig, strict: bool):
@@ -365,7 +371,7 @@ def run(subcommand: str, config_path, output_dir=None, strict=False) -> int:
     except ConfigError as err:
         print(str(err), file=sys.stderr)
         return EXIT_CONFIG
-    except (FloatingPointError, SingularSliceError) as err:
+    except FloatingPointError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     if table is not None or text is not None:

@@ -95,17 +95,6 @@ class SolutionTriple:
     dt: float
     dL: np.ndarray
 
-    @classmethod
-    def zeros(cls, ensemble: PathEnsemble) -> "SolutionTriple":
-        shape = ensemble.X.shape
-        return cls(
-            x=np.zeros(shape),
-            y=np.zeros(shape),
-            z=np.zeros(shape),
-            dt=ensemble.grid.dt,
-            dL=ensemble.dL,
-        )
-
 
 def _weights(ensemble: PathEnsemble, rows: slice) -> np.ndarray:
     """exp(-(t + L)) on a row block, bit for bit (-t - L rounds to -(t + L));

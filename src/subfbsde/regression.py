@@ -9,12 +9,13 @@ set to zero wherever the clock is predicted frozen: z is only defined
 dL-almost everywhere.
 
 `RegressionPlan` runs them on every slice of an ensemble at once: the
-designs are fixed by the ensemble, so their Grams and the ratio estimator's
-denominator are set up once; a solve reduces its target onto the monomials
-and expands the coefficients back one row block at a time.  The single-slice
-`fit_condexp`, `extract_z`, `polynomial_features` and `CondExpEstimator` run
-in no solve and are not exported: they stay as the reference the plan is
-tested against and because the benchmark tracer (perfbench/spans.py) patches them.
+designs are fixed by the ensemble, so their Grams are built and judged, and
+the ratio estimator's denominator is set up, once; a solve reduces its target
+onto the monomials, solves for every slice at once and expands the
+coefficients back one row block at a time.  The single-slice `fit_condexp`,
+`extract_z`, `polynomial_features` and `CondExpEstimator` run in no solve and
+are not exported: they stay as the reference the plan is tested against and
+because the benchmark tracer (perfbench/spans.py) patches them.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ class _NonFiniteError(ValueError, FloatingPointError):
     failures, for callers that tell those apart from bad settings."""
 
 
-class SingularSliceError(RuntimeError):
-    """A slice regression that cannot be solved: under ridge 0 its Gram is
-    numerically rank deficient; with a ridge its Gram is singular in LU,
-    because the features are so large that the ridge vanishes next to them."""
+class SingularSliceError(FloatingPointError):
+    """A slice regression that cannot be solved, a numerical failure: its
+    Gram is singular in LU, or under ridge 0 numerically rank deficient.
+    With a ridge, the features are so large that it vanishes next to them."""
 
     def __init__(self, slice_index, ridge: float = 0.0):
         self.slice_index = slice_index
@@ -195,8 +196,10 @@ def _row_slices(start: int, stop: int):
         yield slice(lo, min(lo + _BLOCK_ROWS, stop))
 
 
-# a helper thread pays where each numpy call on a block outlasts the GIL's hand-over
-# (2 vCPUs, 10k paths: 64 steps ran 6-15% slower with it, 70 steps 13-22% faster)
+# a helper thread pays where each numpy call on a block outlasts the GIL's hand-over.
+# One jump-clock solve, time with/without it (2 vCPUs, medians of 9 pairs, 3 runs):
+# 10k paths 0.70-0.85 at 40 steps, 0.71-0.74 at 64, 0.60-0.68 at 100; 1000 x 100
+# 0.71-0.95; 400 paths 1.21-1.41 at 64, 1.02-1.26 at 100 (and 40 slowed the tests)
 _HELPER_MIN_STEPS = 70
 
 
@@ -272,12 +275,12 @@ class RegressionPlan:
     here: the ridged Gram matrix of every slice for all paths and for each
     cross-fit half, with the ridge `fit_condexp` uses at each sample size,
     and the cross-fitted denominator E[dL_k | F] of the ratio estimator with
-    the mask where z is set to zero.  `fit` fits one linear solve's
-    regressions on every slice at once, with the single-slice path's checks;
-    `predict` evaluates them on a row block.  The monomials are streamed from
-    X and R over row blocks of paths, never stored, and the blocks' sums are
-    added in block order, so the plan holds p x p numbers per slice and one
-    (n_paths, n_steps - 1) denominator.
+    the mask where z is set to zero.  A Gram no solve could use fails the
+    build, so `fit` fits one linear solve's regressions on every slice in
+    one batched solve; `predict` evaluates them on a row block.  The
+    monomials are streamed from X and R over row blocks of paths, never
+    stored, and the blocks' sums are added in block order, so the plan holds
+    p x p numbers per slice and one (n_paths, n_steps - 1) denominator.
     """
 
     def __init__(self, ensemble, basis: BasisSpec):
@@ -301,7 +304,7 @@ class RegressionPlan:
         dL = ensemble.dL[:, inner]
         frozen = np.all(dL == 0.0, axis=0)
         dim = math.comb(1 + basis.include_r + basis.degree, basis.degree)
-        self._ridges = [basis.effective_ridge(size) for size in (m, half, m - half)]
+        ridges = [basis.effective_ridge(size) for size in (m, half, m - half)]
         if n > 1 and m < dim + 1:
             raise ValueError(f"need at least basis dimension + 1 = {dim + 1} paths, got {m}")
         if n > 1 and r_vanishes and basis.degree > 0 and basis.ridge == 0.0:
@@ -325,28 +328,29 @@ class RegressionPlan:
                     self._grams[h, :, i, j] += part
             self._grams[..., upper[1], upper[0]] = self._grams[..., upper[0], upper[1]]
             self._grams[0] = self._grams[1] + self._grams[2]
-            self._grams += np.multiply.outer(self._ridges, np.eye(p))[:, None]
+            self._grams += np.multiply.outer(ridges, np.eye(p))[:, None]
         finite = np.isfinite(self._grams).all(axis=(0, 2, 3))
         if not finite.all():
             raise _NonFiniteError(f"non-finite regression design at slice {finite.argmin() + 1}")
-        # under ridge 0, singular Grams in the single-slice path's order: the
-        # in-sample fits of every slice come before the cross-fits
-        deficient = np.zeros((3, n - 1), dtype=bool)
+        # frozen slices are never cross-fitted (z is zero there); the identity
+        # keeps their possibly singular half Grams out of the checks and solves
+        self._grams[1:, frozen] = np.eye(p)
+        # Grams singular in LU (the factorization `np.linalg.solve` runs) or,
+        # under ridge 0, numerically rank deficient, in the single-slice path's
+        # order: the in-sample fits of every slice come before the cross-fits
+        singular = np.linalg.slogdet(self._grams)[0] == 0.0
         if basis.ridge == 0.0:
-            deficient = np.linalg.matrix_rank(self._grams, hermitian=True) < p
-        crossfit = deficient[1:].any(axis=0) & ~frozen
-        if deficient[0].any():
-            raise SingularSliceError(int(deficient[0].argmax()) + 1)
+            singular |= np.linalg.matrix_rank(self._grams, hermitian=True) < p
+        if singular[0].any():
+            raise SingularSliceError(int(singular[0].argmax()) + 1, ridges[0])
         if not np.all(frozen) and half < dim + 1:
             raise ValueError(
                 f"need at least 2 * (basis dimension + 1) = {2 * (dim + 1)} paths to "
                 f"cross-fit the integrand, got {m}"
             )
-        if crossfit.any():
-            raise SingularSliceError(int(crossfit.argmax()) + 1)
-        # frozen slices are never cross-fitted (z is zero there); the identity
-        # keeps their possibly singular half Grams out of the batched solve
-        self._grams[1:, frozen] = np.eye(p)
+        if singular[1:].any():
+            k = int(singular[1:].any(axis=0).argmax())
+            raise SingularSliceError(k + 1, ridges[1 + int(singular[1:, k].argmax())])
 
         fits = self._fit((lambda rows: dL[rows], (1, 2)))
         den = np.empty(dL.shape)  # each block predicted straight into its rows
@@ -394,19 +398,8 @@ class RegressionPlan:
             rhs += out  # block order; an added zero leaves a sum unchanged
         if not np.all(np.isfinite(rhs)):
             raise _NonFiniteError("non-finite regression targets")
-        grams = self._grams[[s for _, s in fits]]
-        try:
-            coef = np.linalg.solve(grams, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # exactly singular in LU despite the ridge (a pathological jump
-            # law can make R huge); the batched solve does not say where
-            for k in range(n_slices):
-                for i, (_, s) in enumerate(fits):
-                    try:
-                        np.linalg.solve(grams[i, k], rhs[i, k])
-                    except np.linalg.LinAlgError:
-                        raise SingularSliceError(k + 1, self._ridges[s]) from None
-            raise
+        # every Gram was judged solvable when the plan was built
+        coef = np.linalg.solve(self._grams[[s for _, s in fits]], rhs[..., None])[..., 0]
         # (fits, p, slices): each monomial's coefficients are one contiguous row
         coef = np.ascontiguousarray(coef.transpose(0, 2, 1))
         return [(s, c) for (_, s), c in zip(fits, coef)]

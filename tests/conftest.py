@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from subfbsde import BasisSpec, RegressionPlan, SubordinatorSpec, TimeGrid, build_ensemble
+from subfbsde import (
+    BasisSpec,
+    RegressionPlan,
+    SolutionTriple,
+    SubordinatorSpec,
+    TimeGrid,
+    build_ensemble,
+)
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +48,11 @@ def jump_plan(jump_ensemble):
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def zero_triple(ensemble):
+    """A writable all-zero solution triple on the ensemble's grid (a solve
+    seeds itself with a read-only one)."""
+    shape = ensemble.X.shape
+    zeros = [np.zeros(shape) for _ in range(3)]
+    return SolutionTriple(*zeros, dt=ensemble.grid.dt, dL=ensemble.dL)

@@ -12,6 +12,8 @@
 * The pathwise solution of `canonical_monotone(c)` on any clock.
 * The renewal solution of the linear base system with `g0 = 1` under an
   exponential-jump clock, on clock-running and on frozen paths.
+* The integrand of the linear base system with `phi0 = X_T` on
+  clock-running paths, a plain Monte Carlo mean over the ensemble's clock.
 * The continuation family between the linear base system and a bundle, and
   the paper's provable continuation step `eta0`.
 
@@ -243,3 +245,19 @@ def renewal_ybar(t, rate, mean, r=0.0, T=1.0, nodes=500):
     t = np.asarray(t, dtype=float)
     frozen = np.minimum(r, T - t)
     return 1.0 - np.exp(-frozen) + np.exp(-frozen) * np.interp(T - t - frozen, h, V)
+
+
+def running_path_G(ensemble):
+    """G(t_k, 0) at every slice 1 <= k < n_steps: the plain mean, over the
+    paths whose clock runs at t_k (R_k = 0), of exp(-(T - t_k) - (L_T - L_k)),
+    with no regression.
+
+    G(t, r) = E[exp(-(T - t) - (L_T - L_t)) | R_t = r] is the integrand of
+    the linear base system with phi0 = X_T and every other forcing 0: there
+        ybar_t = E[exp(-(T - t) - (L_T - L_t)) X_T | F_t] = X_t G(t, R_t),
+    because X_T - X_t has conditional mean 0 given the clock, so zbar =
+    G(t, R_t) and the stored z = (zbar + sigma0) / 2 is G(t, R_t) / 2."""
+    t = ensemble.grid.times()
+    decay = np.exp(-(t[-1] - t) - (ensemble.L[:, -1:] - ensemble.L))
+    running = ensemble.R == 0.0
+    return np.array([decay[running[:, k], k].mean() for k in range(1, ensemble.n_steps)])

@@ -29,6 +29,7 @@ from subfbsde import (
     solve_linear,
 )
 from subfbsde.cli import EXIT_OK, run
+from conftest import zero_triple
 from oracles import canonical_coupled_oracle, continuation_transform, eta0, linear_forced_oracle
 
 JUMP_SPEC = SubordinatorSpec(kappa=1.0, jump_kind="exponential", rate=1.0, jump_param=1.0)
@@ -196,7 +197,7 @@ def test_criterion_07_uniqueness_probe():
     for spec, seed in ((DRIFT_SPEC, 700), (JUMP_SPEC, 701)):
         ens = build_ensemble(spec, grid, 1000, seed=seed)
         t0, d0 = solve_fbsde(bundle, 1.0, ens, config)
-        pert = SolutionTriple.zeros(ens)
+        pert = zero_triple(ens)
         pert.y += 0.5
         pert.x -= 0.25
         t1, _ = solve_fbsde(bundle, 1.0, ens, config, theta0=pert)

@@ -16,10 +16,11 @@ from subfbsde import (
     picard_forcings,
     solve_fbsde,
 )
+from conftest import zero_triple
 
 
 def _triple(ensemble, x=0.0, y=0.0, z=0.0):
-    t = SolutionTriple.zeros(ensemble)
+    t = zero_triple(ensemble)
     t.x += x
     t.y += y
     t.z += z
@@ -27,7 +28,7 @@ def _triple(ensemble, x=0.0, y=0.0, z=0.0):
 
 
 def test_m_norm_zero(jump_ensemble):
-    assert m_norm(SolutionTriple.zeros(jump_ensemble)).value == 0.0
+    assert m_norm(zero_triple(jump_ensemble)).value == 0.0
 
 
 def test_m_norm_deterministic_example(drift_ensemble):
@@ -43,7 +44,7 @@ def test_m_norm_deterministic_example(drift_ensemble):
 
 def test_m_norm_homogeneous(jump_ensemble):
     rng = np.random.default_rng(1)
-    t = SolutionTriple.zeros(jump_ensemble)
+    t = zero_triple(jump_ensemble)
     t.x += rng.standard_normal(t.x.shape)
     t.y += rng.standard_normal(t.y.shape)
     t.z += rng.standard_normal(t.z.shape)
@@ -55,8 +56,8 @@ def test_m_norm_homogeneous(jump_ensemble):
 @given(seed=st.integers(0, 10**6))
 def test_m_norm_triangle_inequality(jump_ensemble, seed):
     rng = np.random.default_rng(seed)
-    a = SolutionTriple.zeros(jump_ensemble)
-    b = SolutionTriple.zeros(jump_ensemble)
+    a = zero_triple(jump_ensemble)
+    b = zero_triple(jump_ensemble)
     for t in (a, b):
         t.x += rng.standard_normal(t.x.shape)
         t.y += rng.standard_normal(t.y.shape)
@@ -68,7 +69,7 @@ def test_m_norm_triangle_inequality(jump_ensemble, seed):
 def test_dL_part_bounded_by_dt_part(jump_ensemble):
     # Sum z^2 dL <= (1/kappa) Sum z^2 dt pathwise, from the clock bound
     rng = np.random.default_rng(2)
-    t = SolutionTriple.zeros(jump_ensemble)
+    t = zero_triple(jump_ensemble)
     t.z += rng.standard_normal(t.z.shape)
     n = jump_ensemble.n_steps
     lhs = np.sum(t.z[:, :n] ** 2 * t.dL, axis=1)
@@ -94,12 +95,12 @@ def _zero_point_data(bundle, ensemble):
     """The bundle's coefficients at the zero solution as a row-block
     function, as the solver builds them."""
     base = ForcingSet.zeros(ensemble.n_paths, ensemble.n_steps)
-    return picard_forcings(bundle, SolutionTriple.zeros(ensemble), 1.0, base.rows, ensemble)
+    return picard_forcings(bundle, zero_triple(ensemble), 1.0, base.rows, ensemble)
 
 
 def test_apriori_degenerate_zero_data(jump_ensemble):
     data = _zero_point_data(get_bundle("canonical_monotone"), jump_ensemble)
-    report = apriori_ratio(SolutionTriple.zeros(jump_ensemble), data, 0.0)
+    report = apriori_ratio(zero_triple(jump_ensemble), data, 0.0)
     assert report.degenerate
     assert report.ratio == 0.0
 
@@ -150,7 +151,7 @@ def test_overflowing_norms_are_refused(jump_ensemble):
         m_norm(big)
     with pytest.raises(FloatingPointError, match="^M-norm is inf"):
         m_norm(big, _triple(jump_ensemble, x=-1e155))
-    zeros = SolutionTriple.zeros(jump_ensemble)
+    zeros = zero_triple(jump_ensemble)
     data = _zero_point_data(get_bundle("canonical_monotone"), jump_ensemble)
     for theta, x0 in ((big, 1.0), (zeros, 1e155)):
         with pytest.raises(FloatingPointError, match="^a priori energies overflow"):

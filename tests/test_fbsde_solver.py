@@ -19,6 +19,7 @@ from subfbsde import (
     solve_fbsde,
     solve_linear,
 )
+from conftest import zero_triple
 from oracles import (
     canonical_coupled_oracle,
     canonical_pathwise_oracle,
@@ -68,7 +69,7 @@ def test_config_has_one_continuation_knob():
 def test_picard_forcings_eta_zero_is_identity(jump_ensemble):
     m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
     base = ForcingSet.constant(m, n, b0=0.4, phi0=0.2)
-    theta = SolutionTriple.zeros(jump_ensemble)
+    theta = zero_triple(jump_ensemble)
     theta.x += 1.0
     theta.y -= 0.5
     bundle = get_bundle("canonical_monotone")
@@ -80,7 +81,7 @@ def test_picard_forcings_eta_zero_is_identity(jump_ensemble):
 def test_picard_forcings_zero_seed_canonical_vanishes(jump_ensemble):
     m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
     base = ForcingSet.zeros(m, n)
-    theta = SolutionTriple.zeros(jump_ensemble)
+    theta = zero_triple(jump_ensemble)
     bundle = get_bundle("canonical_monotone")
     out = picard_forcings(bundle, theta, 1.0, base.rows, jump_ensemble)(slice(None))
     for name in ("b0", "g0", "delta0", "h0", "sigma0", "phi0"):
@@ -91,7 +92,7 @@ def test_picard_forcings_linear_in_iterate(jump_ensemble):
     m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
     base = ForcingSet.zeros(m, n)
     bundle = get_bundle("canonical_monotone", c=0.5)
-    theta = SolutionTriple.zeros(jump_ensemble)
+    theta = zero_triple(jump_ensemble)
     rng = np.random.default_rng(8)
     theta.x += rng.standard_normal((m, n + 1))
     theta.y += rng.standard_normal((m, n + 1))
@@ -275,7 +276,7 @@ def test_uniqueness_across_picard_seeds(drift_ensemble, jump_ensemble):
     config = ContinuationConfig(picard_tol=1e-5, max_picard=40)
     for ens in (drift_ensemble, jump_ensemble):
         t_zero, d_zero = solve_fbsde(bundle, 1.0, ens, config)
-        seed = SolutionTriple.zeros(ens)
+        seed = zero_triple(ens)
         seed.y += 0.5
         seed.x -= 0.25
         t_pert, _ = solve_fbsde(bundle, 1.0, ens, config, theta0=seed)
@@ -358,7 +359,7 @@ def test_user_seed_reaches_top_ladder_level(jump_ensemble):
 
 
 def test_user_seed_mirrored_for_increasing_orientation(drift_ensemble):
-    seed = SolutionTriple.zeros(drift_ensemble)
+    seed = zero_triple(drift_ensemble)
     seed.x += 0.3
     seed.y += 0.5
     seed.z -= 0.2

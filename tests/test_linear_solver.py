@@ -14,7 +14,7 @@ from subfbsde import (
     solve_linear,
 )
 from subfbsde import regression
-from oracles import linear_forced_oracle, renewal_ybar, whole_array_solve_linear
+from oracles import linear_forced_oracle, renewal_ybar, running_path_G, whole_array_solve_linear
 
 FORCINGS = ("b0", "g0", "delta0", "h0", "sigma0", "phi0")
 
@@ -314,3 +314,40 @@ def test_solve_linear_matches_renewal_oracle(renewal_ensemble, renewal_ybar_esti
 def test_solve_linear_matches_frozen_path_oracle(renewal_ensemble, renewal_ybar_estimate):
     for estimate, exact, _ in _frozen_paths(renewal_ensemble, renewal_ybar_estimate):
         assert np.sqrt(np.mean((estimate - exact) ** 2)) <= 0.02
+
+
+# the z oracle's scenario: the renewal clock, phi0 = X_T, every other forcing
+# 0, x0 = 1 (a large mean of xi, as in jump_solve), at (n_paths, n_steps, seed)
+Z_ORACLE_CASES = ((2000, 20, 1), (10_000, 100, 7))
+
+
+@pytest.fixture(scope="module")
+def z_oracle_rms():
+    """RMS over slices 1..n-1 of twice the mean stored z on running paths
+    minus the oracle G(t_k, 0), per case of Z_ORACLE_CASES.  Measured:
+    0.104 and 0.105; the control variate of ROADMAP item 12 read 0.045 and
+    0.032 in a probe."""
+    rms = []
+    for m, n, seed in Z_ORACLE_CASES:
+        ens = build_ensemble(RENEWAL_SPEC, TimeGrid(a=0.0, T=1.0, n_steps=n), m, seed=seed, x0=1.0)
+        f = ForcingSet.constant(m, n)
+        f.phi0 = ens.X[:, -1].copy()
+        z = solve_linear(f.rows, 1.0, RegressionPlan(ens, BasisSpec())).z
+        running = ens.R == 0.0
+        mean_z = np.array([np.mean(z[running[:, k], k]) for k in range(1, n)])
+        rms.append(float(np.sqrt(np.mean((2.0 * mean_z - running_path_G(ens)) ** 2))))
+    return rms
+
+
+def test_z_matches_running_path_oracle_loosely(z_oracle_rms):
+    # a guard on today's ratio estimator, whose noise grows as dt shrinks
+    assert max(z_oracle_rms) <= 0.2, z_oracle_rms
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 12: the numerator xi dB_k of the ratio estimator is noisy "
+    "(RMS 0.104-0.120); its control variate xi - E[xi | F_k] cuts it to 0.032-0.045",
+)
+def test_z_matches_running_path_oracle(z_oracle_rms):
+    assert max(z_oracle_rms) <= 0.06, z_oracle_rms

@@ -1,5 +1,5 @@
-"""Memory budget of a regression plan, its linear solves, a Picard solve
-and a `solve-linear` run, traced with tracemalloc."""
+"""Memory budget of a regression plan, its linear solves, a Picard solve,
+a `solve-linear` run and its moments table, traced with tracemalloc."""
 
 import gc
 import json
@@ -68,6 +68,10 @@ MAX_PREDICT_PEAK_BLOCKS = 5.2
 # scenario's constant forcings are built per row block (12.01 measured; 17.03
 # with the five forcing grids built up front)
 MAX_SOLVE_LINEAR_RUN_PEAK_GRIDS = 14.0
+# the CSV's moments table above what was live before it, in grids: one
+# node-major copy of x, y or z at a time and the temporary of its std (2.04
+# measured; 4.04 with the three copies alive at once)
+MAX_MOMENTS_TABLE_PEAK_GRIDS = 3.0
 # building a jump-free ensemble: the clock is one row shared by every path,
 # so only X and dB are grids (2.97 peak and 1.99 retained measured, where
 # per-path clock grids read 8.30 and 4.96)
@@ -150,6 +154,21 @@ def test_solve_linear_run_peak_memory(tmp_path):
         tracemalloc.stop()
     grids = (peak - before) / GRID_BYTES
     assert grids <= MAX_SOLVE_LINEAR_RUN_PEAK_GRIDS, f"peak {grids:.2f} grids"
+
+
+def test_moments_table_peak_memory(drift_spec):
+    ens = build_ensemble(drift_spec, TimeGrid(a=0.0, T=1.0, n_steps=N), n_paths=M, seed=5)
+    rng = np.random.default_rng(3)
+    theta = SolutionTriple(*rng.standard_normal((3, M, N + 1)), ens.grid.dt, ens.dL)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        cli._solution_csv(ens, theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grids = (peak - before) / GRID_BYTES
+    assert grids <= MAX_MOMENTS_TABLE_PEAK_GRIDS, f"peak {grids:.2f} grids"
 
 
 def _coupled_problem(jump_spec):

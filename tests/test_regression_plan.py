@@ -194,18 +194,44 @@ def test_non_finite_design_names_its_first_slice(drift_ensemble):
         RegressionPlan(dataclasses.replace(drift_ensemble, X=X), BasisSpec())
 
 
-def test_singular_half_gram_names_its_slice_and_ridge(jump_ensemble):
-    # the batched solve's fallback finds a Gram that is exactly singular in LU
-    # despite a positive ridge and names its slice and that half's ridge
-    # (1e-10 per path: 2e-08 for a 200-path half, 4e-08 for all 400 paths)
-    plan = RegressionPlan(jump_ensemble, BasisSpec())
+def _inject_ones_gram(monkeypatch, sample, k):
+    """Make the plan build's LU test see an all-ones Gram for `sample` at
+    slice k, which it judges as `solve` would."""
+    ones = np.ones((6, 6))
+    assert np.linalg.slogdet(ones)[0] == 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(ones, np.ones(6))
+    slogdet = np.linalg.slogdet
+
+    def with_ones_gram(grams):
+        grams = grams.copy()
+        grams[sample, k - 1] = ones
+        return slogdet(grams)
+
+    monkeypatch.setattr(np.linalg, "slogdet", with_ones_gram)
+
+
+def test_singular_half_gram_names_its_slice_and_ridge(jump_ensemble, monkeypatch):
+    # a Gram exactly singular in LU despite a positive ridge fails the plan
+    # build, named by its slice and that half's ridge (1e-10 per path: 2e-08
+    # for a 200-path half, 4e-08 for all 400 paths)
     k = 5
     assert np.any(jump_ensemble.dL[:, k] > 0.0)  # not frozen, so cross-fitted
-    plan._grams[2, k - 1] = np.ones(plan._grams.shape[-2:])
+    _inject_ones_gram(monkeypatch, 2, k)
     with pytest.raises(SingularSliceError, match="at slice 5; it is singular despite the ridge "
                        "2e-08") as err:
-        plan.fit(jump_ensemble.X[:, -1])
+        RegressionPlan(jump_ensemble, BasisSpec())
     assert err.value.slice_index == k
+    assert isinstance(err.value, FloatingPointError)  # a numerical failure
+
+
+def test_singular_in_sample_gram_names_its_slice_and_ridge(jump_ensemble, monkeypatch):
+    # an in-sample Gram singular in LU fails the build before any solve,
+    # named with the ridge of all 400 paths
+    _inject_ones_gram(monkeypatch, 0, 7)
+    with pytest.raises(SingularSliceError, match="at slice 7; it is singular despite the ridge "
+                       "4e-08"):
+        RegressionPlan(jump_ensemble, BasisSpec())
 
 
 def test_frozen_slice_gives_zero_z(drift_ensemble):
