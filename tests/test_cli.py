@@ -587,6 +587,35 @@ def test_main_entry(tmp_path):
         main([])
 
 
+def _assert_write_error(capsys, code, out):
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write artifacts to {out}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("route", ["scenario key", "argument"])
+def test_unwritable_output_dir_is_a_config_error(tmp_path, capsys, route):
+    # a regular file where the output directory's parent should be
+    (tmp_path / "blocker").write_text("")
+    out = tmp_path / "blocker" / "out"
+    if route == "scenario key":
+        path = write_config(tmp_path, base_config(output_dir=str(out)))
+        code = main(["sample-subdiffusion", str(path)])
+    else:
+        code = run("sample-subdiffusion", write_config(tmp_path, base_config()), output_dir=out)
+    _assert_write_error(capsys, code, out)
+
+
+def test_csv_written_before_a_failing_json_write_stays(tmp_path, capsys):
+    # a directory where the JSON artifact should be
+    out = tmp_path / "out"
+    (out / "t_solve-linear_9.json").mkdir(parents=True)
+    path = write_config(tmp_path, base_config(output_dir=str(out)))
+    _assert_write_error(capsys, run("solve-linear", path), out)
+    assert (out / "t_solve-linear_9.csv").read_text().startswith("# config_hash=")
+
+
 def test_jump_param_list_round_trip(tmp_path):
     cfg = base_config(
         output_dir=str(tmp_path),

@@ -2,9 +2,10 @@
 benchmark tracer (perfbench/spans.py) patches, must resolve; the package
 re-exports exactly the modules' exports but the CLI's; the CLI's
 imports stay light; the README lists exactly the subcommands, bundles and
-a priori keys there are, and states the row-block size there is; the
-benchmark's workloads run on the package and pass its artifact checks, and
-a traced run gives well-formed spans."""
+a priori keys there are, states the row-block size there is, and its
+tables match the CLI's own tables, exit codes and version; the benchmark's
+workloads run on the package and pass its artifact checks, and a traced run
+gives well-formed spans."""
 
 import dataclasses
 import importlib
@@ -108,6 +109,40 @@ def test_readme_states_the_row_block_size():
     # every row-block loop runs over blocks of regression._BLOCK_ROWS paths
     sizes = re.findall(r"blocks of (\d+) paths", _readme_section("## Layout"))
     assert sizes and set(sizes) == {str(regression._BLOCK_ROWS)}
+
+
+def _readme_table(first: str) -> list[list[str]]:
+    """The body rows, as lists of cells, of the README table whose header
+    starts with the column `first`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.search(rf"^\| {re.escape(first)} \|.*\n\|[- |]+\n((?:\|.*\n)*)", readme, flags=re.M)
+    return [[c.strip() for c in row.strip("|").split("|")] for row in table.group(1).splitlines()]
+
+
+def test_readme_exit_code_table_lists_the_exit_codes():
+    codes = [int(row[0]) for row in _readme_table("exit")]
+    exits = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
+    assert sorted(codes) == sorted(exits)
+
+
+def test_readme_subcommand_table_matches_the_cli_tables():
+    rows = _readme_table("subcommand")
+    assert [row[0] for row in rows] == [f"`{name}`" for name in cli._HANDLERS]
+    for name, keys, strict, *_ in rows:
+        name = name.strip("`")
+        read = {key for key, by in cli._READ_BY.items() if name in by}
+        assert set(re.findall(r"`(\w+)`", keys)) == read, name
+        assert strict == ("yes" if name in cli._STRICT else "no"), name
+    # the common keys are the scenario keys every subcommand reads
+    common = re.search(r"reads the common keys (.*?);", _readme_section("## CLI"), flags=re.S)
+    assert set(re.findall(r"`(\w+)`", common.group(1))) == set(cli._KEYS) - set(cli._READ_BY)
+
+
+def test_readme_version_table_ends_at_the_package_version():
+    # pyproject.toml by regex: tomllib is not in every Python the package supports
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "([^"]+)"$', pyproject, flags=re.M).group(1)
+    assert _readme_table("version")[-1][0] == subfbsde.__version__ == declared
 
 
 ROOT = Path(__file__).resolve().parents[1]
