@@ -28,9 +28,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -344,9 +346,24 @@ _HANDLERS = {
 _STRICT = ("check-hypothesis", "solve")
 
 
+def _unwritable(directory: Path) -> OSError | None:
+    """Why no artifact can be written in directory, judged at its nearest
+    existing ancestor without creating anything: not a directory, or not
+    writable.  None where the writes may go ahead (they can still fail)."""
+    for path in (directory, *directory.parents):
+        if path.exists():
+            if not path.is_dir():
+                return NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
+            if not os.access(path, os.W_OK | os.X_OK):
+                return PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return None
+    return None
+
+
 def run(subcommand: str, config_path, output_dir=None, strict=False) -> int:
     """Run one subcommand on a scenario JSON and write its artifacts, the CSV
-    and then the JSON, whatever the exit code; return the exit code."""
+    and then the JSON, whatever the exit code; return the exit code.  An
+    output directory that cannot be written is refused before any compute."""
     if subcommand not in _HANDLERS:
         print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
         return EXIT_CONFIG
@@ -368,6 +385,10 @@ def run(subcommand: str, config_path, output_dir=None, strict=False) -> int:
             raise ConfigError(f"config key {key}: read only by {' and '.join(_READ_BY[key])}")
         if output_dir is not None:
             config.output_dir = Path(output_dir)
+        unwritable = _unwritable(config.output_dir)
+        if unwritable is not None:
+            print(f"cannot write artifacts to {config.output_dir}: {unwritable}", file=sys.stderr)
+            return EXIT_CONFIG
         code, table, payload = _HANDLERS[subcommand](config, strict)
         text = None if payload is None else _json_text(config, payload)
     except ConfigError as err:

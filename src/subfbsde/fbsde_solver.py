@@ -13,6 +13,10 @@ iterates before it contracts, so the one divergence condition is a residual
 above 1e6 times the loop's first; a loop that neither converges nor grows
 that far stops at max_picard.  Every loop that stops, at every level, leaves
 one LevelRecord: the diagnostics list the whole tree of loops, top level last.
+The loops recycle their grids: each linear solve writes into an iterate
+some loop has dropped, so from a loop's third solve on no grid is allocated.
+A loop seeded by the zero solution takes its first residual as the norm its
+tolerance is relative to.
 
 Sign-flipped (increasing-orientation) bundles are solved by the same
 machinery through the (y, z) -> (-y, -z) mirror.
@@ -185,6 +189,12 @@ def solve_fbsde(
     zero = SolutionTriple(zero, zero, zero, ensemble.grid.dt, ensemble.dL)
     # last solution of each level, the seed of its next Picard loop; theta0 seeds the top level
     warm: list = [zero] * n_levels + [zero if theta0 is None else theta0]
+    # iterates a Picard loop has dropped, whose grids the next linear solves
+    # write over.  A loop drops every iterate but its seed, once the solve
+    # that replaced it has returned, so no forcings in flight read it; a
+    # loop's last iterate is never dropped, and is the warm start that seeds
+    # the next loop of its level and the iterate of the level above
+    spare: list = []
 
     def solve_at(k: int, f) -> SolutionTriple:
         """Solve the level-alphas[k] system with row-block forcings f (None:
@@ -193,9 +203,9 @@ def solve_fbsde(
         solving the anchor system at level k-1."""
         if k == 0:
             diag.total_linear_solves += 1
-            return solve_linear(f, x0, plan)
+            return solve_linear(f, x0, plan, out=spare.pop() if spare else None)
         alpha, step = alphas[k], alphas[k] - alphas[k - 1]
-        theta = warm[k]
+        seed = theta = warm[k]
         residuals: list[float] = []
         converged = False
         for _ in range(config.max_picard):
@@ -203,7 +213,11 @@ def solve_fbsde(
             res = m_norm(theta_new, theta).value
             residuals.append(res)
             if len(residuals) == 1:
-                threshold = config.picard_tol * max(m_norm(theta_new).value, 1e-12)
+                # the M-norm of theta_new - 0.0 is that of theta_new, bit for bit
+                norm = res if theta is zero else m_norm(theta_new).value
+                threshold = config.picard_tol * max(norm, 1e-12)
+            if theta is not seed:
+                spare.append(theta)
             theta = theta_new
             if res <= threshold:
                 converged = True
@@ -221,6 +235,7 @@ def solve_fbsde(
     try:
         theta = solve_at(n_levels, None)
     finally:
+        spare.clear()
         del solve_at  # it refers to itself: the cycle would hold the plan and the seeds
 
     if flipped:

@@ -13,7 +13,11 @@ adapted; the dB integral is left-point (Ito).  The conditional expectations
 of the backward pass are the slice regressions of a `RegressionPlan`, which
 depends only on the ensemble and the basis and is shared by every solve on
 that ensemble.  A solve fits them once; the rest, their predictions and the
-weights exp(-(t + L)) included, runs per row block, two blocks at a time.
+weights exp(-(t + L)) included, runs per row block, two blocks at a time,
+on contiguous operands: the trapezoid sums are taken on the flattened
+blocks, the plan's feature columns are copied per block, and a jump-free
+clock's weights are tiled once per solve.  A solve writes into a given
+solution triple (`out`), which lets a Picard loop recycle its grids.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .regression import RegressionPlan, _NonFiniteError, _map_blocks, _row_slices
+from .regression import _BLOCK_ROWS, RegressionPlan, _NonFiniteError, _map_blocks, _row_slices
 
 # unused here: kept because the benchmark tracer (perfbench/spans.py) wraps these names
 from .regression import extract_z, fit_condexp  # noqa: F401
@@ -33,6 +37,8 @@ __all__ = [
     "SolutionTriple",
     "solve_linear",
 ]
+
+_NODE_FORCINGS = ("b0", "g0", "delta0", "h0", "sigma0")
 
 
 @dataclass
@@ -69,16 +75,21 @@ class ForcingSet:
 
     def validate(self, shape: tuple) -> None:
         """Refuse node forcings not of `shape`, a phi0 not one per path, and non-finite values."""
-        for name in ("b0", "g0", "delta0", "h0", "sigma0"):
+        self._check_shapes(shape)
+        for name in _NODE_FORCINGS:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise _NonFiniteError(f"forcing {name} contains non-finite values")
+        if not np.all(np.isfinite(self.phi0)):
+            raise _NonFiniteError("phi0 contains non-finite values")
+
+    def _check_shapes(self, shape: tuple) -> None:
+        """`validate` without the scans for non-finite values."""
+        for name in _NODE_FORCINGS:
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"forcing {name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise _NonFiniteError(f"forcing {name} contains non-finite values")
         if self.phi0.shape != shape[:1]:
             raise ValueError("phi0 must be one value per path")
-        if not np.all(np.isfinite(self.phi0)):
-            raise _NonFiniteError("phi0 contains non-finite values")
 
 
 @dataclass
@@ -104,26 +115,65 @@ def _weights(ensemble: PathEnsemble, rows: slice) -> np.ndarray:
     return np.exp(w, out=w)
 
 
-def _increments(a, d, dt, dL, out, ito=None):
+def _block_weights(ensemble: PathEnsemble):
+    """rows -> (w, 1/w) of a row block, w = exp(-(t + L)) (`_weights`).  A
+    per-path clock computes w per block and leaves 1/w to the caller (None).
+    A jump-free clock's weights are one row shared by every path, and numpy
+    runs one inner loop per path on a broadcast row, so w and 1/w are tiled
+    once per solve into read-only contiguous blocks of up to `_BLOCK_ROWS`
+    paths; a larger block broadcasts the rows.  dL is not tiled: the sweeps
+    multiply it into column views of a block, one inner loop per path anyway."""
+    if ensemble.L.strides[0]:
+        return lambda rows: (_weights(ensemble, rows), None)
+    w = _weights(ensemble, slice(0, 1))
+    shared = (w, 1.0 / w)
+    tiles = [np.repeat(row, min(ensemble.n_paths, _BLOCK_ROWS), axis=0) for row in shared]
+    for tile in tiles:
+        tile.flags.writeable = False
+
+    def block(rows):
+        k = rows.stop - rows.start
+        return tuple(tile[:k] if k <= len(tile) else row for tile, row in zip(tiles, shared))
+
+    return block
+
+
+def _increments(a, d, dt, dL, s, ito=None, shift=0):
     """Increments of a running integral on one row block, (paths, n_steps),
-    written into out: trapezoid of the node values a against dt plus d
-    against dL, plus the left-point increments 2 * ito, all summed into one
-    block before the one cumsum (once for d is a).  The k-th partial sum only
-    touches nodes <= k, so the running integral stays adapted.  For d is a,
-    out may overlap a, which is spent once its node sums are taken."""
-    s = a[:, :-1] + a[:, 1:]
-    np.multiply(s, dt, out=out)
-    if d is not a:
-        np.add(d[:, :-1], d[:, 1:], out=s)
-    s *= dL
-    out += s
+    written into s: trapezoid of the node values a against dt plus d against
+    dL, plus the left-point increments 2 * ito, all summed into one block
+    before the one cumsum (once for d is a).  The k-th partial sum only
+    touches nodes <= k, so the running integral stays adapted.
+
+    The node sums are taken on the flattened (paths, n_steps + 1) blocks, so
+    every operand is contiguous: step k of a path lands in column k + shift
+    of s, and the one spent sum between two paths in the column left over
+    (the last, or for shift 1 the first of the next path, so s may be the
+    destination's own rows).  a and d are spent once their node sums are
+    taken; ito is of their shape.  For d is a, shift is 0 and the increments
+    land in a instead.  Returns the block they landed in."""
+    n, size = a.shape[1] - 1, a.size - 1
+    flat = lambda arr, lo=0: arr.reshape(-1)[lo : lo + size]  # noqa: E731
+    out = flat(s, shift)
+    np.add(flat(a), flat(a, 1), out=out)
+    if d is a:
+        # the dt part goes to a, and the dL part is taken from the sums in s
+        np.multiply(out, dt, out=flat(a))
+        s, a, out = a, s, flat(a)
+    else:
+        out *= dt
+        np.add(flat(d), flat(d, 1), out=flat(a))
+    a[:, :n] *= dL
+    out += flat(a)
     if ito is not None:
-        out += ito
+        out += flat(ito)
     out *= 0.5
-    return out
+    return s
 
 
-def solve_linear(forcings, x0: float, plan: RegressionPlan) -> SolutionTriple:
+def solve_linear(
+    forcings, x0: float, plan: RegressionPlan, out: SolutionTriple | None = None
+) -> SolutionTriple:
     """Solve the linear base FBSDE on the ensemble of the regression plan.
 
     Backward pass: the weighted backward value is the conditional expectation
@@ -136,44 +186,72 @@ def solve_linear(forcings, x0: float, plan: RegressionPlan) -> SolutionTriple:
     over the 512-row blocks of every reduction (`regression._BLOCK_ROWS`),
     around the one global step `plan.fit(xi)`, two blocks at once
     (`_map_blocks`).  forcings(rows) gives the `ForcingSet` of a row block
-    (e.g. `ForcingSet.rows`), which the first sweep evaluates and checks
-    once, possibly from two threads at once, and never writes.
+    (e.g. `ForcingSet.rows`), which the first sweep evaluates once, possibly
+    from two threads at once, and never writes.  A block's forcings are
+    scanned for non-finite values only where its xi or its sigma0 (z) is
+    non-finite, which every non-finite forcing makes them: the block is then
+    evaluated again and `ForcingSet.validate` names the forcing.
+
+    out, a `SolutionTriple` on the plan's grid, receives the solution in its
+    own arrays and is returned; every value it held is overwritten, so it
+    must not be an array the forcings read.  None allocates a new triple.
     """
     ensemble = plan.ensemble
     m, n = ensemble.n_paths, ensemble.n_steps
     dt, dL, dB = ensemble.grid.dt, ensemble.dL, ensemble.dB
-    x, y, z = np.empty((m, n + 1)), np.empty((m, n + 1)), np.empty((m, n + 1))
+    if out is None:
+        out = SolutionTriple(*(np.empty((m, n + 1)) for _ in range(3)), dt=dt, dL=dL)
+    elif not all(
+        a.shape == (m, n + 1) and a.flags.c_contiguous and a.flags.writeable
+        for a in (out.x, out.y, out.z)
+    ):
+        raise ValueError("out must hold three writable C-contiguous (n_paths, n_steps + 1) grids")
+    x, y, z = out.x, out.y, out.z
     xi = np.empty(m)
+    weights = _block_weights(ensemble)
 
     # first sweep: y holds the running integral I of the weighted forcings, x
     # the forcings' dt/dL forward increments and z sigma0; the last block is
     # open-ended, so forcings of too many paths are refused.  Each forcing
     # array is dropped once spent, so the block's temporaries stay few
     def first(rows):
-        f = forcings(slice(rows.start, rows.stop if rows.stop < m else None))
-        f.validate(y[rows].shape)
+        block = slice(rows.start, rows.stop if rows.stop < m else None)
+        f = forcings(block)
+        f._check_shapes(y[rows].shape)
         b0, g0, delta0, h0, sigma0, phi0 = f.b0, f.g0, f.delta0, f.h0, f.sigma0, f.phi0
         del f
-        z[rows] = sigma0
+        zr = z[rows]
+        zr[...] = sigma0
         del sigma0
         a = g0 + b0
         del g0
         d = h0 + delta0
         del h0
-        wr, dLr, yr = _weights(ensemble, rows), dL[rows], y[rows]
+        (wr, iw), dLr = weights(rows), dL[rows]
         a *= wr
         d *= wr
+        # y's and x's rows hold their own increments, shifted by one node
+        yr = _increments(a, d, dt, dLr, y[rows], shift=1)
+        np.cumsum(yr[:, 1:], axis=1, out=yr[:, 1:])
         yr[:, 0] = 0.0
-        np.cumsum(_increments(a, d, dt, dLr, yr[:, 1:]), axis=1, out=yr[:, 1:])
         xi[rows] = wr[:, -1] * phi0 + yr[:, -1]
-        iw = np.divide(1.0, wr, out=wr)
+        if iw is None:
+            iw = np.divide(1.0, wr, out=wr)
         np.multiply(b0, iw, out=a)
         del b0
         np.multiply(delta0, iw, out=d)
-        del delta0
-        _increments(a, d, dt, dLr, x[rows, 1:])
+        del delta0, iw, wr
+        _increments(a, d, dt, dLr, x[rows], shift=1)
+        # a non-finite forcing reaches xi (b0, g0, delta0, h0, phi0) or z
+        # (sigma0), and a running sum stays non-finite once it is
+        if not (np.isfinite(xi[rows]).all() and np.isfinite(zr).all()):
+            del a, d
+            forcings(block).validate(yr.shape)
 
-    _map_blocks(first, _row_slices(0, m), n)
+    # forcings are scanned only after the arithmetic: a non-finite one is
+    # refused by name, not first warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        _map_blocks(first, _row_slices(0, m), n)
     # conditional-expectation martingale M of xi along the grid, and its
     # integrand ztilde; the filtration is trivial at time 0, so plain means
     # there, and ztilde is zero at the terminal node
@@ -201,21 +279,29 @@ def solve_linear(forcings, x0: float, plan: RegressionPlan) -> SolutionTriple:
         zbar[:, 1:n] = ztilde
         del ztilde
         zbar[:, n] = 0.0
-        wr = _weights(ensemble, rows)
-        iw = 1.0 / wr
+        wr, iw = weights(rows)
+        if iw is None:
+            iw = 1.0 / wr
         ybar *= iw
         zbar *= iw
         zr = z[rows]
-        ito = zbar[:, :n] - zr[:, :n]
-        ito *= iw[:, :n]
-        ito *= dB[rows]
+        # the Ito increments in the first n columns of a (paths, n_steps + 1) block
+        ito = zbar - zr
+        ito *= iw
+        ito[:, :n] *= dB[rows]
         zr += zbar
         zr *= 0.5
         zr[:, n] = 0.0
         a = np.multiply(ybar, iw, out=zbar)  # zbar is spent
         del iw
+        inc = _increments(a, a, dt, dL[rows], np.empty(a.shape), ito).reshape(-1)
+        del a, ito
+        # step k of a path is subtracted from its node k + 1, on the flat
+        # blocks; the spent sum between two paths lands on node 0, set next
         xr = x[rows]
-        np.subtract(xr[:, 1:], _increments(a, a, dt, dL[rows], a[:, :n], ito), out=xr[:, 1:])
+        x_flat = xr.reshape(-1)
+        np.subtract(x_flat[1:], inc[:-1], out=x_flat[1:])
+        del inc
         xr[:, 0] = x0
         np.cumsum(xr, axis=1, out=xr)
         xr *= wr
@@ -225,4 +311,4 @@ def solve_linear(forcings, x0: float, plan: RegressionPlan) -> SolutionTriple:
             raise FloatingPointError("linear solve produced non-finite values")
 
     _map_blocks(second, plan.row_blocks(), n)
-    return SolutionTriple(x=x, y=y, z=z, dt=dt, dL=dL)
+    return out

@@ -361,13 +361,19 @@ class RegressionPlan:
     def row_blocks(self):
         """Row blocks of at most `_BLOCK_ROWS` paths that never straddle the
         cross-fit split: (rows, (half, monomials of the block)), half 1 for
-        the first half of the paths and 2 for the second."""
+        the first half of the paths and 2 for the second.  The block's
+        feature columns are contiguous copies, held by its monomial stream
+        alone: numpy runs one inner loop per path on a column slice of X or
+        R, and einsum sums a stride-0 column (a jump-free R) in another order."""
         m = self._columns[0].shape[0]
         for lo, hi, half in ((0, self._half, 1), (self._half, m, 2)):
             for rows in _row_slices(lo, hi):
-                # copy a stride-0 column (a jump-free R): einsum sums it in another order
-                cols = [c[rows] if c.strides[0] else c[rows].copy() for c in self._columns]
-                yield rows, (half, _monomials(cols, self.basis.degree, cols[0].shape))
+                yield rows, (half, self._block_monomials(rows))
+
+    def _block_monomials(self, rows: slice):
+        # a call of its own, so that the suspended `row_blocks` holds no copy
+        cols = [c[rows].copy() for c in self._columns]
+        return _monomials(cols, self.basis.degree, cols[0].shape)
 
     def _fit(self, *jobs) -> list:
         """Batched slice regressions.  Each job is (target, samples):

@@ -607,6 +607,23 @@ def test_unwritable_output_dir_is_a_config_error(tmp_path, capsys, route):
     _assert_write_error(capsys, code, out)
 
 
+@pytest.mark.parametrize("subcommand", ["solve", "solve-linear", "sample-subdiffusion"])
+def test_unwritable_output_dir_is_refused_before_any_compute(tmp_path, capsys, monkeypatch, subcommand):
+    # the directory is judged at its nearest existing ancestor, a regular
+    # file here, before the handler runs, and nothing is created
+    def never(*args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setitem(cli._HANDLERS, subcommand, never)
+    (tmp_path / "blocker").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    path = write_config(tmp_path, base_config(output_dir="blocker/out"))
+    monkeypatch.chdir(tmp_path)
+    _assert_write_error(capsys, run(subcommand, path), Path("blocker/out"))
+    assert sorted(tmp_path.rglob("*")) == sorted([*before, path])
+    assert not (tmp_path / "blocker").is_dir()
+
+
 def test_csv_written_before_a_failing_json_write_stays(tmp_path, capsys):
     # a directory where the JSON artifact should be
     out = tmp_path / "out"

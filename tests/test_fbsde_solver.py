@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -148,6 +149,96 @@ def test_zero_seeded_loops_start_from_a_read_only_zero(drift_ensemble, monkeypat
             assert all(a.shape == drift_ensemble.X.shape and not a.any() for a in arrays)
         else:
             assert all(a.flags.writeable for a in arrays), f"call {i}"
+
+
+def _triples_read(forcings) -> list:
+    """Every solution triple a Picard forcing function reads, down its chain
+    of base forcings."""
+    read = []
+    while isinstance(forcings, functools.partial):
+        _, theta, _, forcings, _ = forcings.args
+        read.append(theta)
+    return read
+
+
+def _arrays(theta):
+    return (theta.x, theta.y, theta.z)
+
+
+@pytest.mark.parametrize(
+    "bundle_name, eta, seeded",
+    [
+        ("canonical_monotone", 1.0, False),
+        ("canonical_monotone", 0.5, False),
+        ("canonical_monotone", 1.0 / 3.0, False),
+        ("canonical_flipped_hp2", 0.5, False),
+        ("canonical_monotone", 0.5, True),
+    ],
+    ids=["flatten", "eta0.5", "eta1/3", "flipped_hp2", "theta0"],
+)
+def test_linear_solves_write_over_dropped_iterates_only(
+    drift_ensemble, monkeypatch, bundle_name, eta, seeded
+):
+    # a solve is handed only a triple some Picard loop dropped: never one
+    # its forcings read (the iterate of every level in flight, each level's
+    # warm start among them), theta0 or the read-only zero triple; the
+    # residuals and the solution are those of solves that allocate
+    bundle = get_bundle(bundle_name, c=0.5)
+    config = ContinuationConfig(eta=eta, max_picard=6)
+    theta0 = None
+    if seeded:
+        theta0 = zero_triple(drift_ensemble)
+        theta0.x += 0.3
+        theta0.y -= 0.2
+        theta0.z += 0.1
+        kept = [a.copy() for a in _arrays(theta0)]
+    handed = []
+
+    def recycling(forcings, x0, plan, out=None):
+        if out is not None:
+            handed.append(out)
+            assert all(a.flags.writeable for a in _arrays(out))
+            live = _triples_read(forcings) + ([theta0] if seeded else [])
+            for a in _arrays(out):
+                for theta in live:
+                    assert not any(np.shares_memory(a, b) for b in _arrays(theta))
+        return solve_linear(forcings, x0, plan, out=out)
+
+    def allocating(forcings, x0, plan, out=None):
+        return solve_linear(forcings, x0, plan)
+
+    results = []
+    for wrapper in (recycling, allocating):
+        monkeypatch.setattr(fbsde_solver, "solve_linear", wrapper)
+        results.append(solve_fbsde(bundle, 1.0, drift_ensemble, config, theta0=theta0))
+    (theta, diag), (ref, ref_diag) = results
+    assert handed, "no linear solve was handed a dropped iterate"
+    assert [lv.residuals for lv in diag.levels] == [lv.residuals for lv in ref_diag.levels]
+    for a, b in zip(_arrays(theta), _arrays(ref)):
+        assert np.array_equal(a, b)
+    if seeded:
+        assert all(np.array_equal(a, b) for a, b in zip(_arrays(theta0), kept))
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.5], ids=["flatten", "nested"])
+def test_zero_seeded_loops_take_their_first_residual_as_norm(drift_ensemble, monkeypatch, eta):
+    # a loop seeded by the zero triple gets its threshold's norm from its
+    # first residual, the M-norm of the first iterate minus 0.0, bit for bit
+    calls = []
+
+    def counted(theta, other=None):
+        calls.append(other)
+        return m_norm(theta, other)
+
+    monkeypatch.setattr(fbsde_solver, "m_norm", counted)
+    _, diag = solve_fbsde(get_bundle("canonical_monotone", c=0.5), 1.0, drift_ensemble,
+                          ContinuationConfig(eta=eta))
+    zero_seeded = round(1.0 / eta)  # the first loop of every level
+    # one residual per iterate of every loop, one norm per loop not seeded
+    # by zero, and the final solution's norm
+    norms = len(diag.levels) - zero_seeded + 1
+    assert sum(other is None for other in calls) == norms
+    assert len(calls) == sum(len(lv.residuals) for lv in diag.levels) + norms
 
 
 def test_linear_bundle_matches_linear_solver(jump_ensemble, jump_plan):

@@ -228,6 +228,80 @@ def test_forcing_validation(jump_ensemble, jump_plan):
         solve_linear(f.rows, 0.0, jump_plan)
 
 
+def test_out_triple_receives_the_solution(jump_ensemble, jump_plan):
+    # a recycled triple: every value it held is overwritten, bit for bit as
+    # a fresh solve writes it, and the solve returns the triple's own arrays
+    m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
+    f = ForcingSet.constant(m, n, b0=0.7, delta0=0.2, h0=-0.3, sigma0=0.5, phi0=0.4)
+    f.g0 += np.sin(jump_ensemble.X)
+    fresh = solve_linear(f.rows, 0.5, jump_plan)
+    out = SolutionTriple(*np.full((3, m, n + 1), np.nan), jump_ensemble.grid.dt, jump_ensemble.dL)
+    arrays = (out.x, out.y, out.z)
+    theta = solve_linear(f.rows, 0.5, jump_plan, out=out)
+    assert theta is out
+    assert all(a is b for a, b in zip((theta.x, theta.y, theta.z), arrays))
+    for name in ("x", "y", "z"):
+        assert np.array_equal(getattr(theta, name), getattr(fresh, name)), name
+
+
+def test_out_triple_must_be_writable_c_contiguous_grids(jump_ensemble, jump_plan):
+    m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
+    f = ForcingSet.zeros(m, n)
+    dt, dL = jump_ensemble.grid.dt, jump_ensemble.dL
+    grids = lambda: [np.empty((m, n + 1)) for _ in range(3)]  # noqa: E731
+    fortran = grids()
+    fortran[1] = np.asfortranarray(fortran[1])
+    short = grids()
+    short[2] = short[2][:, :n]
+    for arrays in (fortran, short, [np.broadcast_to(0.0, (m, n + 1))] * 3):
+        with pytest.raises(ValueError, match="out must hold"):
+            solve_linear(f.rows, 0.0, jump_plan, out=SolutionTriple(*arrays, dt, dL))
+
+
+# 1537 paths: row blocks of 512, 512, 512 and 1 row
+SCAN_PATHS, SCAN_STEPS = 1537, 10
+
+
+@pytest.fixture(scope="module")
+def scan_plan(drift_spec):
+    grid = TimeGrid(a=0.0, T=1.0, n_steps=SCAN_STEPS)
+    return RegressionPlan(build_ensemble(drift_spec, grid, SCAN_PATHS, seed=3), BasisSpec())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("row", [5, SCAN_PATHS - 1], ids=["block0", "last_block"])
+@pytest.mark.parametrize("name", FORCINGS)
+def test_non_finite_forcing_is_named(scan_plan, name, row, value):
+    # the forcings are scanned only where a block's xi or z is non-finite;
+    # the scan still names the forcing, and no RuntimeWarning (an error in
+    # this suite) comes first
+    f = ForcingSet.constant(SCAN_PATHS, SCAN_STEPS, b0=0.3, g0=-0.2, h0=0.1, sigma0=0.5)
+    arr = getattr(f, name)
+    if name == "phi0":
+        arr[row] = value
+    else:
+        arr[row, SCAN_STEPS // 2] = value
+    message = "phi0" if name == "phi0" else f"forcing {name}"
+    with pytest.raises(regression._NonFiniteError, match=f"^{message} contains non-finite values$"):
+        solve_linear(f.rows, 1.0, scan_plan)
+
+
+def test_finite_forcings_whose_forward_integral_overflows(scan_plan):
+    # a = g0 + b0 = 0 keeps y's running integral finite; x's, of b0 / w,
+    # overflows, and the solution check refuses it
+    f = ForcingSet.constant(SCAN_PATHS, SCAN_STEPS, b0=1e308, g0=-1e308)
+    with pytest.raises(FloatingPointError, match="^linear solve produced non-finite values$"):
+        solve_linear(f.rows, 1.0, scan_plan)
+
+
+def test_finite_forcings_whose_running_integral_overflows(scan_plan):
+    # xi is infinite: the forcings are scanned, pass, and the regressions
+    # refuse their targets
+    f = ForcingSet.constant(SCAN_PATHS, SCAN_STEPS, b0=1e308, g0=1e308)
+    with pytest.raises(regression._NonFiniteError, match="^non-finite regression targets$"):
+        solve_linear(f.rows, 1.0, scan_plan)
+
+
 def test_degree_zero_basis_runs(jump_ensemble):
     m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
     f = ForcingSet.constant(m, n, b0=1.0)

@@ -21,7 +21,7 @@ from subfbsde import (
     solve_fbsde,
     solve_linear,
 )
-from subfbsde import cli, regression
+from subfbsde import cli, fbsde_solver, regression
 
 M, N = 3000, 50
 GRID_BYTES = M * (N + 1) * 8  # one (n_paths, n_steps + 1) float64 grid
@@ -29,8 +29,10 @@ GRID_BYTES = M * (N + 1) * 8  # one (n_paths, n_steps + 1) float64 grid
 # peak of one solve in grids: the solution's three grids and the row-block
 # temporaries of two blocks in flight; the regressions are predicted one row
 # block at a time, so no (n_paths, n_steps - 1) regression output exists
-# (4.50-4.61 measured with two 512-row blocks in flight, each sweep dropping
-# its temporaries and each prediction its monomials once spent; 4.50-4.89
+# (5.11 measured while each prediction also holds its block's contiguous
+# copies of the X and R columns; 4.50-4.61 with column views, two 512-row
+# blocks in flight, each sweep dropping its temporaries and each prediction
+# its monomials once spent; 4.50-4.89
 # while a prediction held its spent monomial, 4.08-4.27 with two 256-row
 # blocks that kept them, 4.79 with one 512-row block and the plan's weight
 # grid, 6.22 with the two whole-ensemble outputs)
@@ -43,7 +45,8 @@ MAX_RETAINED_GRIDS = 2.5
 # the previous and the new iterate and the row-block temporaries; nested
 # adds the seed of the inner level.  No forcing grid, no zero seed grid (the
 # zero seed is a read-only broadcast), no regression output grid and no
-# weight grid: 9.41-9.42 (flatten) and 12.56-12.57 (nested) measured with
+# weight grid: 9.18 (flatten) and 12.57 (nested) measured with recycled
+# iterates, 9.41-9.42 and 12.56-12.57 with a new triple per solve and
 # 512-row sweep blocks, the same with zero seed grids, which are dropped
 # before the peak (9.0-9.1 and 12.1 with 256-row blocks), where the plan's
 # weight grid read 10.64 and 14.41 and the two regression outputs 12.08 and
@@ -61,12 +64,15 @@ MAX_NESTED_FORCING_PEAK_SETS = 1.5
 # one plan prediction on a 512-row block above what was live before it, in
 # (rows, n_steps - 1) block arrays: the two outputs, one product buffer and
 # one monomial, each spent monomial dropped before the stream builds the next
-# (4.66 measured; 5.66 while the loop's enumerate tuple held the spent one)
+# (4.34 measured on contiguous feature columns, copied before the trace
+# starts; 4.66 on column views; 5.66 while the loop's enumerate tuple held
+# the spent one)
 MAX_PREDICT_PEAK_BLOCKS = 5.2
 # a `solve-linear` run, from the scenario to its written artifacts, in grids:
 # the ensemble, the plan, the solution and the CSV's node-major copies.  The
-# scenario's constant forcings are built per row block (12.01 measured; 17.03
-# with the five forcing grids built up front)
+# scenario's constant forcings are built per row block (11.20 measured, 12.01
+# before the first sweep wrote its increments into the solution's rows;
+# 17.03 with the five forcing grids built up front)
 MAX_SOLVE_LINEAR_RUN_PEAK_GRIDS = 14.0
 # the CSV's moments table above what was live before it, in grids: one
 # node-major copy of x, y or z at a time and the temporary of its std (2.04
@@ -188,6 +194,33 @@ def test_picard_solve_peak_memory(jump_spec, eta):
         tracemalloc.stop()
     grids = (peak - before) / GRID_BYTES
     assert grids <= MAX_PICARD_PEAK_GRIDS[eta], f"peak {grids:.2f} grids"
+
+
+def test_flat_picard_loop_recycles_its_iterates(drift_spec, monkeypatch):
+    # from its third linear solve on, a flat loop writes each iterate over
+    # the one it dropped: a solve then allocates only row-block temporaries,
+    # far below one grid on this tall ensemble, where the first two solves
+    # each allocate their three grids
+    m, n = 20_000, 10
+    ens = build_ensemble(drift_spec, TimeGrid(a=0.0, T=1.0, n_steps=n), n_paths=m, seed=5)
+    rises = []
+
+    def traced(*args, **kwargs):
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        theta = solve_linear(*args, **kwargs)
+        rises.append((tracemalloc.get_traced_memory()[1] - before) / (m * (n + 1) * 8))
+        return theta
+
+    monkeypatch.setattr(fbsde_solver, "solve_linear", traced)
+    tracemalloc.start()
+    try:
+        solve_fbsde(get_bundle("canonical_monotone", c=0.5), 1.0, ens)
+    finally:
+        tracemalloc.stop()
+    assert len(rises) >= 4, rises
+    assert min(rises[:2]) >= 3.0, rises
+    assert max(rises[2:]) < 1.0, rises
 
 
 def test_nested_forcing_block_peak_memory(jump_spec):
