@@ -14,14 +14,14 @@ Each handler returns its exit code, its CSV table and its JSON payload
 `run` alone writes them.  Every artifact embeds the config hash and seed,
 and reruns with an identical config are byte identical.
 
-Exit codes: 0 success, 2 config validation error or an output directory
-that cannot be written (a CSV written before a failing JSON write stays on
-disk), 3 solver divergence (a Picard residual above 1e6 times its loop's
-first), 4 hypothesis-check failure under --strict, 5 numerical failure
-(non-finite coefficients, forcings, solutions, norms or JSON values, or a
-singular regression design; nothing is written), 6 a Picard loop of any
-ladder level that stopped at max_picard without converging (its artifacts
-are still written).
+Exit codes: 0 success, 2 config validation error, an output directory that
+cannot be written (a CSV written before a failing JSON write stays on disk)
+or arrays too large to allocate, 3 solver divergence (a Picard residual
+above 1e6 times its loop's first), 4 hypothesis-check failure under
+--strict, 5 numerical failure (non-finite jump sums, coefficients, forcings,
+solutions, norms or JSON values, or a singular regression design; nothing is
+written), 6 a Picard loop of any ladder level that stopped at max_picard
+without converging (its artifacts are still written).
 """
 from __future__ import annotations
 
@@ -397,6 +397,9 @@ def run(subcommand: str, config_path, output_dir=None, strict=False) -> int:
     except FloatingPointError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as err:
+        print(f"cannot allocate the arrays of this run: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         if table is not None or text is not None:
             config.output_dir.mkdir(parents=True, exist_ok=True)

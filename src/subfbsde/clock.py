@@ -219,9 +219,12 @@ def _invert(kappa, grid, counts, times, sizes):
     np.cumsum(js[:, :-1], axis=1, out=csum[:, 1:])
     s_minus = kappa * jt + csum  # S just before each jump
     s_plus = s_minus + js  # S just after each jump
+    s_jump = s_plus[path_id, rank]
+    if not np.isfinite(s_jump).all():
+        raise FloatingPointError("jump sizes overflow float64: the subordinator is infinite")
     # idx[i, k] = #{j : s_plus_ij <= u_k}, the jumps fully below u_k: put each
     # jump on the first node at or past it, count per node, accumulate
-    first = np.searchsorted(u, s_plus[path_id, rank], side="left")
+    first = np.searchsorted(u, s_jump, side="left")
     hits = np.bincount(path_id * (n + 2) + first, minlength=m * (n + 2)).reshape(m, n + 2)
     idx = np.cumsum(hits[:, : n + 1], axis=1)
     flat_idx = idx + (np.arange(m) * width)[:, None]
@@ -240,6 +243,7 @@ def _invert(kappa, grid, counts, times, sizes):
     return L, R, dL
 
 
+@np.errstate(over="ignore", invalid="ignore")  # sizes that overflow are refused in `_invert`
 def sample_clock_ensemble(spec: SubordinatorSpec, grid: TimeGrid, n_paths: int, seed: int):
     """n_paths independent clock paths, inverted as one block: the delayed
     inverse subordinator as arrays (L, R, dL), one row per path, with

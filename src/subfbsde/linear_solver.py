@@ -171,6 +171,8 @@ def _increments(a, d, dt, dL, s, ito=None, shift=0):
     return s
 
 
+# forcings are scanned after the arithmetic: what overflows is refused by name, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def solve_linear(
     forcings, x0: float, plan: RegressionPlan, out: SolutionTriple | None = None
 ) -> SolutionTriple:
@@ -248,10 +250,7 @@ def solve_linear(
             del a, d
             forcings(block).validate(yr.shape)
 
-    # forcings are scanned only after the arithmetic: a non-finite one is
-    # refused by name, not first warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        _map_blocks(first, _row_slices(0, m), n)
+    _map_blocks(first, _row_slices(0, m), n)
     # conditional-expectation martingale M of xi along the grid, and its
     # integrand ztilde; the filtration is trivial at time 0, so plain means
     # there, and ztilde is zero at the terminal node

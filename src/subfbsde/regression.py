@@ -8,14 +8,15 @@ is recovered by the ratio estimator
 set to zero wherever the clock is predicted frozen: z is only defined
 dL-almost everywhere.
 
-`RegressionPlan` runs them on every slice of an ensemble at once: the
-designs are fixed by the ensemble, so their Grams are built and judged, and
-the ratio estimator's denominator is set up, once; a solve reduces its target
-onto the monomials, solves for every slice at once and expands the
-coefficients back one row block at a time.  The single-slice `fit_condexp`,
-`extract_z`, `polynomial_features` and `CondExpEstimator` run in no solve and
-are not exported: they stay as the reference the plan is tested against and
-because the benchmark tracer (perfbench/spans.py) patches them.
+`RegressionPlan` runs them on every slice of an ensemble at once: the designs
+are fixed by the ensemble (R is left out where it is zero on every path), so
+their Grams are built and judged, and the ratio estimator's denominator is
+set up, once; a solve reduces its target onto the monomials, solves for every
+slice at once and expands the coefficients back one row block at a time.  The
+single-slice `fit_condexp`, `extract_z`, `polynomial_features` and
+`CondExpEstimator` run in no solve and are not exported: they stay as the
+reference the plan is tested against and because the benchmark tracer
+(perfbench/spans.py) patches them.
 """
 
 from __future__ import annotations
@@ -273,14 +274,15 @@ class RegressionPlan:
     Slice k (1 <= k < n_steps) regresses on the monomials of the ensemble's
     features at k, so everything that depends on the designs alone is built
     here: the ridged Gram matrix of every slice for all paths and for each
-    cross-fit half, with the ridge `fit_condexp` uses at each sample size,
-    and the cross-fitted denominator E[dL_k | F] of the ratio estimator with
-    the mask where z is set to zero.  A Gram no solve could use fails the
-    build, so `fit` fits one linear solve's regressions on every slice in
-    one batched solve; `predict` evaluates them on a row block.  The
-    monomials are streamed from X and R over row blocks of paths, never
-    stored, and the blocks' sums are added in block order, so the plan holds
-    p x p numbers per slice and one (n_paths, n_steps - 1) denominator.
+    cross-fit half, with the ridge `fit_condexp` uses at each sample size, and
+    the cross-fitted denominator E[dL_k | F] of the ratio estimator with the
+    mask where z is set to zero.  It judges the design it fits: too few paths
+    fail the build before the Gram pass, and a Gram no solve could use names its
+    earliest slice, so `fit` fits one linear solve's regressions on every slice
+    in one batched solve; `predict` evaluates them on a row block.  The
+    monomials are streamed from X and R over row blocks of paths, never stored,
+    and the blocks' sums are added in block order, so the plan holds p x p
+    numbers per slice and one (n_paths, n_steps - 1) denominator.
     """
 
     def __init__(self, ensemble, basis: BasisSpec):
@@ -290,27 +292,25 @@ class RegressionPlan:
         self.basis = basis
         # predicted clock activity below the floor counts as a frozen clock
         self.floor = 1e-12 * ensemble.grid.dt / ensemble.kappa
+        # R is zero on every path of a jump-free clock: its monomials vanish,
+        # so the plan fits, counts paths for and judges the design without them
         self._columns = [ensemble.X[:, inner]]
-        # Where R is zero on every path (a jump-free clock), the monomials
-        # that contain R vanish: their Gram rows are the ridge alone and
-        # their coefficients exactly zero, so the plan fits without them.
-        # The checks below still judge the design the basis asks for.
-        r_vanishes = basis.include_r and not ensemble.R[:, inner].any()
-        if basis.include_r and not r_vanishes:
+        if basis.include_r and ensemble.R[:, inner].any():
             self._columns.append(ensemble.R[:, inner])
         self._dB = ensemble.dB[:, inner]
         self._half = half = m // 2
 
         dL = ensemble.dL[:, inner]
         frozen = np.all(dL == 0.0, axis=0)
-        dim = math.comb(1 + basis.include_r + basis.degree, basis.degree)
-        ridges = [basis.effective_ridge(size) for size in (m, half, m - half)]
-        if n > 1 and m < dim + 1:
-            raise ValueError(f"need at least basis dimension + 1 = {dim + 1} paths, got {m}")
-        if n > 1 and r_vanishes and basis.degree > 0 and basis.ridge == 0.0:
-            raise SingularSliceError(1)  # the zero R column of every design
-
         p = math.comb(len(self._columns) + basis.degree, basis.degree)
+        ridges = [basis.effective_ridge(size) for size in (m, half, m - half)]
+        if n > 1 and m < p + 1:
+            raise ValueError(f"need at least basis dimension + 1 = {p + 1} paths, got {m}")
+        if not frozen.all() and half < p + 1:
+            raise ValueError(
+                f"need at least 2 * (basis dimension + 1) = {2 * (p + 1)} paths to "
+                f"cross-fit the integrand, got {m}"
+            )
         # the raw Grams of the cross-fit halves (samples 1, 2) reduced over the
         # monomial stream, and their sum; features too large for floats
         # overflow here, and the check below names the slice instead of warning
@@ -335,22 +335,14 @@ class RegressionPlan:
         # frozen slices are never cross-fitted (z is zero there); the identity
         # keeps their possibly singular half Grams out of the checks and solves
         self._grams[1:, frozen] = np.eye(p)
-        # Grams singular in LU (the factorization `np.linalg.solve` runs) or,
-        # under ridge 0, numerically rank deficient, in the single-slice path's
-        # order: the in-sample fits of every slice come before the cross-fits
+        # Grams singular in LU (as `np.linalg.solve` factors them) or, under ridge 0,
+        # rank deficient: the earliest slice is named, in-sample before its halves
         singular = np.linalg.slogdet(self._grams)[0] == 0.0
         if basis.ridge == 0.0:
             singular |= np.linalg.matrix_rank(self._grams, hermitian=True) < p
-        if singular[0].any():
-            raise SingularSliceError(int(singular[0].argmax()) + 1, ridges[0])
-        if not np.all(frozen) and half < dim + 1:
-            raise ValueError(
-                f"need at least 2 * (basis dimension + 1) = {2 * (dim + 1)} paths to "
-                f"cross-fit the integrand, got {m}"
-            )
-        if singular[1:].any():
-            k = int(singular[1:].any(axis=0).argmax())
-            raise SingularSliceError(k + 1, ridges[1 + int(singular[1:, k].argmax())])
+        if singular.any():
+            k = int(singular.any(axis=0).argmax())
+            raise SingularSliceError(k + 1, ridges[int(singular[:, k].argmax())])
 
         fits = self._fit((lambda rows: dL[rows], (1, 2)))
         den = np.empty(dL.shape)  # each block predicted straight into its rows

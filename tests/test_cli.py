@@ -760,7 +760,7 @@ def _nan_bundle(where):
 def _assert_numerical_failure(capsys, message):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and message in err
-    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err and "Warning" not in err
 
 
 @pytest.mark.parametrize("subcommand", ["check-hypothesis", "solve"])
@@ -813,8 +813,7 @@ def test_nan_in_last_partial_block_is_numerical_failure(tmp_path, capsys, monkey
 def test_non_finite_linear_solve_is_numerical_failure(tmp_path, capsys):
     # a finite forcing whose weighted Ito integral overflows
     cfg = base_config(output_dir=str(tmp_path), forcings={"sigma0": 1e308})
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run("solve-linear", write_config(tmp_path, cfg)) == EXIT_NUMERICAL
+    assert run("solve-linear", write_config(tmp_path, cfg)) == EXIT_NUMERICAL
     _assert_numerical_failure(capsys, "linear solve produced non-finite values")
 
 
@@ -823,18 +822,30 @@ def test_non_finite_regression_targets_are_numerical_failure(tmp_path, capsys):
     # terminal aggregate the regressions fit is infinite
     out = tmp_path / "out"
     cfg = base_config(output_dir=str(out), forcings={"g0": 1e308, "b0": 1e308})
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run("solve-linear", write_config(tmp_path, cfg)) == EXIT_NUMERICAL
+    assert run("solve-linear", write_config(tmp_path, cfg)) == EXIT_NUMERICAL
     _assert_numerical_failure(capsys, "non-finite regression targets")
     assert not out.exists()
 
 
 def test_singular_design_is_numerical_failure(tmp_path, capsys):
-    # without jumps R is identically zero, so an unridged basis in (X, R) is
-    # rank deficient
-    cfg = base_config(output_dir=str(tmp_path), basis={"ridge": 0.0})
+    # a delayed jump-free clock: R = (a - t)^+ is one value that every path
+    # shares, collinear with the intercept, so an unridged basis in (X, R) is
+    # rank deficient from the first slice on
+    cfg = base_config(output_dir=str(tmp_path), a=0.3, basis={"ridge": 0.0})
     assert run("solve", write_config(tmp_path, cfg)) == EXIT_NUMERICAL
     _assert_numerical_failure(capsys, "rank deficient at slice 1; add ridge regularization")
+
+
+def test_jump_free_clock_solves_unridged(tmp_path):
+    # R is zero on every path, so the plan fits and judges the design without
+    # it: unridged, include_r solves as the X-only basis does, bit for bit
+    rows = {}
+    for include_r in (True, False):
+        out = tmp_path / str(include_r)
+        cfg = base_config(output_dir=str(out), basis={"ridge": 0.0, "include_r": include_r})
+        assert run("solve", write_config(tmp_path, cfg)) == EXIT_OK
+        rows[include_r] = (out / "t_solve_9.csv").read_text().split("\n", 1)[1]
+    assert rows[True] == rows[False]
 
 
 def test_nearly_collinear_design_is_numerical_failure(tmp_path, capsys):
@@ -869,6 +880,11 @@ def test_overflowing_regression_design_is_numerical_failure(tmp_path, capfd, sub
 
 
 _EXP_200 = {"seed": 1, "n_paths": 200, "jumps": _EXP}
+_EXP_SMALL = {**_EXP_200, "n_steps": 10}
+_OVERFLOWING_JUMPS = [
+    {"jump_kind": "pareto", "rate": 1.0, "jump_param": [1.0, 0.001]},
+    {"jump_kind": "fixed", "rate": 1.0, "jump_param": 1e308},
+]
 
 
 @pytest.mark.parametrize(
@@ -882,17 +898,57 @@ _EXP_200 = {"seed": 1, "n_paths": 200, "jumps": _EXP}
             {**_EXP_200, "x0": 1e200},
             "non-finite value in the JSON payload at key var_X_T",
         ),
+        # the weighted running integral overflows, and so do the regression
+        # targets, the ratio estimator or the Ito integral: no numpy warning
+        (
+            "solve-linear",
+            {**_EXP_SMALL, "forcings": {"g0": 1e308}},
+            "non-finite regression targets",
+        ),
+        ("solve-linear", {**_EXP_SMALL, "forcings": {"g0": 1e300}}, "M-norm is nan"),
+        (
+            "solve-linear",
+            {**_EXP_SMALL, "forcings": {"sigma0": 1e308}},
+            "linear solve produced non-finite values",
+        ),
+        # jump sizes, or their sums along a path, beyond float64
+        *(
+            (subcommand, {**_EXP_SMALL, "jumps": jumps}, "jump sizes overflow float64")
+            for subcommand in ("sample-subdiffusion", "solve")
+            for jumps in _OVERFLOWING_JUMPS
+        ),
+        # README's examples
+        ("solve", {"bundle_params": {"c": 1e200}}, "M-norm is inf"),
+        ("check-hypothesis", {"bundle_params": {"c": 1e307}}, "m1_margin is nan"),
+        ("solve", {"x0": 1e100, "basis": {"degree": 4}}, "non-finite regression design at slice"),
+        ("solve", {"x0": 1e155, "basis": {"degree": 0}}, "M-norm is inf"),
     ],
-    ids=["solve-x0", "solve-linear-x0", "solve-linear-g0", "sample-x0"],
+    ids=[
+        "solve-x0", "solve-linear-x0", "solve-linear-g0", "sample-x0",
+        "solve-linear-g0-targets", "solve-linear-g0-ratio", "solve-linear-sigma0",
+        "sample-pareto", "sample-fixed", "solve-pareto", "solve-fixed",
+        "readme-c", "readme-check-c", "readme-degree-4", "readme-degree-0",
+    ],
 )
 def test_overflow_is_numerical_failure(tmp_path, capsys, subcommand, over, message):
     # finite settings whose squares overflow: an infinite M-norm read as a
     # converged residual (inf <= tol * inf), or NaN and Infinity written into
-    # the JSON, where RFC 8259 has neither
+    # the JSON, where RFC 8259 has neither; one stderr line and no artifact
     out = tmp_path / "out"
     cfg = base_config(output_dir=str(out), **over)
     assert run(subcommand, write_config(tmp_path, cfg)) == EXIT_NUMERICAL
     _assert_numerical_failure(capsys, message)
+    assert not out.exists()
+
+
+def test_unallocatable_ensemble_is_a_config_error(tmp_path, capsys):
+    # 10^14 paths are beyond a 48-bit address space, so no system grants them
+    out = tmp_path / "out"
+    cfg = base_config(output_dir=str(out), n_paths=10**14)
+    assert run("sample-subdiffusion", write_config(tmp_path, cfg)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("cannot allocate the arrays of this run: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "Warning" not in err
     assert not out.exists()
 
 
@@ -932,20 +988,34 @@ def test_strict_check_passes_a_monotone_bundle_with_large_c(tmp_path, capsys, c,
 
 
 def test_too_few_paths_is_a_config_error(tmp_path, capsys):
-    # the default basis has dimension 6: 7 paths fit a slice in-sample, and
-    # each cross-fit half needs 7 as well
-    expected = {
-        3: "need at least basis dimension + 1 = 7 paths, got 3",
-        7: "need at least 2 * (basis dimension + 1) = 14 paths to cross-fit the integrand, got 7",
-        13: "need at least 2 * (basis dimension + 1) = 14 paths to cross-fit the integrand, got 13",
-    }
-    for n_paths, message in expected.items():
+    # paths are counted on the basis the plan fits: (X, R) at degree 2 has
+    # dimension 6 under a jump clock, so 7 paths fit a slice in-sample and
+    # each cross-fit half needs 7 as well; a jump-free clock's R is zero on
+    # every path and leaves the basis, (X) at degree 2 has dimension 3
+    in_sample = "need at least basis dimension + 1 = {} paths, got {}"
+    cross_fit = "need at least 2 * (basis dimension + 1) = {} paths to cross-fit the integrand, "
+    cross_fit += "got {}"
+    expected = [
+        (_EXP, 6, in_sample.format(7, 6)),
+        (_EXP, 7, cross_fit.format(14, 7)),
+        (_EXP, 13, cross_fit.format(14, 13)),
+        (_EXP, 14, None),
+        (None, 3, in_sample.format(4, 3)),
+        (None, 7, cross_fit.format(8, 7)),
+        (None, 8, None),
+    ]
+    for jumps, n_paths, message in expected:
         cfg = base_config(output_dir=str(tmp_path), n_paths=n_paths)
+        if jumps is not None:
+            cfg["jumps"] = jumps
         legs = {"solve-linear": {**cfg, "forcings": {"b0": 1.0}}, "solve": cfg}
         for subcommand, leg in legs.items():
-            assert run(subcommand, write_config(tmp_path, leg)) == EXIT_CONFIG
+            code = run(subcommand, write_config(tmp_path, leg))
             err = capsys.readouterr().err
-            assert message in err and "Traceback" not in err
+            if message is None:
+                assert code == EXIT_OK and err == ""
+            else:
+                assert code == EXIT_CONFIG and err == message + "\n"
 
 
 def test_solve_csv_moments_are_the_per_node_reductions(tmp_path):

@@ -18,6 +18,7 @@ from subfbsde import (
     solve_fbsde,
     solve_linear,
 )
+from subfbsde import regression
 from subfbsde.linear_solver import _weights
 from subfbsde.regression import extract_z, fit_condexp, polynomial_features
 from oracles import whole_array_solve_linear
@@ -25,9 +26,8 @@ from oracles import whole_array_solve_linear
 
 class SliceBySlicePlan:
     """The backward-pass regressions one slice at a time with `fit_condexp`
-    and `extract_z`, in the order the linear solver ran them before the
-    plan existed: every in-sample fit, then every cross-fitted ratio.  It
-    has the plan's interface: `fit` returns the whole (n_paths, n_steps - 1)
+    and `extract_z`, in the order the plan judges them: slice by slice, the
+    in-sample fit before the cross-fitted ratio.  It has the plan's interface: `fit` returns the whole (n_paths, n_steps - 1)
     predictions, and `predict` returns its one row block, every path."""
 
     def __init__(self, ensemble, basis):
@@ -50,8 +50,6 @@ class SliceBySlicePlan:
         for k in range(1, ens.n_steps):
             feats = self.features_at(k)
             cond[:, k - 1] = fit_condexp(feats, xi, basis, slice_index=k).predict(feats)
-        for k in range(1, ens.n_steps):
-            feats = self.features_at(k)
             z[:, k - 1] = extract_z(
                 xi, ens.dB[:, k], ens.dL[:, k], feats, basis, self.floor, k
             )
@@ -155,7 +153,7 @@ def _constant_x(ens, k, rows):
         ({7: slice(None)}, 7),  # rank-deficient in-sample design
         ({4: slice(0, 200)}, 4),  # only the first cross-fit half is deficient
         ({4: slice(200, 400)}, 4),  # only the second half
-        ({4: slice(0, 200), 7: slice(None)}, 7),  # in-sample fits are checked first
+        ({4: slice(0, 200), 7: slice(None)}, 4),  # the earliest slice, not the in-sample fits
     ],
 )
 def test_ridge_zero_singular_slice_index(drift_ensemble, flat, expected):
@@ -194,9 +192,9 @@ def test_non_finite_design_names_its_first_slice(drift_ensemble):
         RegressionPlan(dataclasses.replace(drift_ensemble, X=X), BasisSpec())
 
 
-def _inject_ones_gram(monkeypatch, sample, k):
-    """Make the plan build's LU test see an all-ones Gram for `sample` at
-    slice k, which it judges as `solve` would."""
+def _inject_ones_gram(monkeypatch, *cells):
+    """Make the plan build's LU test see an all-ones Gram for each (sample,
+    slice k) of cells, which it judges as `solve` would."""
     ones = np.ones((6, 6))
     assert np.linalg.slogdet(ones)[0] == 0.0
     with pytest.raises(np.linalg.LinAlgError):
@@ -205,7 +203,8 @@ def _inject_ones_gram(monkeypatch, sample, k):
 
     def with_ones_gram(grams):
         grams = grams.copy()
-        grams[sample, k - 1] = ones
+        for sample, k in cells:
+            grams[sample, k - 1] = ones
         return slogdet(grams)
 
     monkeypatch.setattr(np.linalg, "slogdet", with_ones_gram)
@@ -217,7 +216,7 @@ def test_singular_half_gram_names_its_slice_and_ridge(jump_ensemble, monkeypatch
     # for a 200-path half, 4e-08 for all 400 paths)
     k = 5
     assert np.any(jump_ensemble.dL[:, k] > 0.0)  # not frozen, so cross-fitted
-    _inject_ones_gram(monkeypatch, 2, k)
+    _inject_ones_gram(monkeypatch, (2, k))
     with pytest.raises(SingularSliceError, match="at slice 5; it is singular despite the ridge "
                        "2e-08") as err:
         RegressionPlan(jump_ensemble, BasisSpec())
@@ -228,10 +227,44 @@ def test_singular_half_gram_names_its_slice_and_ridge(jump_ensemble, monkeypatch
 def test_singular_in_sample_gram_names_its_slice_and_ridge(jump_ensemble, monkeypatch):
     # an in-sample Gram singular in LU fails the build before any solve,
     # named with the ridge of all 400 paths
-    _inject_ones_gram(monkeypatch, 0, 7)
+    _inject_ones_gram(monkeypatch, (0, 7))
     with pytest.raises(SingularSliceError, match="at slice 7; it is singular despite the ridge "
                        "4e-08"):
         RegressionPlan(jump_ensemble, BasisSpec())
+
+
+@pytest.mark.parametrize(
+    "injected, expected",
+    [
+        ([(2, 5), (0, 7)], "at slice 5; it is singular despite the ridge 2e-08"),
+        ([(2, 5), (0, 5)], "at slice 5; it is singular despite the ridge 4e-08"),
+    ],
+    ids=["earliest_slice", "in_sample_before_its_halves"],
+)
+def test_singular_verdict_names_the_earliest_slice(jump_ensemble, monkeypatch, injected, expected):
+    _inject_ones_gram(monkeypatch, *injected)
+    with pytest.raises(SingularSliceError, match=expected):
+        RegressionPlan(jump_ensemble, BasisSpec())
+
+
+@pytest.mark.parametrize(
+    "n_paths, expected",
+    [(3, "= 4 paths, got 3$"), (7, "= 8 paths to cross-fit the integrand, got 7$")],
+    ids=["in_sample", "cross_fit"],
+)
+def test_paths_are_counted_on_the_fitted_basis_before_the_gram_pass(
+    drift_spec, monkeypatch, n_paths, expected
+):
+    # R is zero on every path of a jump-free clock: the fitted basis is 1, X,
+    # X^2, and too few paths for it fail the build before any row block runs
+    ens = build_ensemble(drift_spec, TimeGrid(a=0.0, T=1.0, n_steps=10), n_paths, seed=5)
+
+    def no_pass(*args):
+        raise AssertionError("a row-block pass ran")
+
+    monkeypatch.setattr(regression, "_map_blocks", no_pass)
+    with pytest.raises(ValueError, match=expected):
+        RegressionPlan(ens, BasisSpec())
 
 
 def test_frozen_slice_gives_zero_z(drift_ensemble):
