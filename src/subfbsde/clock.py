@@ -37,6 +37,8 @@ _IGNORED = {"none": ("rate", "jump_param", "cutoff"), "truncated_stable": ("rate
 # paths) bytes per jump, so this caps them at ~1-2 GB.
 MAX_EXPECTED_JUMPS = 10_000_000
 
+_OVERFLOW = "jump sizes overflow float64: the subordinator is infinite"
+
 
 @dataclass(frozen=True)
 class SubordinatorSpec:
@@ -165,9 +167,9 @@ def sample_jumps(spec: SubordinatorSpec, horizon: float, n_paths: int, seed: int
     """Jump skeletons of n_paths independent copies of S on [0, horizon].
 
     One block stream keyed by (seed, n_paths, 0) draws all Poisson counts,
-    then all jump times, then all jump sizes.  Returns flat arrays
-    (counts, times, sizes): path i owns the next counts[i] entries of times
-    and sizes, its times strictly increasing.
+    then all jump times, then all jump sizes, refused (FloatingPointError)
+    past float64.  Returns flat arrays (counts, times, sizes): path i owns
+    the next counts[i] entries of times and sizes, its times strictly increasing.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -188,7 +190,10 @@ def sample_jumps(spec: SubordinatorSpec, horizon: float, n_paths: int, seed: int
     # the strict-monotonicity invariant; drop duplicates defensively
     keep = (np.diff(times, prepend=0.0) > 0.0) | (np.diff(path_id, prepend=-1) != 0)
     path_id, times = path_id[keep], times[keep]
-    sizes = spec.sample_jump_sizes(times.size, rng)
+    with np.errstate(over="ignore"):  # heavy-tailed sizes past float64 are refused next
+        sizes = spec.sample_jump_sizes(times.size, rng)
+    if not np.isfinite(sizes).all():
+        raise FloatingPointError(_OVERFLOW)
     _check_jumps(path_id, times, sizes)
     return np.bincount(path_id, minlength=n_paths), times, sizes
 
@@ -221,7 +226,7 @@ def _invert(kappa, grid, counts, times, sizes):
     s_plus = s_minus + js  # S just after each jump
     s_jump = s_plus[path_id, rank]
     if not np.isfinite(s_jump).all():
-        raise FloatingPointError("jump sizes overflow float64: the subordinator is infinite")
+        raise FloatingPointError(_OVERFLOW)
     # idx[i, k] = #{j : s_plus_ij <= u_k}, the jumps fully below u_k: put each
     # jump on the first node at or past it, count per node, accumulate
     first = np.searchsorted(u, s_jump, side="left")
@@ -243,7 +248,7 @@ def _invert(kappa, grid, counts, times, sizes):
     return L, R, dL
 
 
-@np.errstate(over="ignore", invalid="ignore")  # sizes that overflow are refused in `_invert`
+@np.errstate(over="ignore", invalid="ignore")  # finite sizes whose sums overflow: see `_invert`
 def sample_clock_ensemble(spec: SubordinatorSpec, grid: TimeGrid, n_paths: int, seed: int):
     """n_paths independent clock paths, inverted as one block: the delayed
     inverse subordinator as arrays (L, R, dL), one row per path, with

@@ -43,8 +43,9 @@ class AprioriReport:
 def m_norm(theta: SolutionTriple, other: SolutionTriple | None = None) -> MNormValue:
     """M-norm of theta, or of theta - other.  The sums of squares run over
     row blocks of paths: each component's block (or the difference's) is
-    written into one buffer per block and reduced by BLAS dot products, added
-    in block order, so a difference only exists one block at a time."""
+    written into one buffer per block and reduced by einsum, not by BLAS, whose
+    dot products depend on its thread count; the blocks' sums are added in
+    block order, so a difference only exists one block at a time."""
     m, n = theta.x.shape[0], theta.dL.shape[1]
 
     def sums(rows: slice) -> list:
@@ -54,10 +55,11 @@ def m_norm(theta: SolutionTriple, other: SolutionTriple | None = None) -> MNormV
             a = getattr(theta, name)[rows, :n]  # minus 0.0 copies it bit for bit
             v = np.subtract(a, 0.0 if other is None else getattr(other, name)[rows, :n], out=buf)
             if name == "x":
-                out.append(float(v[:, 0] @ v[:, 0]))
+                out.append(float(np.einsum("i,i->", v[:, 0], v[:, 0])))
             if name == "z":
                 v *= v
-            out.append(float(v.ravel() @ (theta.dL[rows] if name == "z" else v).ravel()))
+            w = theta.dL[rows] if name == "z" else v
+            out.append(float(np.einsum("i,i->", v.ravel(), w.ravel())))
         return out
 
     x0_sum = dt_sum = dL_sum = 0.0

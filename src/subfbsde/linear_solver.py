@@ -186,13 +186,13 @@ def solve_linear(
 
     Everything but the regression fits is per path and runs in two sweeps
     over the 512-row blocks of every reduction (`regression._BLOCK_ROWS`),
-    around the one global step `plan.fit(xi)`, two blocks at once
-    (`_map_blocks`).  forcings(rows) gives the `ForcingSet` of a row block
-    (e.g. `ForcingSet.rows`), which the first sweep evaluates once, possibly
-    from two threads at once, and never writes.  A block's forcings are
-    scanned for non-finite values only where its xi or its sigma0 (z) is
-    non-finite, which every non-finite forcing makes them: the block is then
-    evaluated again and `ForcingSet.validate` names the forcing.
+    around the one global step `plan.fit` of the targets xi and xi dB_k, two
+    blocks at once (`_map_blocks`).  forcings(rows) gives the `ForcingSet` of
+    a row block (e.g. `ForcingSet.rows`), which the first sweep evaluates
+    once, possibly from two threads at once, and never writes.  A block's
+    forcings are scanned for non-finite values only where its xi or its
+    sigma0 (z) is non-finite, which every non-finite forcing makes them: the
+    block is then evaluated again and `ForcingSet.validate` names the forcing.
 
     out, a `SolutionTriple` on the plan's grid, receives the solution in its
     own arrays and is returned; every value it held is overwritten, so it
@@ -252,9 +252,9 @@ def solve_linear(
 
     _map_blocks(first, _row_slices(0, m), n)
     # conditional-expectation martingale M of xi along the grid, and its
-    # integrand ztilde; the filtration is trivial at time 0, so plain means
-    # there, and ztilde is zero at the terminal node
-    fits = plan.fit(xi)
+    # integrand ztilde, numerator xi dB_k; the filtration is trivial at time 0,
+    # so plain means there, and ztilde is zero at the terminal node
+    fits = plan.fit(lambda r: xi[r], lambda r: xi[r, None] * dB[r, 1:n])
     mean_dL = float(np.mean(dL[:, 0]))
     ztilde0 = np.mean(xi * dB[:, 0]) / mean_dL if mean_dL >= plan.floor else 0.0
     mean_xi = np.mean(xi)

@@ -9,10 +9,10 @@ set to zero wherever the clock is predicted frozen: z is only defined
 dL-almost everywhere.
 
 `RegressionPlan` runs them on every slice of an ensemble at once: the designs
-are fixed by the ensemble (R is left out where it is zero on every path), so
-their Grams are built and judged, and the ratio estimator's denominator is
-set up, once; a solve reduces its target onto the monomials, solves for every
-slice at once and expands the coefficients back one row block at a time.  The
+are fixed by the ensemble (`_feature_columns`), so their Grams are built and
+judged, and the ratio estimator's denominator is set up, once; a solve hands
+it the targets and the numerator, which it reduces onto the monomials, solves
+for every slice at once and expands back one row block at a time.  The
 single-slice `fit_condexp`, `extract_z`, `polynomial_features` and
 `CondExpEstimator` run in no solve and are not exported: they stay as the
 reference the plan is tested against and because the benchmark tracer
@@ -105,8 +105,7 @@ def polynomial_features(features: np.ndarray, degree: int) -> np.ndarray:
         F = F[:, None]
     if F.ndim != 2:
         raise ValueError("features must be a 1-d or 2-d array (n_paths, n_features)")
-    columns = [F[:, j] for j in range(F.shape[1])]
-    return np.column_stack(list(_monomials(columns, degree, F.shape[:1])))
+    return np.column_stack(list(_monomials(list(F.T), degree, F.shape[:1])))
 
 
 @dataclass
@@ -121,12 +120,7 @@ class CondExpEstimator:
         return A @ self.coefficients
 
 
-def fit_condexp(
-    features: np.ndarray,
-    targets: np.ndarray,
-    basis: BasisSpec,
-    slice_index=None,
-) -> CondExpEstimator:
+def fit_condexp(features, targets, basis: BasisSpec, slice_index=None) -> CondExpEstimator:
     """Ridge least squares of targets on the polynomial basis of features."""
     targets = np.asarray(targets, dtype=float)
     if not np.all(np.isfinite(targets)):
@@ -134,31 +128,24 @@ def fit_condexp(
     A = polynomial_features(features, basis.degree)
     m, p = A.shape
     if m < p + 1:
-        raise ValueError(
-            f"need at least basis dimension + 1 = {p + 1} paths, got {m}"
-        )
+        raise ValueError(f"need at least basis dimension + 1 = {p + 1} paths, got {m}")
     ridge = basis.effective_ridge(m)
-    gram = A.T @ A
-    rhs = A.T @ targets
-    if ridge == 0.0:
-        if np.linalg.matrix_rank(A) < p:
-            raise SingularSliceError(slice_index)
-        coef = np.linalg.solve(gram, rhs)
-    else:
-        coef = np.linalg.solve(gram + ridge * np.eye(p), rhs)
+    if ridge == 0.0 and np.linalg.matrix_rank(A) < p:
+        raise SingularSliceError(slice_index)
+    coef = np.linalg.solve(A.T @ A + ridge * np.eye(p), A.T @ targets)
     return CondExpEstimator(basis=basis, coefficients=coef)
 
 
 def extract_z(
-    y_next: np.ndarray,
-    dB: np.ndarray,
+    numerator: np.ndarray,
     dL: np.ndarray,
     features: np.ndarray,
     basis: BasisSpec,
     floor: float,
     slice_index=None,
 ) -> np.ndarray:
-    """Per-path martingale integrand estimate at one slice.
+    """Per-path martingale integrand estimate at one slice from the ratio
+    estimator's per-path numerator (y_{k+1} dB_k) and clock increments.
 
     Fits are cross-fitted over a half split of the paths: each half is
     predicted from the other half's coefficients.  In-sample prediction
@@ -171,15 +158,22 @@ def extract_z(
     m = dL.shape[0]
     features = np.asarray(features, dtype=float)
     half = m // 2
-    num = np.empty(m)
-    den = np.empty(m)
+    num, den = np.empty(m), np.empty(m)
     for fit_sl, pred_sl in ((slice(0, half), slice(half, m)), (slice(half, m), slice(0, half))):
         fa, fb = features[fit_sl], features[pred_sl]
-        num[pred_sl] = fit_condexp(fa, (y_next * dB)[fit_sl], basis, slice_index).predict(fb)
+        num[pred_sl] = fit_condexp(fa, numerator[fit_sl], basis, slice_index).predict(fb)
         den[pred_sl] = fit_condexp(fa, dL[fit_sl], basis, slice_index).predict(fb)
     z = num / np.maximum(den, floor)
     z[den < floor] = 0.0
     return z
+
+
+def _feature_columns(ensemble, basis: BasisSpec) -> list:
+    """The feature columns of the slice regressions, (n_paths, n_steps - 1)
+    views with slice k in column k - 1: X, and R unless the basis leaves it
+    out or it is zero on every path (its monomials would vanish)."""
+    X, R = (a[:, 1 : ensemble.n_steps] for a in (ensemble.X, ensemble.R))
+    return [X, R] if basis.include_r and R.any() else [X]
 
 
 # paths per row block of every row-block loop (the linear solve's sweeps, the
@@ -278,29 +272,24 @@ class RegressionPlan:
     the cross-fitted denominator E[dL_k | F] of the ratio estimator with the
     mask where z is set to zero.  It judges the design it fits: too few paths
     fail the build before the Gram pass, and a Gram no solve could use names its
-    earliest slice, so `fit` fits one linear solve's regressions on every slice
-    in one batched solve; `predict` evaluates them on a row block.  The
-    monomials are streamed from X and R over row blocks of paths, never stored,
-    and the blocks' sums are added in block order, so the plan holds p x p
-    numbers per slice and one (n_paths, n_steps - 1) denominator.
+    earliest slice, so `fit` fits the targets a linear solve hands it on every
+    slice in one batched solve; `predict` evaluates them on a row block.  The
+    monomials are streamed from `_feature_columns` over row blocks of paths,
+    never stored, and the blocks' sums are added in block order, so the plan
+    holds p x p numbers per slice and one (n_paths, n_steps - 1) denominator.
     """
 
     def __init__(self, ensemble, basis: BasisSpec):
         m, n = ensemble.n_paths, ensemble.n_steps
-        inner = slice(1, n)
         self.ensemble = ensemble
         self.basis = basis
         # predicted clock activity below the floor counts as a frozen clock
         self.floor = 1e-12 * ensemble.grid.dt / ensemble.kappa
-        # R is zero on every path of a jump-free clock: its monomials vanish,
-        # so the plan fits, counts paths for and judges the design without them
-        self._columns = [ensemble.X[:, inner]]
-        if basis.include_r and ensemble.R[:, inner].any():
-            self._columns.append(ensemble.R[:, inner])
-        self._dB = ensemble.dB[:, inner]
+        # the plan fits, counts paths for and judges this design alone
+        self._columns = _feature_columns(ensemble, basis)
         self._half = half = m // 2
 
-        dL = ensemble.dL[:, inner]
+        dL = ensemble.dL[:, 1:n]
         frozen = np.all(dL == 0.0, axis=0)
         p = math.comb(len(self._columns) + basis.degree, basis.degree)
         ridges = [basis.effective_ridge(size) for size in (m, half, m - half)]
@@ -402,15 +391,16 @@ class RegressionPlan:
         coef = np.ascontiguousarray(coef.transpose(0, 2, 1))
         return [(s, c) for (_, s), c in zip(fits, coef)]
 
-    def fit(self, xi: np.ndarray) -> list:
+    def fit(self, target, numerator) -> list:
         """A linear solve's regressions on every slice 1 <= k < n_steps, for
-        `predict`: xi in-sample and xi dB_k on each cross-fit half."""
-        return self._fit((lambda r: xi[r], (0,)), (lambda r: xi[r, None] * self._dB[r], (1, 2)))
+        `predict`: target in-sample and the ratio estimator's numerator on
+        each cross-fit half, both row-block callables as in `_fit`."""
+        return self._fit((target, (0,)), (numerator, (1, 2)))
 
     def predict(self, fits, rows: slice, block):
         """`fit` predicted on a block of `row_blocks`, as two (rows, n_steps -
-        1) arrays: the in-sample E[xi | F_k] and the cross-fitted ratio
-        E[xi dB_k | F] / E[dL_k | F] (`extract_z` per slice)."""
+        1) arrays: the in-sample E[target | F_k] and the cross-fitted ratio
+        E[numerator | F] / E[dL_k | F] (`extract_z` per slice)."""
         cond, z = _predict(fits, block)
         z /= self._den[rows]
         z[self._zero[rows]] = 0.0

@@ -124,9 +124,10 @@ def whole_array_solve_linear(forcings, x0, plan):
     """The linear base solve with every step on whole (n_paths, n_steps+1)
     arrays: the formulas of the row-blocked `solve_linear`, one full-array
     pass per term and one cumsum per integral; the plan's regressions are
-    predicted into whole arrays.  Returns (x, y, z, xi, ztilde): the
-    solution, the terminal aggregate xi and the integrand ztilde of its
-    conditional-expectation martingale."""
+    fitted on targets written here on whole arrays, and predicted into whole
+    arrays.  Returns (x, y, z, xi, ztilde): the solution, the terminal
+    aggregate xi and the integrand ztilde of its conditional-expectation
+    martingale."""
     f, ensemble = forcings, plan.ensemble
     m, n = ensemble.n_paths, ensemble.n_steps
     dt, dL, dB = ensemble.grid.dt, ensemble.dL, ensemble.dB
@@ -139,12 +140,13 @@ def whole_array_solve_linear(forcings, x0, plan):
     M[:, 0] = np.mean(xi)
     M[:, n] = xi
     ztilde = np.zeros((m, n + 1))
-    fits = plan.fit(xi)
+    numerator = xi[:, None] * dB  # of the ratio estimator, at every slice
+    fits = plan.fit(lambda rows: xi[rows], lambda rows: numerator[rows, 1:])
     for rows, block in plan.row_blocks():
         M[rows, 1:n], ztilde[rows, 1:n] = plan.predict(fits, rows, block)
     mean_dL = float(np.mean(dL[:, 0]))
     if mean_dL >= plan.floor:
-        ztilde[:, 0] = np.mean(xi * dB[:, 0]) / mean_dL
+        ztilde[:, 0] = np.mean(numerator[:, 0]) / mean_dL
     ybar = (M - I) / w
     zbar = ztilde / w
     z = 0.5 * (zbar + f.sigma0)

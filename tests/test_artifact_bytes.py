@@ -6,11 +6,16 @@ pins catch a change that moves any bit.  Only a deliberate change of the
 reproducibility contract updates them, and such a change adds a row to
 README's version table.  72 steps keep the row-block helper thread in the
 run (it starts at 70 steps on a host with more than one CPU); the results do
-not depend on it, since every block sum is added in block order.
+not depend on it, since every block sum is added in block order, nor on the
+BLAS threads, since no sum goes through a BLAS dot product.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,22 +39,46 @@ SCENARIOS = {
 SHA256 = {
     "jump_flatten": {
         "jump_flatten_solve_7.csv": "baefc8d07cfc8627fb4b95d689be1e9645b0671117802906d9b7c5a9e85a9556",
-        "jump_flatten_solve_7.json": "d84f22dee29366fae81d37fdc1072fb23811eeb040bb41e0e6e28187b7c2bc83",
+        "jump_flatten_solve_7.json": "065c0bff192724e8d82c8d01b26deace1f79efe068a149ed70b9990682a3e762",
     },
     "drift_nested": {
         "drift_nested_solve_7.csv": "971571517ee0dc8afdd039f2c591026c0e952da7df676e0691f1eb313c7f8f94",
-        "drift_nested_solve_7.json": "d49ed2ac7eedc03a4ba8f922e98bd3afdd0e1c21653bae839a022f4c12a13878",
+        "drift_nested_solve_7.json": "92ff02f8d527fe018c10e6e83066d8915012bcb0247722c19a610c388da5db88",
     },
 }
 
 
-@pytest.mark.parametrize("name", list(SCENARIOS))
-def test_solve_artifacts_are_pinned(tmp_path, name):
+def _scenario(tmp_path, name):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"scenario": name, **COMMON, **SCENARIOS[name]}))
+    return path
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_solve_artifacts_are_pinned(tmp_path, name):
+    path = _scenario(tmp_path, name)
     assert cli.run("solve", path, output_dir=tmp_path / "out") == cli.EXIT_OK
     digests = {
         f.name: hashlib.sha256(f.read_bytes()).hexdigest()
         for f in sorted((tmp_path / "out").iterdir())
     }
     assert digests == SHA256[name]
+
+
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    """A pinned scenario solved in two child interpreters, OpenBLAS on one
+    thread and on two, writes the same bytes.  OpenBLAS splits a long dot
+    product over its threads, and adds the parts in another order than one
+    thread does, so any sum that went through a BLAS dot product would move
+    the last bits.  OpenBLAS runs no more threads than the CPUs the process may
+    use, so on a host with one CPU both children run one thread and this
+    passes trivially."""
+    path = _scenario(tmp_path, "jump_flatten")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        cmd = [sys.executable, "-m", "subfbsde.cli", "solve", str(path), "--output-dir", str(out)]
+        subprocess.run(cmd, env={**env, "OPENBLAS_NUM_THREADS": threads}, check=True, timeout=120)
+        artifacts.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert artifacts[0] == artifacts[1]

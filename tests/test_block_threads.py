@@ -71,11 +71,12 @@ def test_solve_linear_is_bit_identical_with_the_helper(monkeypatch, ensemble):
 
 
 def test_plan_build_and_fit_are_bit_identical_with_the_helper(monkeypatch, ensemble):
-    xi = np.random.default_rng(3).standard_normal(M)
+    rng = np.random.default_rng(3)
+    xi, numerator = rng.standard_normal(M), rng.standard_normal((M, ensemble.n_steps - 1))
 
     def build_and_fit():
         plan = RegressionPlan(ensemble, BasisSpec())
-        return plan, plan.fit(xi)
+        return plan, plan.fit(lambda rows: xi[rows], lambda rows: numerator[rows])
 
     (p0, fits0), (p1, fits1) = _both(monkeypatch, build_and_fit)
     assert np.array_equal(p0._grams, p1._grams)

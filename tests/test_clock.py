@@ -202,6 +202,16 @@ def test_sample_jumps_layout():
         assert np.array_equal(x, y)
 
 
+def test_sample_jumps_refuses_sizes_past_float64():
+    # Pareto shape 0.001: about half the sizes overflow float64, and the
+    # sampler refuses them without numpy's overflow warning, as a numerical
+    # failure rather than a bad setting (a ValueError would be exit 2)
+    spec = SubordinatorSpec(kappa=1.0, jump_kind="pareto", rate=1.0, jump_param=(1.0, 0.001))
+    with pytest.raises(FloatingPointError, match="^jump sizes overflow float64") as err:
+        sample_jumps(spec, 1.0, 200, 1)
+    assert not isinstance(err.value, ValueError)
+
+
 _REFERENCE_SPECS = {
     "none": SubordinatorSpec(kappa=1.5),
     "exponential": SubordinatorSpec(kappa=1.0, jump_kind="exponential", rate=1.0, jump_param=1.0),

@@ -129,7 +129,9 @@ def test_plan_and_first_solve_retained_memory(jump_spec):
 def test_plan_predict_peak_memory(jump_spec):
     ens, _ = _problem(jump_spec)
     plan = RegressionPlan(ens, BasisSpec())
-    fits = plan.fit(np.sin(ens.X[:, -1]) + ens.R[:, -1])
+    xi = np.sin(ens.X[:, -1]) + ens.R[:, -1]
+    # any numerator with one column per slice 1 <= k < n_steps
+    fits = plan.fit(lambda rows: xi[rows], lambda rows: ens.X[rows, 2:])
     rows, block = next(plan.row_blocks())
     assert rows == slice(0, 512)
     tracemalloc.start()

@@ -31,8 +31,8 @@ def test_one_dimensional_features_are_one_column():
     dB = np.sqrt(dL) * rng.standard_normal(50)
     y_next = x + dB
     assert np.array_equal(
-        extract_z(y_next, dB, dL, x, basis, floor=1e-14),
-        extract_z(y_next, dB, dL, x[:, None], basis, floor=1e-14),
+        extract_z(y_next * dB, dL, x, basis, floor=1e-14),
+        extract_z(y_next * dB, dL, x[:, None], basis, floor=1e-14),
     )
 
 
@@ -91,7 +91,7 @@ def test_extract_z_recovers_integrand():
     dB = np.sqrt(dL) * rng.standard_normal(m)
     z_true = 1.0 + 0.5 * x
     y_next = z_true * dB + 0.05 * rng.standard_normal(m)
-    z = extract_z(y_next, dB, dL, x[:, None], BasisSpec(degree=2), floor=1e-14)
+    z = extract_z(y_next * dB, dL, x[:, None], BasisSpec(degree=2), floor=1e-14)
     err = np.abs(z - z_true)
     assert np.sqrt(np.mean(err**2)) <= 0.1
     bulk = np.abs(x) <= 2.0  # fit degrades only in the extrapolation tails
@@ -101,13 +101,13 @@ def test_extract_z_recovers_integrand():
 def test_extract_z_frozen_slice_and_floor():
     m = 100
     zeros = np.zeros(m)
-    z = extract_z(np.ones(m), zeros, zeros, np.ones((m, 1)), BasisSpec(), floor=1e-14)
+    z = extract_z(np.ones(m) * zeros, zeros, np.ones((m, 1)), BasisSpec(), floor=1e-14)
     assert np.array_equal(z, zeros)
     # predicted clock activity below the floor must zero z, not blow it up
     tiny = np.full(m, 1e-20)
     rng = np.random.default_rng(4)
     z2 = extract_z(
-        rng.standard_normal(m), rng.standard_normal(m) * 1e-10, tiny,
+        rng.standard_normal(m) * (rng.standard_normal(m) * 1e-10), tiny,
         rng.standard_normal((m, 1)), BasisSpec(degree=1), floor=1e-12,
     )
     assert np.array_equal(z2, zeros)

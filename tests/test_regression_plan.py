@@ -27,31 +27,32 @@ from oracles import whole_array_solve_linear
 class SliceBySlicePlan:
     """The backward-pass regressions one slice at a time with `fit_condexp`
     and `extract_z`, in the order the plan judges them: slice by slice, the
-    in-sample fit before the cross-fitted ratio.  It has the plan's interface: `fit` returns the whole (n_paths, n_steps - 1)
-    predictions, and `predict` returns its one row block, every path."""
+    in-sample fit before the cross-fitted ratio.  It builds no plan, only
+    reads the plan's feature columns, and has the plan's interface: `fit`
+    takes the same two row-block callables and returns the whole (n_paths,
+    n_steps - 1) predictions, and `predict` returns its one row block, every
+    path."""
 
     def __init__(self, ensemble, basis):
         self.ensemble = ensemble
         self.basis = basis
         self.floor = 1e-12 * ensemble.grid.dt / ensemble.kappa
 
-    def features_at(self, k):
-        ens = self.ensemble
-        cols = [ens.X[:, k], ens.R[:, k]] if self.basis.include_r else [ens.X[:, k]]
-        return np.column_stack(cols)
-
     def row_blocks(self):
         yield slice(0, self.ensemble.n_paths), None
 
-    def fit(self, xi):
+    def fit(self, target, numerator):
         ens, basis = self.ensemble, self.basis
+        rows = slice(0, ens.n_paths)
+        xi, numerator = target(rows), numerator(rows)
+        columns = regression._feature_columns(ens, basis)
         cond = np.empty((ens.n_paths, ens.n_steps - 1))
         z = np.empty_like(cond)
         for k in range(1, ens.n_steps):
-            feats = self.features_at(k)
+            feats = np.column_stack([c[:, k - 1] for c in columns])
             cond[:, k - 1] = fit_condexp(feats, xi, basis, slice_index=k).predict(feats)
             z[:, k - 1] = extract_z(
-                xi, ens.dB[:, k], ens.dL[:, k], feats, basis, self.floor, k
+                numerator[:, k - 1], ens.dL[:, k], feats, basis, self.floor, k
             )
         return cond, z
 
