@@ -32,4 +32,4 @@ from .linear_solver import ForcingSet, SolutionTriple, solve_linear
 from .regression import BasisSpec, RegressionPlan, SingularSliceError
 from .subdiffusion import MarkovState, PathEnsemble, build_ensemble
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

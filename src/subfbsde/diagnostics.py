@@ -45,15 +45,20 @@ def m_norm(theta: SolutionTriple, other: SolutionTriple | None = None) -> MNormV
     row blocks of paths: each component's block (or the difference's) is
     written into one buffer per block and reduced by einsum, not by BLAS, whose
     dot products depend on its thread count; the blocks' sums are added in
-    block order, so a difference only exists one block at a time."""
+    block order, so a difference only exists one block at a time.  A
+    difference is taken on full rows, which numpy runs as one loop, and its
+    first n columns are then copied into the reduction's contiguous buffer."""
     m, n = theta.x.shape[0], theta.dL.shape[1]
 
     def sums(rows: slice) -> list:
         # the block's x(0), x and y sums of squares, then z's against dL
-        buf, out = np.empty((rows.stop - rows.start, n)), []
+        v, out = np.empty((rows.stop - rows.start, n)), []
+        full = None if other is None else np.empty((rows.stop - rows.start, theta.x.shape[1]))
         for name in ("x", "y", "z"):
-            a = getattr(theta, name)[rows, :n]  # minus 0.0 copies it bit for bit
-            v = np.subtract(a, 0.0 if other is None else getattr(other, name)[rows, :n], out=buf)
+            a = getattr(theta, name)[rows]
+            if other is not None:
+                a = np.subtract(a, getattr(other, name)[rows], out=full)
+            np.copyto(v, a[:, :n])
             if name == "x":
                 out.append(float(np.einsum("i,i->", v[:, 0], v[:, 0])))
             if name == "z":

@@ -4,7 +4,12 @@ Each Picard iterate freezes the previous solution inside the coupling gap
 and solves the explicitly tractable base system with updated forcings.  The
 continuation ladder has ceil(1/eta) levels with steps at most eta; each
 level's Picard loop solves the anchor system by calling the level below it,
-down to the linear base solver.  The cost is exponential in the ladder
+down to the linear base solver.  An inner loop need only be as accurate as
+its parent's progress (the forcing-term rule of inexact Newton methods,
+Dembo, Eisenstat & Steihaug 1982): it stops once its residual is at most
+INNER times the enclosing loop's last residual, or its own first on the
+enclosing loop's first iterate, unless picard_tol stops it first; the top
+loop stops on picard_tol alone.  The cost is exponential in the ladder
 depth, so a ladder deeper than MAX_LADDER_DEPTH levels is refused.  The
 paper's provable step depends on (L, c, kappa, T) and needs dozens of
 levels, so every step that runs is heuristic; eta = 1 is a single Picard
@@ -47,12 +52,14 @@ __all__ = [
 
 # the deepest continuation ladder a solve runs: its cost is exponential in the depth
 MAX_LADDER_DEPTH = 3
+# an inner Picard loop stops once its residual is at most this share of its parent's last
+INNER = 0.1
 
 
 @dataclass
 class ContinuationConfig:
     eta: float = 1.0  # continuation step: a ladder of ceil(1/eta) levels
-    picard_tol: float = 1e-3  # relative to the first iterate's norm
+    picard_tol: float = 1e-3  # relative to a loop's first norm; the top loop stops on it alone
     max_picard: int = 25
 
     def __post_init__(self):
@@ -168,9 +175,11 @@ def solve_fbsde(
     """End-to-end solve of the fully coupled FBSDE on the ensemble.
 
     Returns (solution, diagnostics).  theta0 overrides the zero Picard seed
-    of the top ladder level (uniqueness probes).  Raises DivergedError (with
-    the partial diagnostics attached) if a Picard residual grows a
-    millionfold over its loop's first.
+    of every ladder level (uniqueness probes).  The top loop stops on
+    picard_tol; an inner loop stops once its residual is also at most INNER
+    times its parent's last.  Raises DivergedError (with the partial
+    diagnostics attached) if a Picard residual grows a millionfold over its
+    loop's first.
     """
     config = config or ContinuationConfig()
     basis = basis or BasisSpec()
@@ -187,8 +196,8 @@ def solve_fbsde(
     # the read-only zero solution: the seed of a level without one, and the a priori data's point
     zero = np.broadcast_to(0.0, ensemble.X.shape)
     zero = SolutionTriple(zero, zero, zero, ensemble.grid.dt, ensemble.dL)
-    # last solution of each level, the seed of its next Picard loop; theta0 seeds the top level
-    warm: list = [zero] * n_levels + [zero if theta0 is None else theta0]
+    # last solution of each level, the seed of its next Picard loop; theta0 seeds every level
+    warm: list = [zero if theta0 is None else theta0] * (n_levels + 1)
     # iterates a Picard loop has dropped, whose grids the next linear solves
     # write over.  A loop drops every iterate but its seed, once the solve
     # that replaced it has returned, so no forcings in flight read it; a
@@ -196,11 +205,12 @@ def solve_fbsde(
     # the next loop of its level and the iterate of the level above
     spare: list = []
 
-    def solve_at(k: int, f) -> SolutionTriple:
+    def solve_at(k: int, f, parent_res: float | None = None) -> SolutionTriple:
         """Solve the level-alphas[k] system with row-block forcings f (None:
         zero forcings, k >= 1 only).  Level 0 is the linear base system; level k
         runs the Picard loop of the step from alphas[k-1], each iterate
-        solving the anchor system at level k-1."""
+        solving the anchor system at level k-1.  parent_res is the enclosing
+        loop's last residual, None on its first iterate."""
         if k == 0:
             diag.total_linear_solves += 1
             return solve_linear(f, x0, plan, out=spare.pop() if spare else None)
@@ -209,13 +219,16 @@ def solve_fbsde(
         residuals: list[float] = []
         converged = False
         for _ in range(config.max_picard):
-            theta_new = solve_at(k - 1, picard_forcings(work, theta, step, f, ensemble))
+            forcings = picard_forcings(work, theta, step, f, ensemble)
+            theta_new = solve_at(k - 1, forcings, residuals[-1] if residuals else None)
             res = m_norm(theta_new, theta).value
             residuals.append(res)
             if len(residuals) == 1:
                 # the M-norm of theta_new - 0.0 is that of theta_new, bit for bit
                 norm = res if theta is zero else m_norm(theta_new).value
                 threshold = config.picard_tol * max(norm, 1e-12)
+                if k < n_levels:  # an inner loop: as accurate as its parent's progress
+                    threshold = max(threshold, INNER * (res if parent_res is None else parent_res))
             if theta is not seed:
                 spare.append(theta)
             theta = theta_new

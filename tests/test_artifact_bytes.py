@@ -42,8 +42,8 @@ SHA256 = {
         "jump_flatten_solve_7.json": "065c0bff192724e8d82c8d01b26deace1f79efe068a149ed70b9990682a3e762",
     },
     "drift_nested": {
-        "drift_nested_solve_7.csv": "971571517ee0dc8afdd039f2c591026c0e952da7df676e0691f1eb313c7f8f94",
-        "drift_nested_solve_7.json": "92ff02f8d527fe018c10e6e83066d8915012bcb0247722c19a610c388da5db88",
+        "drift_nested_solve_7.csv": "c89cf7e6062761a863ecfbec7d7c73d686a7e914b1bb4cb04d627b8a69426dcd",
+        "drift_nested_solve_7.json": "c848c5dc6f176d55da1b81d74bff9dd2a0343822be11bd14307ad30b1d0e2400",
     },
 }
 

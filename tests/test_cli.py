@@ -687,16 +687,17 @@ def test_removed_step_keys_are_unknown(tmp_path, capsys, key):
 
 @pytest.mark.parametrize("subcommand", ["solve"])
 def test_inner_level_out_of_iterates_exit_code(tmp_path, capsys, subcommand):
-    # the top level converges in 5 iterates; the first of its 5 inner loops
-    # runs out of them
+    # the top level converges in 11 iterates; the first four of its 11 inner
+    # loops run out of them
     cfg = base_config(
         seed=1,
         n_paths=200,
+        T=3.0,
         jumps={"jump_kind": "exponential", "rate": 1.0, "jump_param": 1.0},
-        bundle_params={"c": 2.0},
+        bundle_params={"c": 4.0},
         strategy="nested",
         eta=0.5,
-        max_picard=5,
+        max_picard=11,
         output_dir=str(tmp_path),
     )
     assert run(subcommand, write_config(tmp_path, cfg)) == EXIT_NOT_CONVERGED
@@ -704,12 +705,12 @@ def test_inner_level_out_of_iterates_exit_code(tmp_path, capsys, subcommand):
     doc = json.loads((tmp_path / f"t_{subcommand}_1.json").read_text())
     levels = doc["levels"]
     assert err == (
-        "Picard iteration did not converge within max_picard=5 iterates: "
-        f"1 of 6 loops, the first at alpha=0.5 with last residual {levels[0]['residuals'][-1]:g}\n"
+        "Picard iteration did not converge within max_picard=11 iterates: "
+        f"4 of 12 loops, the first at alpha=0.5 with last residual {levels[0]['residuals'][-1]:g}\n"
     )
     assert levels[-1]["alpha"] == 1.0 and levels[-1]["converged"] is True
-    assert len(levels[-1]["residuals"]) == 5
-    assert [level["converged"] for level in levels] == [False] + [True] * 5
+    assert len(levels[-1]["residuals"]) == 11
+    assert [level["converged"] for level in levels] == [False] * 4 + [True] * 8
     assert doc["diverged"] is False
     assert (tmp_path / "t_solve_1.csv").exists()
 

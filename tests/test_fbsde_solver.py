@@ -396,27 +396,52 @@ def test_nested_depth_bound_enforced():
 
 
 def test_inner_level_out_of_iterates_is_counted():
-    # the top level converges in 5 iterates; each of them runs one inner
-    # loop, and the first of those runs out of iterates.  Every loop leaves a
-    # record as it stops, so the top loop's is last.
+    # the top level converges in 11 iterates; each of them runs one inner
+    # loop, and the first four of those run out of iterates.  Every loop leaves
+    # a record as it stops, so the top loop's is last.
     spec = SubordinatorSpec(kappa=1.0, jump_kind="exponential", rate=1.0, jump_param=1.0)
-    ens = build_ensemble(spec, TimeGrid(a=0.0, T=1.0, n_steps=20), n_paths=200, seed=1, x0=1.0)
-    config = ContinuationConfig(eta=0.5, max_picard=5)
-    _, diag = solve_fbsde(get_bundle("canonical_monotone", c=2.0), 1.0, ens, config)
+    ens = build_ensemble(spec, TimeGrid(a=0.0, T=3.0, n_steps=20), n_paths=200, seed=1, x0=1.0)
+    bundle = get_bundle("canonical_monotone", c=4.0)
+    _, diag = solve_fbsde(bundle, 1.0, ens, ContinuationConfig(eta=0.5, max_picard=11))
     records = [(level.alpha, len(level.residuals), level.converged) for level in diag.levels]
     assert records == [
-        (0.5, 5, False), (0.5, 5, True), (0.5, 4, True), (0.5, 3, True), (0.5, 2, True),
-        (1.0, 5, True),
+        (0.5, 11, False), (0.5, 11, False), (0.5, 11, False), (0.5, 11, False),
+        (0.5, 11, True), (0.5, 11, True), (0.5, 10, True), (0.5, 10, True), (0.5, 10, True),
+        (0.5, 8, True), (0.5, 5, True),
+        (1.0, 11, True),
     ]
     assert all(level.eta == 0.5 for level in diag.levels)
     # every linear solve is one iterate of a lowest-level loop
     inner = [len(level.residuals) for level in diag.levels if level.alpha == 0.5]
-    assert sum(inner) == diag.total_linear_solves == 19
+    assert sum(inner) == diag.total_linear_solves == 109
     doc = dataclasses.asdict(diag)
-    assert [level["converged"] for level in doc["levels"]] == [False] + [True] * 5
+    assert [level["converged"] for level in doc["levels"]] == [False] * 4 + [True] * 8
     # with a larger budget every loop converges
+    _, diag = solve_fbsde(bundle, 1.0, ens, ContinuationConfig(eta=0.5))
+    assert len(diag.levels) == 12 and all(level.converged for level in diag.levels)
+
+
+def test_inner_loops_stop_at_a_tenth_of_the_parent_residual():
+    # an inner loop only needs the accuracy of its parent's progress: it stops
+    # once its residual is at most INNER times the parent's last residual (its
+    # own first on the parent's first iterate), so it shortens as the parent
+    # converges.  Solving every inner loop to picard_tol takes 20 solves here.
+    spec = SubordinatorSpec(kappa=1.0, jump_kind="exponential", rate=1.0, jump_param=1.0)
+    ens = build_ensemble(spec, TimeGrid(a=0.0, T=1.0, n_steps=20), n_paths=200, seed=1, x0=1.0)
     _, diag = solve_fbsde(get_bundle("canonical_monotone", c=2.0), 1.0, ens, ContinuationConfig(eta=0.5))
-    assert len(diag.levels) == 6 and all(level.converged for level in diag.levels)
+    records = [(level.alpha, len(level.residuals), level.converged) for level in diag.levels]
+    assert records == [
+        (0.5, 3, True), (0.5, 2, True), (0.5, 2, True), (0.5, 2, True), (0.5, 1, True),
+        (1.0, 5, True),
+    ]
+    assert diag.total_linear_solves == 10
+    top = diag.levels[-1].residuals
+    for i, level in enumerate(diag.levels[:-1]):
+        parent = level.residuals[0] if i == 0 else top[i - 1]
+        assert all(r > fbsde_solver.INNER * parent for r in level.residuals[:-1])
+        # the last inner loop's first residual already meets picard_tol
+        if i < 4:
+            assert level.residuals[-1] <= fbsde_solver.INNER * parent
 
 
 def test_small_step_contracts_fast(jump_ensemble):
