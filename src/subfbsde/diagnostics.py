@@ -42,29 +42,27 @@ class AprioriReport:
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result is refused instead
 def m_norm(theta: SolutionTriple, other: SolutionTriple | None = None) -> MNormValue:
     """M-norm of theta, or of theta - other.  The sums of squares run over
-    row blocks of paths: each component's block (or the difference's) is
-    written into one buffer per block and reduced by einsum, not by BLAS, whose
-    dot products depend on its thread count; the blocks' sums are added in
-    block order, so a difference only exists one block at a time.  A
-    difference is taken on full rows, which numpy runs as one loop, and its
-    first n columns are then copied into the reduction's contiguous buffer."""
+    row blocks of paths: each component's block is reduced by einsum, not by
+    BLAS, whose dot products depend on its thread count, straight from its
+    first n columns, and z's squares are multiplied before dL; the blocks'
+    sums are added in block order.  A difference is taken on full rows, which
+    numpy runs as one loop, one component at a time: each is dropped before
+    the next is taken."""
     m, n = theta.x.shape[0], theta.dL.shape[1]
 
     def sums(rows: slice) -> list:
         # the block's x(0), x and y sums of squares, then z's against dL
-        v, out = np.empty((rows.stop - rows.start, n)), []
-        full = None if other is None else np.empty((rows.stop - rows.start, theta.x.shape[1]))
+        out, dL = [], theta.dL[rows]
         for name in ("x", "y", "z"):
             a = getattr(theta, name)[rows]
             if other is not None:
-                a = np.subtract(a, getattr(other, name)[rows], out=full)
-            np.copyto(v, a[:, :n])
+                a = a - getattr(other, name)[rows]
             if name == "x":
-                out.append(float(np.einsum("i,i->", v[:, 0], v[:, 0])))
-            if name == "z":
-                v *= v
-            w = theta.dL[rows] if name == "z" else v
-            out.append(float(np.einsum("i,i->", v.ravel(), w.ravel())))
+                out.append(float(np.einsum("i,i->", a[:, 0], a[:, 0])))
+            v = a[:, :n]
+            spec, ops = ("ij,ij,ij->", (v, v, dL)) if name == "z" else ("ij,ij->", (v, v))
+            out.append(float(np.einsum(spec, *ops)))
+            del a, v, ops
         return out
 
     x0_sum = dt_sum = dL_sum = 0.0

@@ -120,22 +120,16 @@ def _block_weights(ensemble: PathEnsemble):
     per-path clock computes w per block and leaves 1/w to the caller (None).
     A jump-free clock's weights are one row shared by every path, and numpy
     runs one inner loop per path on a broadcast row, so w and 1/w are tiled
-    once per solve into read-only contiguous blocks of up to `_BLOCK_ROWS`
-    paths; a larger block broadcasts the rows.  dL is not tiled: the sweeps
-    multiply it into column views of a block, one inner loop per path anyway."""
+    once per solve into read-only contiguous blocks of `_BLOCK_ROWS` paths,
+    the most a row block holds.  dL is not tiled: the sweeps multiply it into
+    column views of a block, one inner loop per path anyway."""
     if ensemble.L.strides[0]:
         return lambda rows: (_weights(ensemble, rows), None)
     w = _weights(ensemble, slice(0, 1))
-    shared = (w, 1.0 / w)
-    tiles = [np.repeat(row, min(ensemble.n_paths, _BLOCK_ROWS), axis=0) for row in shared]
+    tiles = [np.repeat(row, min(ensemble.n_paths, _BLOCK_ROWS), axis=0) for row in (w, 1.0 / w)]
     for tile in tiles:
         tile.flags.writeable = False
-
-    def block(rows):
-        k = rows.stop - rows.start
-        return tuple(tile[:k] if k <= len(tile) else row for tile, row in zip(tiles, shared))
-
-    return block
+    return lambda rows: tuple(tile[: rows.stop - rows.start] for tile in tiles)
 
 
 def _increments(a, d, dt, dL, s, ito=None, shift=0):
@@ -254,7 +248,7 @@ def solve_linear(
     # conditional-expectation martingale M of xi along the grid, and its
     # integrand ztilde, numerator xi dB_k; the filtration is trivial at time 0,
     # so plain means there, and ztilde is zero at the terminal node
-    fits = plan.fit(lambda r: xi[r], lambda r: xi[r, None] * dB[r, 1:n])
+    coef = plan.fit(lambda r: xi[r], lambda r: xi[r, None] * dB[r, 1:n])
     mean_dL = float(np.mean(dL[:, 0]))
     ztilde0 = np.mean(xi * dB[:, 0]) / mean_dL if mean_dL >= plan.floor else 0.0
     mean_xi = np.mean(xi)
@@ -267,7 +261,7 @@ def solve_linear(
     # next one is allocated
     def second(item):
         rows, block = item
-        cond, ztilde = plan.predict(fits, rows, block)
+        cond, ztilde = plan.predict(coef, rows, block)
         ybar = y[rows]
         np.subtract(mean_xi, ybar[:, 0], out=ybar[:, 0])
         np.subtract(cond, ybar[:, 1:n], out=ybar[:, 1:n])

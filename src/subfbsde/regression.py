@@ -13,10 +13,9 @@ are fixed by the ensemble (`_feature_columns`), so their Grams are built and
 judged, and the ratio estimator's denominator is set up, once; a solve hands
 it the targets and the numerator, which it reduces onto the monomials, solves
 for every slice at once and expands back one row block at a time.  The
-single-slice `fit_condexp`, `extract_z`, `polynomial_features` and
-`CondExpEstimator` run in no solve and are not exported: they stay as the
-reference the plan is tested against and because the benchmark tracer
-(perfbench/spans.py) patches them.
+single-slice `fit_condexp`, `extract_z` and `polynomial_features` run in no
+solve and are not exported: they stay as the reference the plan is tested
+against and because the benchmark tracer (perfbench/spans.py) patches them.
 """
 
 from __future__ import annotations
@@ -108,20 +107,9 @@ def polynomial_features(features: np.ndarray, degree: int) -> np.ndarray:
     return np.column_stack(list(_monomials(list(F.T), degree, F.shape[:1])))
 
 
-@dataclass
-class CondExpEstimator:
-    """Fitted slice regression; prediction is affine in the training targets."""
-
-    basis: BasisSpec
-    coefficients: np.ndarray
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        A = polynomial_features(features, self.basis.degree)
-        return A @ self.coefficients
-
-
-def fit_condexp(features, targets, basis: BasisSpec, slice_index=None) -> CondExpEstimator:
-    """Ridge least squares of targets on the polynomial basis of features."""
+def fit_condexp(features, targets, basis: BasisSpec, slice_index=None) -> np.ndarray:
+    """Ridge least squares of targets on the polynomial basis of features:
+    the coefficients, predicted by `polynomial_features(F, degree) @ coef`."""
     targets = np.asarray(targets, dtype=float)
     if not np.all(np.isfinite(targets)):
         raise _NonFiniteError(f"non-finite regression targets at slice {slice_index}")
@@ -132,8 +120,7 @@ def fit_condexp(features, targets, basis: BasisSpec, slice_index=None) -> CondEx
     ridge = basis.effective_ridge(m)
     if ridge == 0.0 and np.linalg.matrix_rank(A) < p:
         raise SingularSliceError(slice_index)
-    coef = np.linalg.solve(A.T @ A + ridge * np.eye(p), A.T @ targets)
-    return CondExpEstimator(basis=basis, coefficients=coef)
+    return np.linalg.solve(A.T @ A + ridge * np.eye(p), A.T @ targets)
 
 
 def extract_z(
@@ -160,9 +147,9 @@ def extract_z(
     half = m // 2
     num, den = np.empty(m), np.empty(m)
     for fit_sl, pred_sl in ((slice(0, half), slice(half, m)), (slice(half, m), slice(0, half))):
-        fa, fb = features[fit_sl], features[pred_sl]
-        num[pred_sl] = fit_condexp(fa, numerator[fit_sl], basis, slice_index).predict(fb)
-        den[pred_sl] = fit_condexp(fa, dL[fit_sl], basis, slice_index).predict(fb)
+        fa, A = features[fit_sl], polynomial_features(features[pred_sl], basis.degree)
+        num[pred_sl] = A @ fit_condexp(fa, numerator[fit_sl], basis, slice_index)
+        den[pred_sl] = A @ fit_condexp(fa, dL[fit_sl], basis, slice_index)
     z = num / np.maximum(den, floor)
     z[den < floor] = 0.0
     return z
@@ -242,12 +229,9 @@ def _map_blocks(fn, items, n_steps: int) -> list:
     return [results[i] for i in range(len(results))]
 
 
-def _predict(fits, block) -> list:
-    """Predict `RegressionPlan._fit`'s fits on a row block, one (rows,
-    n_steps - 1) array per job: a job fits in-sample (sample 0) or on both
-    halves, each predicting the other, so one fit predicts every row."""
-    half, monomials = block
-    coefs = [c for s, c in fits if s in (0, 3 - half)]  # one per job, in job order
+def _predict(monomials, *coefs) -> list:
+    """Predict coefficient arrays, (p, n_steps - 1) each, on a row block's
+    monomial stream: one (rows, n_steps - 1) prediction per array."""
     shape = next(monomials).shape  # the intercept, written directly
     outs = [np.full(shape, c[0]) for c in coefs]
     prod = np.empty(shape)
@@ -270,12 +254,13 @@ class RegressionPlan:
     here: the ridged Gram matrix of every slice for all paths and for each
     cross-fit half, with the ridge `fit_condexp` uses at each sample size, and
     the cross-fitted denominator E[dL_k | F] of the ratio estimator with the
-    mask where z is set to zero.  It judges the design it fits: too few paths
-    fail the build before the Gram pass, and a Gram no solve could use names its
-    earliest slice, so `fit` fits the targets a linear solve hands it on every
-    slice in one batched solve; `predict` evaluates them on a row block.  The
-    monomials are streamed from `_feature_columns` over row blocks of paths,
-    never stored, and the blocks' sums are added in block order, so the plan
+    mask where z is set to zero, its sums taken in the Gram pass.  It judges
+    the design it fits: too few paths fail the build before the Gram pass, and
+    a Gram no solve could use names its earliest slice, so `fit` fits the
+    targets a linear solve hands it on every slice in one batched solve;
+    `predict` evaluates them on a row block.  The monomials are streamed from
+    `_feature_columns` over row blocks of paths, twice per build and once per
+    fit, never stored; the blocks' sums are added in block order.  The plan
     holds p x p numbers per slice and one (n_paths, n_steps - 1) denominator.
     """
 
@@ -301,20 +286,25 @@ class RegressionPlan:
                 f"cross-fit the integrand, got {m}"
             )
         # the raw Grams of the cross-fit halves (samples 1, 2) reduced over the
-        # monomial stream, and their sum; features too large for floats
+        # monomial stream, and their sum, with each half's sums of dL against the
+        # monomials (sample 0 stays zero); features too large for floats
         # overflow here, and the check below names the slice instead of warning
         self._grams = np.zeros((3, n - 1, p, p))
+        dL_sums = np.zeros((3, n - 1, p))
         upper = np.triu_indices(p)
 
         def gram(block):
-            _, (h, monomials) = block
+            rows, (h, monomials) = block
             mono = list(monomials)
-            return h, [np.einsum("ik,ik->k", mono[i], mono[j]) for i, j in zip(*upper)]
+            grams = [np.einsum("ik,ik->k", mono[i], mono[j]) for i, j in zip(*upper)]
+            return h, grams, [np.einsum("ik,ik->k", dL[rows], a) for a in mono]
 
         with np.errstate(over="ignore", invalid="ignore"):
-            for h, parts in _map_blocks(gram, self.row_blocks(), n):
-                for i, j, part in zip(*upper, parts):
+            for h, grams, sums in _map_blocks(gram, self.row_blocks(), n):
+                for i, j, part in zip(*upper, grams):
                     self._grams[h, :, i, j] += part
+                for j, part in enumerate(sums):
+                    dL_sums[h, :, j] += part
             self._grams[..., upper[1], upper[0]] = self._grams[..., upper[0], upper[1]]
             self._grams[0] = self._grams[1] + self._grams[2]
             self._grams += np.multiply.outer(ridges, np.eye(p))[:, None]
@@ -333,10 +323,16 @@ class RegressionPlan:
             k = int(singular.any(axis=0).argmax())
             raise SingularSliceError(k + 1, ridges[int(singular[:, k].argmax())])
 
-        fits = self._fit((lambda rows: dL[rows], (1, 2)))
-        den = np.empty(dL.shape)  # each block predicted straight into its rows
-        _map_blocks(lambda b: np.copyto(den[b[0]], _predict(fits, b[1])[0]), self.row_blocks(), n)
-        self._zero = (den < self.floor) | frozen
+        # a frozen slice's sums are 0, and so are its coefficients and predicted den
+        coef = self._solve(dL_sums)
+        den = np.empty(dL.shape)
+
+        def predict(block):  # straight into the block's rows
+            rows, (half, monomials) = block
+            np.copyto(den[rows], _predict(monomials, coef[3 - half])[0])
+
+        _map_blocks(predict, self.row_blocks(), n)
+        self._zero = den < self.floor
         self._den = np.maximum(den, self.floor, out=den)
 
     def row_blocks(self):
@@ -356,52 +352,48 @@ class RegressionPlan:
         cols = [c[rows].copy() for c in self._columns]
         return _monomials(cols, self.basis.degree, cols[0].shape)
 
-    def _fit(self, *jobs) -> list:
-        """Batched slice regressions.  Each job is (target, samples):
-        target(rows) gives the targets of a row block of paths, column k - 1
-        for slice k, or a 1-d block shared by all slices; they are fitted on
-        every slice at once for each sample in samples (0: all paths, 1 and
-        2: the two halves).  Returns (sample, coefficients) per fit, by job."""
-        n_slices, p = self._grams.shape[1:3]
-        fits = [(job, s) for job, (_, samples) in enumerate(jobs) for s in samples]
-        rhs = np.zeros((len(fits), n_slices, p))
+    def _solve(self, sums) -> np.ndarray:
+        """Coefficients (3, p, n_steps - 1), each monomial's one contiguous row,
+        of sums (3, n_steps - 1, p) against the monomials: one batched solve
+        over the Grams, every one judged solvable when the plan was built."""
+        coef = np.linalg.solve(self._grams, sums[..., None])[..., 0]
+        return np.ascontiguousarray(coef.transpose(0, 2, 1))
+
+    def fit(self, target, numerator) -> np.ndarray:
+        """A linear solve's regressions on every slice 1 <= k < n_steps, for
+        `predict`: coefficients (3, p, n_steps - 1) of target in-sample
+        (sample 0) and of the ratio estimator's numerator on each cross-fit
+        half (samples 1, 2).  Both are row-block callables: target(rows) gives
+        a 1-d block shared by all slices, numerator(rows) column k - 1 for
+        slice k."""
+        sums = np.zeros(self._grams.shape[:3])
 
         def reduce(block):
-            # the block's reductions, zero for the fits of the other half
+            # the block's sums, zero for the fit on the other half
             rows, (half, monomials) = block
-            targets = [target(rows) for target, _ in jobs]
-            sums = [(i, targets[job]) for i, (job, s) in enumerate(fits) if s in (0, half)]
-            out = np.zeros_like(rhs)
+            xi, num = target(rows), numerator(rows)
+            out = np.zeros_like(sums)
             j = 0
             for mono in monomials:  # as in `_predict`, each spent monomial is dropped
-                for i, target in sums:
-                    spec = "i,ik->k" if target.ndim == 1 else "ik,ik->k"
-                    out[i, :, j] = np.einsum(spec, target, mono)
+                out[0, :, j] = np.einsum("i,ik->k", xi, mono)
+                out[half, :, j] = np.einsum("ik,ik->k", num, mono)
                 j += 1
                 del mono
             return out
 
         for out in _map_blocks(reduce, self.row_blocks(), self.ensemble.n_steps):
-            rhs += out  # block order; an added zero leaves a sum unchanged
-        if not np.all(np.isfinite(rhs)):
+            sums += out  # block order; an added zero leaves a sum unchanged
+        if not np.all(np.isfinite(sums)):
             raise _NonFiniteError("non-finite regression targets")
-        # every Gram was judged solvable when the plan was built
-        coef = np.linalg.solve(self._grams[[s for _, s in fits]], rhs[..., None])[..., 0]
-        # (fits, p, slices): each monomial's coefficients are one contiguous row
-        coef = np.ascontiguousarray(coef.transpose(0, 2, 1))
-        return [(s, c) for (_, s), c in zip(fits, coef)]
+        return self._solve(sums)
 
-    def fit(self, target, numerator) -> list:
-        """A linear solve's regressions on every slice 1 <= k < n_steps, for
-        `predict`: target in-sample and the ratio estimator's numerator on
-        each cross-fit half, both row-block callables as in `_fit`."""
-        return self._fit((target, (0,)), (numerator, (1, 2)))
-
-    def predict(self, fits, rows: slice, block):
-        """`fit` predicted on a block of `row_blocks`, as two (rows, n_steps -
-        1) arrays: the in-sample E[target | F_k] and the cross-fitted ratio
-        E[numerator | F] / E[dL_k | F] (`extract_z` per slice)."""
-        cond, z = _predict(fits, block)
+    def predict(self, coef, rows: slice, block):
+        """`fit`'s coefficients predicted on a block of `row_blocks`, as two
+        (rows, n_steps - 1) arrays: the in-sample E[target | F_k] and the
+        cross-fitted ratio E[numerator | F] / E[dL_k | F] (`extract_z` per
+        slice)."""
+        half, monomials = block
+        cond, z = _predict(monomials, coef[0], coef[3 - half])
         z /= self._den[rows]
         z[self._zero[rows]] = 0.0
         return cond, z

@@ -39,11 +39,11 @@ SCENARIOS = {
 SHA256 = {
     "jump_flatten": {
         "jump_flatten_solve_7.csv": "baefc8d07cfc8627fb4b95d689be1e9645b0671117802906d9b7c5a9e85a9556",
-        "jump_flatten_solve_7.json": "065c0bff192724e8d82c8d01b26deace1f79efe068a149ed70b9990682a3e762",
+        "jump_flatten_solve_7.json": "cfe50b83b8bc0e02de3c847c4d9c8247500f0018d4fc50aa2b2ef7d59794c4ce",
     },
     "drift_nested": {
         "drift_nested_solve_7.csv": "c89cf7e6062761a863ecfbec7d7c73d686a7e914b1bb4cb04d627b8a69426dcd",
-        "drift_nested_solve_7.json": "c848c5dc6f176d55da1b81d74bff9dd2a0343822be11bd14307ad30b1d0e2400",
+        "drift_nested_solve_7.json": "0d1e0580098f20efa1ef3d956ff8501f8ffb2b8f620a13f37113ca9e496556d3",
     },
 }
 

@@ -81,8 +81,7 @@ def test_plan_build_and_fit_are_bit_identical_with_the_helper(monkeypatch, ensem
     (p0, fits0), (p1, fits1) = _both(monkeypatch, build_and_fit)
     assert np.array_equal(p0._grams, p1._grams)
     assert np.array_equal(p0._den, p1._den) and np.array_equal(p0._zero, p1._zero)
-    for (s0, c0), (s1, c1) in zip(fits0, fits1, strict=True):
-        assert s0 == s1 and np.array_equal(c0, c1)
+    assert np.array_equal(fits0, fits1)
 
 
 def test_nested_solve_is_bit_identical_with_the_helper(monkeypatch, ensemble):

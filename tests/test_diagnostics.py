@@ -31,6 +31,17 @@ def test_m_norm_zero(jump_ensemble):
     assert m_norm(zero_triple(jump_ensemble)).value == 0.0
 
 
+@pytest.mark.parametrize("which", ["jump_ensemble", "drift_ensemble"])
+def test_m_norm_against_the_read_only_zero_is_the_norm(request, which):
+    # solve_fbsde takes a zero-seeded loop's first residual, the M-norm of
+    # theta - zero, for the norm of theta, bit for bit
+    ens = request.getfixturevalue(which)
+    rng = np.random.default_rng(6)
+    theta = SolutionTriple(*rng.standard_normal((3, *ens.X.shape)), ens.grid.dt, ens.dL)
+    zero = np.broadcast_to(0.0, ens.X.shape)
+    assert m_norm(theta, SolutionTriple(zero, zero, zero, ens.grid.dt, ens.dL)) == m_norm(theta)
+
+
 def test_m_norm_deterministic_example(drift_ensemble):
     # x = 1 on [0,1], y = z = 0, x(0) = 1: norm^2 = 1 + 1
     val = m_norm(_triple(drift_ensemble, x=1.0))

@@ -30,8 +30,8 @@ class SliceBySlicePlan:
     in-sample fit before the cross-fitted ratio.  It builds no plan, only
     reads the plan's feature columns, and has the plan's interface: `fit`
     takes the same two row-block callables and returns the whole (n_paths,
-    n_steps - 1) predictions, and `predict` returns its one row block, every
-    path."""
+    n_steps - 1) predictions, and `predict` returns their rows of a row
+    block."""
 
     def __init__(self, ensemble, basis):
         self.ensemble = ensemble
@@ -39,7 +39,8 @@ class SliceBySlicePlan:
         self.floor = 1e-12 * ensemble.grid.dt / ensemble.kappa
 
     def row_blocks(self):
-        yield slice(0, self.ensemble.n_paths), None
+        for rows in regression._row_slices(0, self.ensemble.n_paths):
+            yield rows, None
 
     def fit(self, target, numerator):
         ens, basis = self.ensemble, self.basis
@@ -50,7 +51,8 @@ class SliceBySlicePlan:
         z = np.empty_like(cond)
         for k in range(1, ens.n_steps):
             feats = np.column_stack([c[:, k - 1] for c in columns])
-            cond[:, k - 1] = fit_condexp(feats, xi, basis, slice_index=k).predict(feats)
+            coef = fit_condexp(feats, xi, basis, slice_index=k)
+            cond[:, k - 1] = polynomial_features(feats, basis.degree) @ coef
             z[:, k - 1] = extract_z(
                 numerator[:, k - 1], ens.dL[:, k], feats, basis, self.floor, k
             )
@@ -124,6 +126,21 @@ def test_plan_matches_single_slice_path_on_ragged_blocks(jump_spec, drift_spec, 
     ref = solve_linear(f.rows, 1.0, SliceBySlicePlan(ens, BasisSpec()))
     assert np.max(np.abs(ref.z)) > 0.0
     assert_same_solution(theta, ref)
+
+
+def test_plan_streams_the_monomials_twice_per_build_and_once_per_fit(jump_spec, monkeypatch):
+    # 1300 paths: four row blocks, two per cross-fit half.  A build streams
+    # the monomials once for the Grams and dL's sums and once for the
+    # denominator; a fit streams them once
+    ens = build_ensemble(jump_spec, TimeGrid(a=0.0, T=1.0, n_steps=10), n_paths=1300, seed=5)
+    streams, monomials = [], regression._monomials
+    monkeypatch.setattr(regression, "_monomials", lambda *a: streams.append(a) or monomials(*a))
+    plan = RegressionPlan(ens, BasisSpec())
+    assert len(streams) == 8
+    xi = ens.X[:, -1]
+    plan.fit(lambda rows: xi[rows], lambda rows: ens.X[rows, 2:])
+    assert len(streams) == 12
+    assert len(list(plan.row_blocks())) == 4
 
 
 def test_shared_clock_rows_solve_as_per_path_ones(drift_spec):

@@ -50,9 +50,7 @@ def test_package_exports_exactly_the_modules_exports():
             assert names <= public, f"{module}: {sorted(names - public)}"
 
 
-@pytest.mark.parametrize(
-    "name", ["CondExpEstimator", "extract_z", "fit_condexp", "polynomial_features"]
-)
+@pytest.mark.parametrize("name", ["extract_z", "fit_condexp", "polynomial_features"])
 def test_single_slice_estimator_is_not_exported(name):
     # it runs in no solve: only the plan's tests and the tracer use it
     assert not hasattr(subfbsde, name)
