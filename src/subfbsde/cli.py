@@ -357,7 +357,6 @@ def _unwritable(directory: Path) -> OSError | None:
             if not os.access(path, os.W_OK | os.X_OK):
                 return PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
             return None
-    return None
 
 
 def run(subcommand: str, config_path, output_dir=None, strict=False) -> int:

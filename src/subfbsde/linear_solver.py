@@ -57,13 +57,10 @@ class ForcingSet:
     phi0: np.ndarray
 
     @classmethod
-    def zeros(cls, n_paths: int, n_steps: int) -> "ForcingSet":
-        node = lambda: np.zeros((n_paths, n_steps + 1))
-        return cls(node(), node(), node(), node(), node(), np.zeros(n_paths))
-
-    @classmethod
     def constant(cls, n_paths: int, n_steps: int, **values) -> "ForcingSet":
-        f = cls.zeros(n_paths, n_steps)
+        """Forcings equal to the given values, zero where none is given."""
+        node = lambda: np.zeros((n_paths, n_steps + 1))
+        f = cls(node(), node(), node(), node(), node(), np.zeros(n_paths))
         for key, val in values.items():
             arr = getattr(f, key)
             arr += val

@@ -253,15 +253,16 @@ class RegressionPlan:
     features at k, so everything that depends on the designs alone is built
     here: the ridged Gram matrix of every slice for all paths and for each
     cross-fit half, with the ridge `fit_condexp` uses at each sample size, and
-    the cross-fitted denominator E[dL_k | F] of the ratio estimator with the
-    mask where z is set to zero, its sums taken in the Gram pass.  It judges
-    the design it fits: too few paths fail the build before the Gram pass, and
-    a Gram no solve could use names its earliest slice, so `fit` fits the
-    targets a linear solve hands it on every slice in one batched solve;
-    `predict` evaluates them on a row block.  The monomials are streamed from
-    `_feature_columns` over row blocks of paths, twice per build and once per
-    fit, never stored; the blocks' sums are added in block order.  The plan
-    holds p x p numbers per slice and one (n_paths, n_steps - 1) denominator.
+    the cross-fitted denominator E[dL_k | F] of the ratio estimator, infinite
+    where the clock is predicted frozen (z is zero there), its sums taken in
+    the Gram pass.  It judges the design it fits: too few paths fail the build
+    before the Gram pass, and a Gram no solve could use names its earliest
+    slice, so `fit` fits the targets a linear solve hands it on every slice in
+    one batched solve; `predict` evaluates them on a row block.  The monomials
+    are streamed from `_feature_columns` over row blocks of paths, twice per
+    build and once per fit, never stored; the blocks' sums are added in block
+    order.  The plan holds p x p numbers per slice and one (n_paths,
+    n_steps - 1) denominator.
     """
 
     def __init__(self, ensemble, basis: BasisSpec):
@@ -325,15 +326,14 @@ class RegressionPlan:
 
         # a frozen slice's sums are 0, and so are its coefficients and predicted den
         coef = self._solve(dL_sums)
-        den = np.empty(dL.shape)
+        self._den = den = np.empty(dL.shape)
 
         def predict(block):  # straight into the block's rows
             rows, (half, monomials) = block
             np.copyto(den[rows], _predict(monomials, coef[3 - half])[0])
 
         _map_blocks(predict, self.row_blocks(), n)
-        self._zero = den < self.floor
-        self._den = np.maximum(den, self.floor, out=den)
+        den[den < self.floor] = np.inf  # z = num / inf = 0 where the clock is frozen
 
     def row_blocks(self):
         """Row blocks of at most `_BLOCK_ROWS` paths that never straddle the
@@ -395,5 +395,4 @@ class RegressionPlan:
         half, monomials = block
         cond, z = _predict(monomials, coef[0], coef[3 - half])
         z /= self._den[rows]
-        z[self._zero[rows]] = 0.0
         return cond, z

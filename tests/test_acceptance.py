@@ -108,7 +108,7 @@ def test_criterion_04_linear_solver_closed_form():
     grid = TimeGrid(a=0.0, T=1.0, n_steps=50)
     ens = build_ensemble(JUMP_SPEC, grid, 2000, seed=400)
     plan = RegressionPlan(ens, BasisSpec())
-    theta = solve_linear(ForcingSet.zeros(ens.n_paths, ens.n_steps).rows, 1.0, plan)
+    theta = solve_linear(ForcingSet.constant(ens.n_paths, ens.n_steps).rows, 1.0, plan)
     exact = np.exp(-(grid.times()[None, :] + ens.L))
     err_exact = float(np.max(np.abs(theta.x - exact) / exact))
     # drift-only forced case vs the deterministic ODE oracle

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import re
 from pathlib import Path
 
@@ -622,6 +624,25 @@ def test_unwritable_output_dir_is_refused_before_any_compute(tmp_path, capsys, m
     _assert_write_error(capsys, run(subcommand, path), Path("blocker/out"))
     assert sorted(tmp_path.rglob("*")) == sorted([*before, path])
     assert not (tmp_path / "blocker").is_dir()
+
+
+def test_output_dir_without_write_permission_is_refused(tmp_path, capsys, monkeypatch):
+    # os.access denies the nearest existing ancestor: the suite may run as
+    # root, to whom a chmod denies nothing
+    locked, access = tmp_path / "locked", os.access
+    locked.mkdir()
+
+    def never(*args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setattr(cli.os, "access", lambda p, mode: Path(p) != locked and access(p, mode))
+    monkeypatch.setitem(cli._HANDLERS, "solve", never)
+    out = locked / "out"
+    code = run("solve", write_config(tmp_path, base_config(output_dir=str(out))))
+    assert code == EXIT_CONFIG
+    denied = f"[Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: '{locked}'"
+    assert capsys.readouterr().err == f"cannot write artifacts to {out}: {denied}\n"
+    assert not out.exists()
 
 
 def test_csv_written_before_a_failing_json_write_stays(tmp_path, capsys):

@@ -202,6 +202,25 @@ def test_sample_jumps_layout():
         assert np.array_equal(x, y)
 
 
+def test_jump_free_spec_draws_zero_sizes_and_no_randoms():
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    sizes = SubordinatorSpec(kappa=1.0).sample_jump_sizes(4, rng)
+    assert np.array_equal(sizes, np.zeros(4)) and rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0])
+def test_sample_jumps_refuses_a_non_positive_horizon(jump_spec, horizon):
+    with pytest.raises(ValueError, match="^horizon must be positive$"):
+        sample_jumps(jump_spec, horizon, 10, seed=1)
+
+
+@pytest.mark.parametrize("n_paths", [0, -1])
+def test_clock_ensemble_needs_a_path(jump_spec, grid, n_paths):
+    with pytest.raises(ValueError, match="^n_paths must be >= 1$"):
+        sample_clock_ensemble(jump_spec, grid, n_paths, seed=1)
+
+
 def test_sample_jumps_refuses_sizes_past_float64():
     # Pareto shape 0.001: about half the sizes overflow float64, and the
     # sampler refuses them without numpy's overflow warning, as a numerical

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,37 @@ def test_flipped_b_fails_with_concrete_witness():
     dx, dy = v["x1"] - v["x2"], v["y1"] - v["y2"]
     lhs = float(db * dy - dg * dx)
     assert lhs > -bundle.monotonicity * (dx**2 + dy**2)
+
+
+@pytest.mark.parametrize(
+    "change, condition, verdict",
+    [
+        ({"sigma": lambda t, st, x, y, z: 3.0 * z}, "m2", "m2"),
+        ({"phi": lambda st, x: -x}, "phi", "phi_monotone"),
+    ],
+    ids=["m2", "phi"],
+)
+def test_a_single_failed_condition_is_the_one_reported(change, condition, verdict):
+    # canonical_monotone(1) with one coefficient changed fails that condition alone
+    bundle = replace(get_bundle("canonical_monotone"), **change)
+    report = check_hypothesis(bundle, _rng())
+    assert report.verdict == {key: key != verdict for key in ("m1", "m2", "phi_monotone")}
+    assert not report.passed
+    v = report.violation
+    assert v is not None and v["condition"] == condition
+    # re-evaluate the witness: it must genuinely violate the condition
+    st = MarkovState(x=np.array([v["state_x"]]), r=np.array([v["state_r"]]))
+    t = np.array([v["t"]])
+    dx, dy, dz = v["x1"] - v["x2"], v["y1"] - v["y2"], v["z1"] - v["z2"]
+    if condition == "m2":
+        def diff(f):
+            return f(t, st, v["x1"], v["y1"], v["z1"]) - f(t, st, v["x2"], v["y2"], v["z2"])
+
+        lhs = float(diff(bundle.sigma) * dz + diff(bundle.delta) * dy - diff(bundle.h) * dx)
+        assert lhs > -bundle.monotonicity * (dx**2 + dy**2 + dz**2)
+    else:
+        dphi = float(bundle.phi(st, v["x1"]) - bundle.phi(st, v["x2"]))
+        assert dphi * dx < 0.0
 
 
 def test_cross_lipschitz_passes_with_halved_constant():

@@ -105,7 +105,7 @@ def test_contraction_fit_drops_first_ratio():
 def _zero_point_data(bundle, ensemble):
     """The bundle's coefficients at the zero solution as a row-block
     function, as the solver builds them."""
-    base = ForcingSet.zeros(ensemble.n_paths, ensemble.n_steps)
+    base = ForcingSet.constant(ensemble.n_paths, ensemble.n_steps)
     return picard_forcings(bundle, zero_triple(ensemble), 1.0, base.rows, ensemble)
 
 

@@ -81,7 +81,7 @@ def test_picard_forcings_eta_zero_is_identity(jump_ensemble):
 
 def test_picard_forcings_zero_seed_canonical_vanishes(jump_ensemble):
     m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
-    base = ForcingSet.zeros(m, n)
+    base = ForcingSet.constant(m, n)
     theta = zero_triple(jump_ensemble)
     bundle = get_bundle("canonical_monotone")
     out = picard_forcings(bundle, theta, 1.0, base.rows, jump_ensemble)(slice(None))
@@ -91,7 +91,7 @@ def test_picard_forcings_zero_seed_canonical_vanishes(jump_ensemble):
 
 def test_picard_forcings_linear_in_iterate(jump_ensemble):
     m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
-    base = ForcingSet.zeros(m, n)
+    base = ForcingSet.constant(m, n)
     bundle = get_bundle("canonical_monotone", c=0.5)
     theta = zero_triple(jump_ensemble)
     rng = np.random.default_rng(8)
@@ -244,7 +244,7 @@ def test_zero_seeded_loops_take_their_first_residual_as_norm(drift_ensemble, mon
 def test_linear_bundle_matches_linear_solver(jump_ensemble, jump_plan):
     m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
     theta, diag = solve_fbsde(get_bundle("canonical_monotone"), 1.0, jump_ensemble)
-    direct = solve_linear(ForcingSet.zeros(m, n).rows, 1.0, jump_plan)
+    direct = solve_linear(ForcingSet.constant(m, n).rows, 1.0, jump_plan)
     assert m_norm(theta, direct).value <= 1e-10
     assert diag.total_linear_solves == 2  # fixed point reached immediately
     assert diag.levels[0].converged

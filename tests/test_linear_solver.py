@@ -21,7 +21,7 @@ FORCINGS = ("b0", "g0", "delta0", "h0", "sigma0", "phi0")
 
 def test_zero_forcing_closed_form_pathwise(jump_ensemble, jump_plan):
     m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
-    f = ForcingSet.zeros(m, n)
+    f = ForcingSet.constant(m, n)
     theta = solve_linear(f.rows, 1.0, jump_plan)
     t = jump_ensemble.grid.times()
     exact = np.exp(-(t[None, :] + jump_ensemble.L))
@@ -69,7 +69,7 @@ def test_superposition(jump_ensemble, jump_plan):
     rng = np.random.default_rng(5)
 
     def random_forcings():
-        f = ForcingSet.zeros(m, n)
+        f = ForcingSet.constant(m, n)
         f.b0 += rng.standard_normal((m, n + 1)) * 0.0 + rng.standard_normal()
         f.g0 += rng.standard_normal()
         f.delta0 += rng.standard_normal()
@@ -118,8 +118,8 @@ def test_forced_drift_only_matches_ode_oracle():
 
 def test_apriori_check_zero_data(jump_ensemble, jump_plan):
     m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
-    theta = solve_linear(ForcingSet.zeros(m, n).rows, 0.0, jump_plan)
-    report = apriori_ratio(theta, ForcingSet.zeros(m, n).rows, 0.0)
+    theta = solve_linear(ForcingSet.constant(m, n).rows, 0.0, jump_plan)
+    report = apriori_ratio(theta, ForcingSet.constant(m, n).rows, 0.0)
     assert report.degenerate
     assert report.ratio == 0.0
     assert report.lhs == 0.0
@@ -146,12 +146,12 @@ def three_block_plan(jump_spec):
 
 def _mis_shaped(m, n, case):
     if case == "node_count":
-        return ForcingSet.zeros(m, n + 1)
+        return ForcingSet.constant(m, n + 1)
     if case == "too_few_paths":
-        return ForcingSet.zeros(m - 1, n)
+        return ForcingSet.constant(m - 1, n)
     if case == "too_many_paths":
-        return ForcingSet.zeros(m + 1, n)
-    f = ForcingSet.zeros(m, n)
+        return ForcingSet.constant(m + 1, n)
+    f = ForcingSet.constant(m, n)
     f.phi0 = {"phi0_column": np.zeros((m, 1)), "phi0_scalar": np.float64(0.5)}[case]
     return f
 
@@ -219,10 +219,10 @@ def test_apriori_matches_whole_array_energies(monkeypatch, three_block_plan):
 
 def test_forcing_validation(jump_ensemble, jump_plan):
     m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
-    bad = ForcingSet.zeros(m, n + 1)
+    bad = ForcingSet.constant(m, n + 1)
     with pytest.raises(ValueError):
         solve_linear(bad.rows, 0.0, jump_plan)
-    f = ForcingSet.zeros(m, n)
+    f = ForcingSet.constant(m, n)
     f.b0[0, 0] = np.inf
     with pytest.raises(ValueError):
         solve_linear(f.rows, 0.0, jump_plan)
@@ -246,7 +246,7 @@ def test_out_triple_receives_the_solution(jump_ensemble, jump_plan):
 
 def test_out_triple_must_be_writable_c_contiguous_grids(jump_ensemble, jump_plan):
     m, n = jump_ensemble.n_paths, jump_ensemble.n_steps
-    f = ForcingSet.zeros(m, n)
+    f = ForcingSet.constant(m, n)
     dt, dL = jump_ensemble.grid.dt, jump_ensemble.dL
     grids = lambda: [np.empty((m, n + 1)) for _ in range(3)]  # noqa: E731
     fortran = grids()

@@ -37,9 +37,9 @@ GRID_BYTES = M * (N + 1) * 8  # one (n_paths, n_steps + 1) float64 grid
 # blocks that kept them, 4.79 with one 512-row block and the plan's weight
 # grid, 6.22 with the two whole-ensemble outputs)
 MAX_PEAK_GRIDS = 5.2
-# held by the plan in grids: the (n_paths, n_steps - 1) denominator and its
-# zero mask (1.12 measured; the weights are computed per row block); a solve
-# leaves nothing behind but its result
+# held by the plan in grids: the (n_paths, n_steps - 1) denominator, infinite
+# where z is zero (1.00 measured; the weights are computed per row block); a
+# solve leaves nothing behind but its result
 MAX_RETAINED_GRIDS = 2.5
 # peak of a Picard solve above what was live before it, in grids: the plan,
 # the previous and the new iterate and the row-block temporaries; nested

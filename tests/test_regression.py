@@ -35,6 +35,21 @@ def test_one_dimensional_features_are_one_column():
     )
 
 
+def test_three_dimensional_features_are_refused():
+    with pytest.raises(ValueError, match="^features must be a 1-d or 2-d array"):
+        polynomial_features(np.ones((5, 2, 2)), 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_targets_are_refused(bad):
+    # a ValueError for a bad input and a FloatingPointError for a numerical failure
+    y = np.ones(50)
+    y[17] = bad
+    for kind in (ValueError, FloatingPointError):
+        with pytest.raises(kind, match="^non-finite regression targets at slice 3$"):
+            fit_condexp(np.linspace(0.0, 1.0, 50), y, BasisSpec(), slice_index=3)
+
+
 def test_basis_validation():
     with pytest.raises(ValueError):
         BasisSpec(degree=-1)

@@ -163,7 +163,7 @@ def test_picard_forcings_none_base_is_zero_base(ensembles, eta):
     ens = ensembles[SIZES[-1]]
     theta = random_triple(ens, seed=5)
     bundle = _state_and_scalar_bundle()
-    zeros = ForcingSet.zeros(ens.n_paths, ens.n_steps)
+    zeros = ForcingSet.constant(ens.n_paths, ens.n_steps)
     out = stacked(picard_forcings(bundle, theta, eta, None, ens), ens.n_paths)
     ref = stacked(picard_forcings(bundle, theta, eta, zeros.rows, ens), ens.n_paths)
     for name in ("b0", "g0", "delta0", "h0", "sigma0", "phi0"):
