@@ -15,4 +15,4 @@ from .linear_solver import *  # noqa: F401,F403
 from .regression import *  # noqa: F401,F403
 from .subdiffusion import *  # noqa: F401,F403
 
-__version__ = "0.3.1"
+__version__ = "0.4.0"

@@ -17,11 +17,14 @@ and reruns with an identical config are byte identical.
 Exit codes: 0 success, 2 config validation error, an output directory that
 cannot be written (a CSV written before a failing JSON write stays on disk)
 or arrays too large to allocate, 3 solver divergence (a Picard residual
-above 1e6 times its loop's first), 4 hypothesis-check failure under
---strict, 5 numerical failure (non-finite jump sums, coefficients, forcings,
-solutions, norms or JSON values, or a singular regression design; nothing is
-written), 6 a Picard loop of any ladder level that stopped at max_picard
-without converging (its artifacts are still written).
+above 1e6 times its loop's first; with eta < 1, a loop of the ladder that
+took over from flat Picard), 4 hypothesis-check failure under --strict, 5
+numerical failure (non-finite jump sums, coefficients, forcings, solutions,
+norms or JSON values, or a singular regression design; nothing is written),
+6 a Picard loop of any ladder level that stopped at max_picard without
+converging (its artifacts are still written).  A flat Picard loop that the
+ladder took over from counts toward neither 3 nor 6: one stderr line says
+why it was abandoned, and its record stays first in the JSON's `levels`.
 """
 from __future__ import annotations
 
@@ -42,7 +45,7 @@ import numpy as np
 from .clock import SubordinatorSpec, TimeGrid
 from .coefficients import check_hypothesis, get_bundle
 from .diagnostics import apriori_ratio, m_norm
-from .fbsde_solver import ContinuationConfig, DivergedError, solve_fbsde
+from .fbsde_solver import ContinuationConfig, DivergedError, solve_fbsde, stop_reason
 from .linear_solver import ForcingSet, solve_linear
 from .regression import BasisSpec, RegressionPlan
 from .subdiffusion import build_ensemble
@@ -157,7 +160,7 @@ class ScenarioConfig:
         self.x0 = raw.get("x0", 0.0)
         self.output_dir = Path(raw.get("output_dir", "."))
         self.forcing_values = raw.get("forcings", {})
-        # "flatten" is the one-level ladder eta = 1; "nested" steps by the eta key
+        # "flatten" is flat Picard alone (eta = 1); "nested" may fall back on the eta ladder
         if ("eta" in raw) != (raw.get("strategy", "flatten") == "nested"):
             need = "required" if "eta" not in raw else "only read"
             raise ConfigError(f'config key eta: {need} with "strategy": "nested"')
@@ -306,6 +309,22 @@ def _solve_linear(config: ScenarioConfig, strict: bool):
     return EXIT_OK, _solution_csv(ens, theta), payload
 
 
+def _returned_loops(diag, solver: ContinuationConfig) -> list:
+    """The loop records of the solution a solve returned or diverged on.  A
+    flat loop the ladder took over from is left out, and one stderr line
+    says why and after how many solves it was abandoned."""
+    flat, *ladder = diag.levels
+    if not ladder or flat.eta != 1.0:  # a ladder's steps are below 1
+        return diag.levels
+    why = stop_reason(flat.residuals, stall=True) or f"max_picard={solver.max_picard} reached"
+    print(
+        f"flat Picard abandoned after {len(flat.residuals)} linear solves: {why}; "
+        f"the eta={solver.eta:g} ladder took over",
+        file=sys.stderr,
+    )
+    return ladder
+
+
 def _run_solve(config: ScenarioConfig, strict: bool):
     bundle, report, code = _checked_bundle(config, strict)
     if code != EXIT_OK:
@@ -320,13 +339,15 @@ def _run_solve(config: ScenarioConfig, strict: bool):
         with _solver_config_errors():
             theta, diag = solve_fbsde(bundle, config.x0, ens, config.solver, config.basis)
     except DivergedError as err:
+        _returned_loops(err.diagnostics, config.solver)
         print(str(err), file=sys.stderr)
         return EXIT_DIVERGED, None, {**dataclasses.asdict(err.diagnostics), "error": str(err)}
-    stuck = [level for level in diag.levels if not level.converged]
+    loops = _returned_loops(diag, config.solver)
+    stuck = [level for level in loops if not level.converged]
     if stuck:
         print(
             f"Picard iteration did not converge within max_picard={config.solver.max_picard} "
-            f"iterates: {len(stuck)} of {len(diag.levels)} loops, the first at "
+            f"iterates: {len(stuck)} of {len(loops)} loops, the first at "
             f"alpha={stuck[0].alpha:g} with last residual {stuck[0].residuals[-1]:g}",
             file=sys.stderr,
         )

@@ -1,26 +1,35 @@
 """Fully coupled FBSDE solver by continuation and Picard iteration.
 
 Each Picard iterate freezes the previous solution inside the coupling gap
-and solves the explicitly tractable base system with updated forcings.  The
-continuation ladder has ceil(1/eta) levels with steps at most eta; each
-level's Picard loop solves the anchor system by calling the level below it,
-down to the linear base solver.  An inner loop need only be as accurate as
-its parent's progress (the forcing-term rule of inexact Newton methods,
-Dembo, Eisenstat & Steihaug 1982): it stops once its residual is at most
-INNER times the enclosing loop's last residual, or its own first on the
-enclosing loop's first iterate, unless picard_tol stops it first; the top
-loop stops on picard_tol alone.  The cost is exponential in the ladder
-depth, so a ladder deeper than MAX_LADDER_DEPTH levels is refused.  The
-paper's provable step depends on (L, c, kappa, T) and needs dozens of
-levels, so every step that runs is heuristic; eta = 1 is a single Picard
-loop anchored on the linear base solver.  A Picard loop may grow for a few
-iterates before it contracts, so the one divergence condition is a residual
-above 1e6 times the loop's first; a loop that neither converges nor grows
-that far stops at max_picard.  Every loop that stops, at every level, leaves
-one LevelRecord: the diagnostics list the whole tree of loops, top level last.
-The loops recycle their grids: each linear solve writes into an iterate
-some loop has dropped, so from a loop's third solve on no grid is allocated.
-A loop seeded by the zero solution takes its first residual as the norm its
+and solves the explicitly tractable base system with updated forcings.  A
+solve first runs flat Picard: one loop of step 1 anchored on the linear
+base solver.  With eta < 1 the continuation ladder is its fallback (the
+continuation of Peng & Wu 1999, stepped the way numerical continuation
+codes pick their step from the iteration's behaviour, Allgower & Georg
+1990): the flat loop is abandoned, and the ladder run from the same seed,
+once it stalls (a residual ratio r_{i+1}/r_i above 1 and above the ratio
+before it, after an earlier ratio has fallen: a heuristic that no
+converging loop of the catalog sweep tripped), trips the divergence guard,
+or reaches max_picard.  With eta = 1 the flat loop is the whole solve.  The
+ladder has ceil(1/eta) levels with steps at most eta; each level's Picard
+loop solves the anchor system by calling the level below it, down to the
+linear base solver.  An inner loop need only be as accurate as its parent's
+progress (the forcing-term rule of inexact Newton methods, Dembo, Eisenstat
+& Steihaug 1982): it stops once its residual is at most INNER times the
+enclosing loop's last residual, or its own first on the enclosing loop's
+first iterate, unless picard_tol stops it first; the top loop stops on
+picard_tol alone.  The cost is exponential in the ladder depth, so a ladder
+deeper than MAX_LADDER_DEPTH levels is refused.  The paper's provable step
+depends on (L, c, kappa, T) and needs dozens of levels, so every step that
+runs is heuristic.  A Picard loop may grow for a few iterates before it
+contracts, so the one divergence condition is a residual above 1e6 times
+the loop's first; a loop that neither converges nor grows that far stops at
+max_picard.  Every loop that stops, at every level, leaves one LevelRecord:
+the diagnostics list the whole tree of loops, an abandoned flat loop first
+and the top level last.  The loops recycle their grids: each linear solve
+writes into an iterate some loop has dropped, the abandoned flat loop's
+among them, so from a loop's third solve on no grid is allocated.  A loop
+seeded by the zero solution takes its first residual as the norm its
 tolerance is relative to.
 
 Sign-flipped (increasing-orientation) bundles are solved by the same
@@ -58,7 +67,7 @@ INNER = 0.1
 
 @dataclass
 class ContinuationConfig:
-    eta: float = 1.0  # continuation step: a ladder of ceil(1/eta) levels
+    eta: float = 1.0  # the fallback ladder's step, ceil(1/eta) levels; 1: flat Picard alone
     picard_tol: float = 1e-3  # relative to a loop's first norm; the top loop stops on it alone
     max_picard: int = 25
 
@@ -88,7 +97,8 @@ class LevelRecord:
 @dataclass
 class SolveDiagnostics:
     """One `LevelRecord` per Picard loop of every ladder level, in the order
-    the loops stopped, so the top level's loop is last."""
+    the loops stopped, so the top level's loop is last; a flat loop that the
+    ladder took over from is first, unconverged, with step (`eta`) 1."""
     levels: list = field(default_factory=list)
     m_norm: MNormValue | None = None  # of the final solution; None if diverged
     apriori: AprioriReport | None = None
@@ -108,6 +118,18 @@ class DivergedError(RuntimeError):
             f"Picard iteration diverged at alpha={last.alpha:g}, eta={last.eta:g}; "
             f"residuals={last.residuals}"
         )
+
+
+def stop_reason(residuals: list, stall: bool) -> str | None:
+    """Why a Picard loop stops unconverged after its latest residual, or None
+    if it goes on: the divergence guard, or, with stall, the stall rule."""
+    if residuals[-1] > 1e6 * max(residuals[0], 1e-300):
+        return "a residual above 1e6 times its first"
+    q = [b / a for a, b in zip(residuals, residuals[1:])]  # the ratios r_{i+1}/r_i
+    rose = stall and len(q) >= 3 and q[-1] > max(1.0, q[-2])
+    if rose and any(b < a for a, b in zip(q, q[1:-1])):
+        return f"its residual ratio rose to {q[-1]:.4f} after falling"
+    return None
 
 
 def picard_forcings(
@@ -175,10 +197,12 @@ def solve_fbsde(
     """End-to-end solve of the fully coupled FBSDE on the ensemble.
 
     Returns (solution, diagnostics).  theta0 overrides the zero Picard seed
-    of every ladder level (uniqueness probes).  The top loop stops on
-    picard_tol; an inner loop stops once its residual is also at most INNER
-    times its parent's last.  Raises DivergedError (with the partial
-    diagnostics attached) if a Picard residual grows a millionfold over its
+    of the flat loop and of every ladder level (uniqueness probes).  The top
+    loop stops on picard_tol; an inner loop stops once its residual is also
+    at most INNER times its parent's last.  With eta < 1 a flat loop that
+    stalls, diverges or reaches max_picard hands over to the ladder.
+    Raises DivergedError (with the partial diagnostics attached) if a
+    Picard residual of a loop with no fallback grows a millionfold over its
     loop's first.
     """
     config = config or ContinuationConfig()
@@ -201,26 +225,30 @@ def solve_fbsde(
     # iterates a Picard loop has dropped, whose grids the next linear solves
     # write over.  A loop drops every iterate but its seed, once the solve
     # that replaced it has returned, so no forcings in flight read it; a
-    # loop's last iterate is never dropped, and is the warm start that seeds
-    # the next loop of its level and the iterate of the level above
+    # loop's last iterate is dropped only when the loop is abandoned, and
+    # otherwise is the warm start that seeds the next loop of its level and
+    # the iterate of the level above
     spare: list = []
 
-    def solve_at(k: int, f, parent_res: float | None = None) -> SolutionTriple:
+    def solve_at(k: int, f, parent_res: float | None = None, anchor: int | None = None):
         """Solve the level-alphas[k] system with row-block forcings f (None:
         zero forcings, k >= 1 only).  Level 0 is the linear base system; level k
-        runs the Picard loop of the step from alphas[k-1], each iterate
-        solving the anchor system at level k-1.  parent_res is the enclosing
-        loop's last residual, None on its first iterate."""
+        runs the Picard loop of the step from alphas[anchor], k - 1 unless
+        given, each iterate solving the anchor system.  parent_res is the
+        enclosing loop's last residual, None on its first iterate.  A loop
+        that skips levels has them to fall back on: it stops on the stall
+        rule too, and returns None where it stops unconverged."""
         if k == 0:
             diag.total_linear_solves += 1
             return solve_linear(f, x0, plan, out=spare.pop() if spare else None)
-        alpha, step = alphas[k], alphas[k] - alphas[k - 1]
+        below = k - 1 if anchor is None else anchor
+        alpha, step, skips = alphas[k], alphas[k] - alphas[below], below < k - 1
         seed = theta = warm[k]
         residuals: list[float] = []
-        converged = False
+        converged = stopped = False
         for _ in range(config.max_picard):
             forcings = picard_forcings(work, theta, step, f, ensemble)
-            theta_new = solve_at(k - 1, forcings, residuals[-1] if residuals else None)
+            theta_new = solve_at(below, forcings, residuals[-1] if residuals else None)
             res = m_norm(theta_new, theta).value
             residuals.append(res)
             if len(residuals) == 1:
@@ -235,18 +263,25 @@ def solve_fbsde(
             if res <= threshold:
                 converged = True
                 break
-            if res > 1e6 * max(residuals[0], 1e-300):
-                diag.diverged = True
+            stopped = stop_reason(residuals, skips) is not None
+            if stopped:
                 break
         fit = contraction_fit(residuals) if len(residuals) >= 3 and min(residuals) > 0 else None
         diag.levels.append(LevelRecord(alpha, step, residuals, converged, fit))
-        if diag.diverged:
+        if skips and not converged:
+            spare.append(theta)  # an iterate, never the seed: max_picard is at least 1
+            return None
+        if stopped:
+            diag.diverged = True
             raise DivergedError(diag)
         warm[k] = theta
         return theta
 
     try:
-        theta = solve_at(n_levels, None)
+        # flat Picard first; with eta < 1 the ladder takes over from the same seed
+        theta = solve_at(n_levels, None, anchor=0)
+        if theta is None:
+            theta = solve_at(n_levels, None)
     finally:
         spare.clear()
         del solve_at  # it refers to itself: the cycle would hold the plan and the seeds

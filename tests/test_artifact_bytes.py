@@ -42,8 +42,8 @@ SHA256 = {
         "jump_flatten_solve_7.json": "cfe50b83b8bc0e02de3c847c4d9c8247500f0018d4fc50aa2b2ef7d59794c4ce",
     },
     "drift_nested": {
-        "drift_nested_solve_7.csv": "c89cf7e6062761a863ecfbec7d7c73d686a7e914b1bb4cb04d627b8a69426dcd",
-        "drift_nested_solve_7.json": "0d1e0580098f20efa1ef3d956ff8501f8ffb2b8f620a13f37113ca9e496556d3",
+        "drift_nested_solve_7.csv": "3538a8328aacaafe951352fb6cedf6ec57ff087568aac05beddea58803477af9",
+        "drift_nested_solve_7.json": "6049ee21ae2fa7d5dd04320b45de302844b5ee42a64f4290ebdf780948ea5deb",
     },
 }
 

@@ -708,8 +708,9 @@ def test_removed_step_keys_are_unknown(tmp_path, capsys, key):
 
 @pytest.mark.parametrize("subcommand", ["solve"])
 def test_inner_level_out_of_iterates_exit_code(tmp_path, capsys, subcommand):
-    # the top level converges in 11 iterates; the first four of its 11 inner
-    # loops run out of them
+    # flat Picard runs out of its 11 iterates and the ladder takes over; its
+    # top level converges in 11 iterates; the first four of its 11 inner
+    # loops run out of them.  Exit 6 counts the ladder's loops alone.
     cfg = base_config(
         seed=1,
         n_paths=200,
@@ -726,14 +727,96 @@ def test_inner_level_out_of_iterates_exit_code(tmp_path, capsys, subcommand):
     doc = json.loads((tmp_path / f"t_{subcommand}_1.json").read_text())
     levels = doc["levels"]
     assert err == (
+        "flat Picard abandoned after 11 linear solves: max_picard=11 reached; "
+        "the eta=0.5 ladder took over\n"
         "Picard iteration did not converge within max_picard=11 iterates: "
-        f"4 of 12 loops, the first at alpha=0.5 with last residual {levels[0]['residuals'][-1]:g}\n"
+        f"4 of 12 loops, the first at alpha=0.5 with last residual {levels[1]['residuals'][-1]:g}\n"
     )
+    assert levels[0]["alpha"] == levels[0]["eta"] == 1.0 and len(levels[0]["residuals"]) == 11
     assert levels[-1]["alpha"] == 1.0 and levels[-1]["converged"] is True
     assert len(levels[-1]["residuals"]) == 11
-    assert [level["converged"] for level in levels] == [False] * 4 + [True] * 8
+    assert [level["converged"] for level in levels] == [False] * 5 + [True] * 8
     assert doc["diverged"] is False
     assert (tmp_path / "t_solve_1.csv").exists()
+
+
+# riccati_test(4) on a drift clock: flat Picard diverges, and the eta 1/3
+# ladder solves it
+_RICCATI_4 = {"seed": 1, "n_paths": 400, "n_steps": 50, "bundle": "riccati_test",
+              "bundle_params": {"c": 4.0}, "max_picard": 60}
+_FALLBACK_LINE = re.compile(
+    r"flat Picard abandoned after (\d+) linear solves: its residual ratio rose to "
+    r"\d\.\d{4} after falling; the eta=0\.333333 ladder took over"
+)
+
+
+def test_stalled_flat_picard_falls_back_on_the_ladder(tmp_path, capsys):
+    cfg = base_config(output_dir=str(tmp_path), strategy="nested", eta=1 / 3, **_RICCATI_4)
+    assert run("solve", write_config(tmp_path, cfg)) == EXIT_OK
+    err = capsys.readouterr().err
+    match = _FALLBACK_LINE.fullmatch(err.rstrip("\n"))
+    assert match and err.count("\n") == 1, err
+    text = (tmp_path / "t_solve_1.json").read_text()
+    doc = json.loads(text)
+    flat, *ladder = doc["levels"]
+    # the abandoned loop is the first record; the stall rule stopped it long
+    # before the 1e6 guard would have, and its solves are counted
+    assert flat["alpha"] == flat["eta"] == 1.0 and flat["converged"] is False
+    assert len(flat["residuals"]) == int(match.group(1)) < 10
+    assert all(level["converged"] and level["eta"] < 1.0 for level in ladder)
+    assert doc["total_linear_solves"] > len(flat["residuals"]) + len(ladder[-1]["residuals"])
+    assert doc["diverged"] is False
+    # why the loop was abandoned is said on stderr only
+    assert "abandoned" not in text and "rose" not in text
+    assert (tmp_path / "t_solve_1.csv").exists()
+
+
+def test_flat_picard_alone_still_diverges(tmp_path, capsys):
+    # the same scenario with no ladder: the guard trips, exit 3, no fallback
+    cfg = base_config(output_dir=str(tmp_path), **_RICCATI_4)
+    assert run("solve", write_config(tmp_path, cfg)) == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert err.startswith("Picard iteration diverged at alpha=1, eta=1; ")
+    assert err.count("\n") == 1 and "abandoned" not in err
+    doc = json.loads((tmp_path / "t_solve_1.json").read_text())
+    assert doc["diverged"] is True and len(doc["levels"]) == 1
+    assert doc["total_linear_solves"] == len(doc["levels"][0]["residuals"]) > 10
+
+
+def test_ladder_divergence_after_the_fallback_exit_code(tmp_path, capsys):
+    # riccati_test(8): flat Picard stalls, and the eta 0.5 ladder diverges too
+    cfg = base_config(output_dir=str(tmp_path), bundle="riccati_test",
+                      bundle_params={"c": 8.0}, strategy="nested", eta=0.5)
+    assert run("solve", write_config(tmp_path, cfg)) == EXIT_DIVERGED
+    err = capsys.readouterr().err.splitlines()
+    doc = json.loads((tmp_path / "t_solve_9.json").read_text())
+    flat, last = doc["levels"][0], doc["levels"][-1]
+    assert len(err) == 2
+    assert err[0].startswith(f"flat Picard abandoned after {len(flat['residuals'])} linear solves: ")
+    assert err[0].endswith("; the eta=0.5 ladder took over")
+    assert err[1] == doc["error"] and err[1].startswith("Picard iteration diverged at ")
+    assert ", eta=0.5; " in err[1]
+    assert doc["diverged"] is True and flat["eta"] == 1.0 and flat["converged"] is False
+    assert last["eta"] == 0.5 and last["converged"] is False
+    assert not (tmp_path / "t_solve_9.csv").exists()
+
+
+def test_nested_scenario_that_converges_flat_records_one_loop(tmp_path, capsys):
+    # a drift scenario on which flat Picard converges: the nested solve runs
+    # no ladder, says nothing on stderr, and writes the flat solve's payload
+    docs = {}
+    for strategy in ({"strategy": "flatten"}, {"strategy": "nested", "eta": 0.5}):
+        out = tmp_path / strategy["strategy"]
+        cfg = base_config(output_dir=str(out), n_paths=400, n_steps=50, seed=1,
+                          bundle_params={"c": 0.5}, **strategy)
+        assert run("solve", write_config(tmp_path, cfg)) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        doc = json.loads((out / "t_solve_1.json").read_text())
+        del doc["config_hash"]
+        docs[strategy["strategy"]] = doc
+    levels = docs["nested"]["levels"]
+    assert len(levels) == 1 and levels[0]["eta"] == 1.0 and levels[0]["converged"] is True
+    assert docs["nested"] == docs["flatten"]
 
 
 @pytest.mark.parametrize("subcommand", ["sample-subdiffusion"])

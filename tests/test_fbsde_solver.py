@@ -30,6 +30,21 @@ from oracles import (
 )
 
 
+def _bundle(eta):
+    """canonical_monotone(0.5) converges under flat Picard.  On
+    riccati_test(3) flat Picard stalls at its fifth residual on the drift
+    fixture, so a solve with a ladder falls back on it."""
+    if eta == 1.0:
+        return get_bundle("canonical_monotone", c=0.5)
+    return get_bundle("riccati_test", c=3.0)
+
+
+def _fell_back(diag) -> bool:
+    """The first loop is an abandoned flat one and a ladder follows it."""
+    first = diag.levels[0]
+    return len(diag.levels) > 1 and first.eta == 1.0 and not first.converged
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ContinuationConfig(eta=0.0)
@@ -115,33 +130,36 @@ def test_picard_forcings_runs_once_per_picard_iterate(drift_ensemble, monkeypatc
         return picard_forcings(*args)
 
     monkeypatch.setattr(fbsde_solver, "picard_forcings", counted)
-    bundle = get_bundle("canonical_monotone", c=0.5)
-    _, diag = solve_fbsde(bundle, 1.0, drift_ensemble, ContinuationConfig(eta=eta))
+    _, diag = solve_fbsde(_bundle(eta), 1.0, drift_ensemble, ContinuationConfig(eta=eta))
     solves, top_iterates = diag.total_linear_solves, len(diag.levels[-1].residuals)
     if eta == 1.0:
         assert len(calls) == solves == top_iterates
     else:
+        # each iterate of the abandoned flat loop is one call and one solve
+        assert _fell_back(diag)
         assert solves > top_iterates
         assert len(calls) == top_iterates + solves
 
 
 @pytest.mark.parametrize("eta", [1.0, 0.5], ids=["flatten", "nested"])
 def test_zero_seeded_loops_start_from_a_read_only_zero(drift_ensemble, monkeypatch, eta):
-    # the first loop of every ladder level has no warm start: its first
-    # iterate gets the solve's one read-only zero triple, not zero grids
+    # the flat loop and the first loop of every ladder level have no warm
+    # start: the first iterate of each gets the solve's one read-only zero
+    # triple, not zero grids
     seeds = []
 
     def recorded(bundle, theta_prev, step, base, ensemble):
-        seeds.append((base is None, theta_prev))  # the top level has no base
+        # the top level has no base; the flat loop's step is 1
+        seeds.append(((base is None, step), theta_prev))
         return picard_forcings(bundle, theta_prev, step, base, ensemble)
 
     monkeypatch.setattr(fbsde_solver, "picard_forcings", recorded)
-    bundle = get_bundle("canonical_monotone", c=0.5)
-    solve_fbsde(bundle, 1.0, drift_ensemble, ContinuationConfig(eta=eta))
+    _, diag = solve_fbsde(_bundle(eta), 1.0, drift_ensemble, ContinuationConfig(eta=eta))
+    assert _fell_back(diag) == (eta < 1.0)
     first = {}
     for i, (level, _) in enumerate(seeds):
         first.setdefault(level, i)
-    assert len(first) == round(1.0 / eta)
+    assert len(first) == round(1.0 / eta) + (eta < 1.0)
     for i, (level, theta) in enumerate(seeds):
         arrays = (theta.x, theta.y, theta.z)
         if i == first[level]:
@@ -166,24 +184,27 @@ def _arrays(theta):
 
 
 @pytest.mark.parametrize(
-    "bundle_name, eta, seeded",
+    "bundle_name, c, eta, seeded",
     [
-        ("canonical_monotone", 1.0, False),
-        ("canonical_monotone", 0.5, False),
-        ("canonical_monotone", 1.0 / 3.0, False),
-        ("canonical_flipped_hp2", 0.5, False),
-        ("canonical_monotone", 0.5, True),
+        ("canonical_monotone", 0.5, 1.0, False),
+        ("riccati_test", 3.0, 0.5, False),
+        ("riccati_test", 3.0, 1.0 / 3.0, False),
+        ("canonical_flipped_hp2", 4.0, 0.5, False),
+        ("riccati_test", 3.0, 0.5, True),
     ],
     ids=["flatten", "eta0.5", "eta1/3", "flipped_hp2", "theta0"],
 )
 def test_linear_solves_write_over_dropped_iterates_only(
-    drift_ensemble, monkeypatch, bundle_name, eta, seeded
+    drift_ensemble, monkeypatch, bundle_name, c, eta, seeded
 ):
     # a solve is handed only a triple some Picard loop dropped: never one
     # its forcings read (the iterate of every level in flight, each level's
     # warm start among them), theta0 or the read-only zero triple; the
-    # residuals and the solution are those of solves that allocate
-    bundle = get_bundle(bundle_name, c=0.5)
+    # residuals and the solution are those of solves that allocate.  With
+    # eta < 1 flat Picard is abandoned first (from zero, riccati_test(3)
+    # stalls at its fifth residual; the other cases reach max_picard), so
+    # the ladder also writes over the abandoned loop's iterates
+    bundle = get_bundle(bundle_name, c=c)
     config = ContinuationConfig(eta=eta, max_picard=6)
     theta0 = None
     if seeded:
@@ -212,6 +233,7 @@ def test_linear_solves_write_over_dropped_iterates_only(
         monkeypatch.setattr(fbsde_solver, "solve_linear", wrapper)
         results.append(solve_fbsde(bundle, 1.0, drift_ensemble, config, theta0=theta0))
     (theta, diag), (ref, ref_diag) = results
+    assert _fell_back(diag) == (eta < 1.0)
     assert handed, "no linear solve was handed a dropped iterate"
     assert [lv.residuals for lv in diag.levels] == [lv.residuals for lv in ref_diag.levels]
     for a, b in zip(_arrays(theta), _arrays(ref)):
@@ -231,9 +253,10 @@ def test_zero_seeded_loops_take_their_first_residual_as_norm(drift_ensemble, mon
         return m_norm(theta, other)
 
     monkeypatch.setattr(fbsde_solver, "m_norm", counted)
-    _, diag = solve_fbsde(get_bundle("canonical_monotone", c=0.5), 1.0, drift_ensemble,
-                          ContinuationConfig(eta=eta))
-    zero_seeded = round(1.0 / eta)  # the first loop of every level
+    _, diag = solve_fbsde(_bundle(eta), 1.0, drift_ensemble, ContinuationConfig(eta=eta))
+    assert _fell_back(diag) == (eta < 1.0)
+    # the flat loop and the first loop of every ladder level
+    zero_seeded = round(1.0 / eta) + (eta < 1.0)
     # one residual per iterate of every loop, one norm per loop not seeded
     # by zero, and the final solution's norm
     norms = len(diag.levels) - zero_seeded + 1
@@ -376,14 +399,61 @@ def test_uniqueness_across_picard_seeds(drift_ensemble, jump_ensemble):
 
 
 def test_nested_agrees_with_flatten(jump_ensemble):
-    bundle = get_bundle("canonical_monotone", c=0.5)
-    nested_cfg = ContinuationConfig(eta=0.5, picard_tol=1e-5)
+    # flat Picard needs 11 iterates at 1e-5 here, so with 10 the nested
+    # solve hands over to its ladder, which converges in 15 solves
+    bundle = get_bundle("canonical_monotone", c=2.0)
+    nested_cfg = ContinuationConfig(eta=0.5, picard_tol=1e-5, max_picard=10)
     flat_cfg = ContinuationConfig(picard_tol=1e-7)
     t_nested, d_nested = solve_fbsde(bundle, 1.0, jump_ensemble, nested_cfg)
     t_flat, _ = solve_fbsde(bundle, 1.0, jump_ensemble, flat_cfg)
+    assert _fell_back(d_nested) and all(level.converged for level in d_nested.levels[1:])
     rel = m_norm(t_nested, t_flat).value / m_norm(t_flat).value
     assert rel <= 1e-3
     assert d_nested.total_linear_solves > 2
+
+
+@pytest.mark.parametrize("clock", ["drift", "jump"])
+def test_stalled_flat_loop_falls_back_on_the_ladder(request, clock):
+    # riccati_test(4): alone, flat Picard runs until the 1e6 guard trips and
+    # raises, with no ladder run.  With the eta 1/3 ladder to fall back on,
+    # the same loop is abandoned by the stall rule long before the guard
+    # would trip, and the ladder converges from the same zero seed
+    ens = request.getfixturevalue(f"{clock}_ensemble")
+    bundle = get_bundle("riccati_test", c=4.0)
+    with pytest.raises(DivergedError) as err:
+        solve_fbsde(bundle, 1.0, ens, ContinuationConfig(max_picard=60))
+    alone = err.value.diagnostics
+    assert len(alone.levels) == 1 and alone.levels[0].eta == 1.0
+    guarded = alone.levels[0].residuals
+    assert fbsde_solver.stop_reason(guarded, stall=False) is not None
+    assert alone.total_linear_solves == len(guarded)
+
+    _, diag = solve_fbsde(bundle, 1.0, ens, ContinuationConfig(eta=1 / 3, max_picard=60))
+    assert _fell_back(diag) and not diag.diverged
+    flat = diag.levels[0].residuals
+    # the same flat loop bit for bit, stopped by the stall rule alone
+    assert flat == guarded[: len(flat)] and len(flat) < len(guarded)
+    assert fbsde_solver.stop_reason(flat, stall=False) is None
+    assert fbsde_solver.stop_reason(flat, stall=True).startswith("its residual ratio rose")
+    ladder = diag.levels[1:]
+    assert all(level.converged and level.eta < 1.0 for level in ladder)
+    assert ladder[-1].alpha == 1.0
+    # every linear solve is an iterate of the flat loop or of a lowest-level loop
+    lowest = sum(len(level.residuals) for level in ladder if level.alpha == 1 / 3)
+    assert diag.total_linear_solves == len(flat) + lowest
+
+
+def test_nested_solve_that_converges_flat_records_one_loop(drift_ensemble):
+    # flat Picard converges on canonical_monotone(0.5), so a nested solve runs
+    # no ladder: one loop, bit for bit the flat solve
+    bundle = get_bundle("canonical_monotone", c=0.5)
+    flat, d_flat = solve_fbsde(bundle, 1.0, drift_ensemble)
+    nested, d_nested = solve_fbsde(bundle, 1.0, drift_ensemble, ContinuationConfig(eta=0.5))
+    assert len(d_nested.levels) == 1 and d_nested.levels[0].converged
+    assert d_nested.levels[0].alpha == d_nested.levels[0].eta == 1.0
+    assert d_nested == d_flat
+    for a, b in zip(_arrays(nested), _arrays(flat)):
+        assert np.array_equal(a, b)
 
 
 def test_nested_depth_bound_enforced():
@@ -396,51 +466,60 @@ def test_nested_depth_bound_enforced():
 
 
 def test_inner_level_out_of_iterates_is_counted():
-    # the top level converges in 11 iterates; each of them runs one inner
-    # loop, and the first four of those run out of iterates.  Every loop leaves
-    # a record as it stops, so the top loop's is last.
+    # flat Picard runs out of its 11 iterates, and the ladder takes over: its
+    # top level converges in 11 iterates; each of them runs one inner loop,
+    # and the first four of those run out of iterates.  Every loop leaves a
+    # record as it stops, so the abandoned flat loop's is first and the top
+    # loop's is last.
     spec = SubordinatorSpec(kappa=1.0, jump_kind="exponential", rate=1.0, jump_param=1.0)
     ens = build_ensemble(spec, TimeGrid(a=0.0, T=3.0, n_steps=20), n_paths=200, seed=1, x0=1.0)
     bundle = get_bundle("canonical_monotone", c=4.0)
     _, diag = solve_fbsde(bundle, 1.0, ens, ContinuationConfig(eta=0.5, max_picard=11))
     records = [(level.alpha, len(level.residuals), level.converged) for level in diag.levels]
     assert records == [
+        (1.0, 11, False),
         (0.5, 11, False), (0.5, 11, False), (0.5, 11, False), (0.5, 11, False),
         (0.5, 11, True), (0.5, 11, True), (0.5, 10, True), (0.5, 10, True), (0.5, 10, True),
         (0.5, 8, True), (0.5, 5, True),
         (1.0, 11, True),
     ]
-    assert all(level.eta == 0.5 for level in diag.levels)
-    # every linear solve is one iterate of a lowest-level loop
+    assert diag.levels[0].eta == 1.0 and all(level.eta == 0.5 for level in diag.levels[1:])
+    # every linear solve is one iterate of the flat loop or of a lowest-level loop
     inner = [len(level.residuals) for level in diag.levels if level.alpha == 0.5]
-    assert sum(inner) == diag.total_linear_solves == 109
+    assert sum(inner) == 109 and diag.total_linear_solves == 11 + 109
     doc = dataclasses.asdict(diag)
-    assert [level["converged"] for level in doc["levels"]] == [False] * 4 + [True] * 8
-    # with a larger budget every loop converges
+    assert [level["converged"] for level in doc["levels"]] == [False] * 5 + [True] * 8
+    # with a larger budget every loop of the ladder converges
     _, diag = solve_fbsde(bundle, 1.0, ens, ContinuationConfig(eta=0.5))
-    assert len(diag.levels) == 12 and all(level.converged for level in diag.levels)
+    assert _fell_back(diag) and len(diag.levels[0].residuals) == 25
+    assert len(diag.levels) == 13 and all(level.converged for level in diag.levels[1:])
 
 
 def test_inner_loops_stop_at_a_tenth_of_the_parent_residual():
     # an inner loop only needs the accuracy of its parent's progress: it stops
     # once its residual is at most INNER times the parent's last residual (its
     # own first on the parent's first iterate), so it shortens as the parent
-    # converges.  Solving every inner loop to picard_tol takes 20 solves here.
+    # converges.  Here flat Picard stalls at its 12th residual and the ladder
+    # takes over; solving every inner loop to picard_tol takes the ladder 35
+    # solves, not 14.
     spec = SubordinatorSpec(kappa=1.0, jump_kind="exponential", rate=1.0, jump_param=1.0)
     ens = build_ensemble(spec, TimeGrid(a=0.0, T=1.0, n_steps=20), n_paths=200, seed=1, x0=1.0)
-    _, diag = solve_fbsde(get_bundle("canonical_monotone", c=2.0), 1.0, ens, ContinuationConfig(eta=0.5))
+    _, diag = solve_fbsde(get_bundle("riccati_test", c=2.0), 1.0, ens, ContinuationConfig(eta=0.5))
     records = [(level.alpha, len(level.residuals), level.converged) for level in diag.levels]
     assert records == [
-        (0.5, 3, True), (0.5, 2, True), (0.5, 2, True), (0.5, 2, True), (0.5, 1, True),
-        (1.0, 5, True),
+        (1.0, 12, False),
+        (0.5, 3, True), (0.5, 2, True), (0.5, 3, True), (0.5, 2, True), (0.5, 3, True),
+        (0.5, 1, True),
+        (1.0, 6, True),
     ]
-    assert diag.total_linear_solves == 10
-    top = diag.levels[-1].residuals
-    for i, level in enumerate(diag.levels[:-1]):
+    assert diag.total_linear_solves == 12 + 14
+    ladder = diag.levels[1:]
+    top = ladder[-1].residuals
+    for i, level in enumerate(ladder[:-1]):
         parent = level.residuals[0] if i == 0 else top[i - 1]
         assert all(r > fbsde_solver.INNER * parent for r in level.residuals[:-1])
         # the last inner loop's first residual already meets picard_tol
-        if i < 4:
+        if i < 5:
             assert level.residuals[-1] <= fbsde_solver.INNER * parent
 
 
@@ -462,11 +541,14 @@ def test_diagnostics_serialization(drift_ensemble):
     assert doc["total_linear_solves"] == diag.total_linear_solves
 
 
-def test_user_seed_reaches_top_ladder_level(jump_ensemble):
-    bundle = get_bundle("canonical_monotone", c=0.5)
+def test_user_seed_reaches_top_ladder_level(drift_ensemble):
+    # flat Picard stalls on this bundle, from zero and from the seed alike,
+    # so both solves end on the ladder's top level
+    bundle = _bundle(0.5)
     config = ContinuationConfig(eta=0.5, picard_tol=1e-5)
-    theta, diag = solve_fbsde(bundle, 1.0, jump_ensemble, config)
-    _, seeded = solve_fbsde(bundle, 1.0, jump_ensemble, config, theta0=theta)
+    theta, diag = solve_fbsde(bundle, 1.0, drift_ensemble, config)
+    _, seeded = solve_fbsde(bundle, 1.0, drift_ensemble, config, theta0=theta)
+    assert _fell_back(diag) and _fell_back(seeded)
     assert seeded.levels[-1].alpha == 1.0 and seeded.levels[-1].eta == 0.5
     # a seed at the converged solution leaves only the top level's own
     # Picard tolerance to remove
